@@ -59,7 +59,6 @@ class DesignContext:
     foil: FourDigitFoil = field(default_factory=FourDigitFoil)
     material: Material = field(default_factory=Material)
     rule: ScalingRule = field(default_factory=ScalingRule)
-    water_density: float = 1000.0
     s_step: float = 0.05
     d_step: float = 0.02
     l_step: float = 0.2
@@ -107,9 +106,6 @@ class KiteDesign:
     def m_kite(self) -> float:
         return self.m_wing + self.m_fuse
 
-    def buoyant(self, water_density: float = 1000.0) -> bool:
-        return self.m_kite <= water_density * self.volume
-
 
 def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
     """Assemble a KiteDesign from the raw variable vector."""
@@ -156,10 +152,9 @@ def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
         planform.chord, ctx.foil, n_stations=ctx.n_stations)
     hull = FuselageDesign(design.diameter, design.length, design.wall_pct)
     floads = rated_fuselage_loads(
-        planform, design.length, ctx.flow, ctx.foil_coeffs,
-        hstab_area_fraction=ctx.rule.hstab_area_fraction)
+        planform, design.length, ctx.flow, ctx.foil_coeffs, ctx.rule)
     fm = constraint_margins(hull, floads, ctx.material)
-    displaced = ctx.water_density * design.volume
+    displaced = ctx.flow.density * design.volume
     u = design.as_vector()
     span_box = np.minimum(u - DESIGN_LO, DESIGN_HI - u)
     return {
@@ -298,8 +293,7 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
     best = None
     for length in _axis_grid(*FUSE_LENGTH_RANGE, ctx.l_step):
         floads = rated_fuselage_loads(
-            planform, length, ctx.flow, ctx.foil_coeffs,
-            hstab_area_fraction=ctx.rule.hstab_area_fraction)
+            planform, length, ctx.flow, ctx.foil_coeffs, ctx.rule)
         for d in _axis_grid(*FUSE_DIAMETER_RANGE, ctx.d_step):
             try:
                 sizing = sfdt_optimize(d, length, floads, ctx.material)
@@ -307,7 +301,7 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
                 continue
             if best is not None and sizing.mass >= best.mass:
                 continue
-            displaced = ctx.water_density * displaced_volume(
+            displaced = ctx.flow.density * displaced_volume(
                 planform, d, length, ctx.rule, ctx.foil)
             if m_wing + sizing.mass > displaced:
                 continue

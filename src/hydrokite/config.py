@@ -16,7 +16,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from .codesign import DESIGN_HI, DESIGN_LO, DesignContext, GAConfig
+from .codesign import DesignContext, GAConfig
 from .design import ScalingRule
 from .dynsim import BasisParams, FlightGains, SimParams, TetherProperties, WinchParams
 from .effmap import EffSurface
@@ -24,9 +24,6 @@ from .errors import ConfigError
 from .hydro import FlowEnv, FoilCoeffs
 from .ilc import DEFAULT_BOX, ILCConfig
 from .wingstruct import Material
-
-BOUND_NAMES = ("span", "aspect_ratio", "n_spars", "spar_width_pct",
-               "shell_pct", "diameter", "length", "wall_pct")
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,6 @@ class EffmapSettings:
     aspect_points: int = 3
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    output_dir: str = "."
-    jobs: int = 0     # 0 picks the hardware width
-
-
 _SECTION_TYPES = {
     "flow": FlowEnv,
     "foil": FoilCoeffs,
@@ -97,7 +88,6 @@ _SECTION_TYPES = {
     "ga": GAConfig,
     "grids": GridSettings,
     "effmap": EffmapSettings,
-    "run": RunSettings,
 }
 
 # tether length lives with the tether section but parameterizes the
@@ -121,7 +111,6 @@ class SuiteConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     grids: GridSettings = field(default_factory=GridSettings)
     effmap: EffmapSettings = field(default_factory=EffmapSettings)
-    run: RunSettings = field(default_factory=RunSettings)
 
     def design_context(self, surface: Optional[EffSurface] = None) -> DesignContext:
         kwargs = dict(
@@ -158,10 +147,6 @@ def _coerce(section: str, name: str, ftype: Any, raw: Any) -> Any:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{where} must be a number")
         return float(raw)
-    if ftype is str or ftype == "str":
-        if not isinstance(raw, str):
-            raise ConfigError(f"{where} must be a string")
-        return raw
     raise ConfigError(f"{where} has unsupported type {ftype!r}")
 
 
@@ -180,25 +165,6 @@ def _build_section(section: str, cls: type, data: dict) -> Any:
         raise ConfigError(f"invalid {section} settings: {exc}") from exc
 
 
-def _check_bounds_table(data: dict) -> None:
-    bad = set(data) - set(BOUND_NAMES)
-    if bad:
-        raise ConfigError(f"unknown key bounds.{sorted(bad)[0]}")
-    for i, name in enumerate(BOUND_NAMES):
-        if name not in data:
-            continue
-        pair = data[name]
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in pair)):
-            raise ConfigError(f"bounds.{name} must be a [low, high] pair")
-        lo, hi = float(pair[0]), float(pair[1])
-        if lo != DESIGN_LO[i] or hi != DESIGN_HI[i]:
-            raise ConfigError(
-                f"bounds.{name} is fixed at [{DESIGN_LO[i]:g}, "
-                f"{DESIGN_HI[i]:g}] in this release")
-
-
 def parse_config(text: str) -> SuiteConfig:
     try:
         doc = yaml.safe_load(text)
@@ -209,22 +175,18 @@ def parse_config(text: str) -> SuiteConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping of sections")
 
-    known_sections = set(_SECTION_TYPES) | {"bounds"}
-    bad = set(doc) - known_sections
+    bad = set(doc) - set(_SECTION_TYPES)
     if bad:
         raise ConfigError(
             f"unknown section {sorted(bad)[0]!r}; "
-            f"known sections: {', '.join(sorted(known_sections))}")
+            f"known sections: {', '.join(sorted(_SECTION_TYPES))}")
 
     kwargs: dict = {}
     for section, raw in doc.items():
         if raw is None:
             raw = {}
-        if not isinstance(raw, dict) and section != "bounds":
+        if not isinstance(raw, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        if section == "bounds":
-            _check_bounds_table(raw)
-            continue
         if section == "tether":
             raw = dict(raw)
             if _TETHER_LENGTH_KEY in raw:
@@ -242,8 +204,6 @@ def config_text(cfg: SuiteConfig) -> str:
         if section == "tether":
             values = {_TETHER_LENGTH_KEY: cfg.tether_length, **values}
         doc[section] = values
-    doc["bounds"] = {name: [float(DESIGN_LO[i]), float(DESIGN_HI[i])]
-                     for i, name in enumerate(BOUND_NAMES)}
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
@@ -273,8 +233,6 @@ def apply_overrides(cfg: SuiteConfig, overrides: list[str]) -> SuiteConfig:
         if len(parts) != 2:
             raise ConfigError(f"override target {dotted!r} must be section.key")
         section, key = parts
-        if section == "bounds":
-            raise ConfigError("design bounds are fixed in this release")
         if section not in _SECTION_TYPES:
             raise ConfigError(f"unknown section {section!r}")
         if section == "tether" and key == _TETHER_LENGTH_KEY:

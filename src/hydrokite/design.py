@@ -83,7 +83,8 @@ def displaced_volume(
             + hull_volume(fuse_diameter, fuse_length))
 
 
-def ballast_mass(structural_mass: float, volume: float, water_density: float = 1000.0) -> float:
-    """Ballast that brings the kite to neutral buoyancy; zero when the
-    structure already outweighs the displaced water."""
-    return max(water_density * volume - structural_mass, 0.0)
+def ballast_mass(structural_mass: float, volume: float, density: float) -> float:
+    """Ballast that brings the kite to neutral buoyancy in water of the
+    given density; zero when the structure already outweighs the displaced
+    water."""
+    return max(density * volume - structural_mass, 0.0)

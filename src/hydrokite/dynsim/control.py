@@ -51,7 +51,6 @@ class FlightGains:
     roll_kp: float = 1.2
     roll_ki: float = 0.1
     moment_coeff_limit: float = 0.25
-    aileron_gain: float = 1.5        # dCL per rad, must match the kite build
     aileron_limit: float = 0.25      # rad
     rudder_share: float = 0.3        # rudder deflection per aileron deflection
     rudder_limit: float = 0.4
@@ -65,12 +64,18 @@ class WinchParams:
 
 
 class FlightController:
-    """Stateful PI cascade; one update per control step (zero-order hold)."""
+    """Stateful PI cascade; one update per control step (zero-order hold).
 
-    def __init__(self, gains: FlightGains, basis: BasisParams, dt: float):
+    aileron_gain is the kite's aileron effectiveness in dCL per rad, the
+    deflection_gain of its aileron surfaces.
+    """
+
+    def __init__(self, gains: FlightGains, basis: BasisParams, dt: float,
+                 aileron_gain: float):
         self.gains = gains
         self.basis = basis
         self.dt = dt
+        self.aileron_gain = aileron_gain
         self.reset()
 
     def reset(self):
@@ -108,7 +113,7 @@ class FlightController:
         c_m = float(np.clip(c_m, -g.moment_coeff_limit, g.moment_coeff_limit))
 
         # antisymmetric ailerons at quarter-span levers: dCl = gain*delta/4
-        aileron = float(np.clip(4.0 * c_m / g.aileron_gain,
+        aileron = float(np.clip(4.0 * c_m / self.aileron_gain,
                                 -g.aileron_limit, g.aileron_limit))
         rudder = float(np.clip(g.rudder_share * aileron,
                                -g.rudder_limit, g.rudder_limit))

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..design import ScalingRule, displaced_volume
+from ..design import ScalingRule, ballast_mass, displaced_volume
 from ..errors import NotPositiveDefinite
-from ..fusestruct import FuselageDesign
+from ..fusestruct import TAIL_FRACTION, WING_MOUNT_FRACTION, FuselageDesign
 from ..hydro import FlowEnv, FoilCoeffs, WingPlanform, drag_coeff, lift_coeff
 from ..wingstruct import FourDigitFoil
 
@@ -216,15 +216,15 @@ def build_kite(
     hstab = rule.hstab(planform)
     vstab = rule.vstab(planform)
     # hull nose ahead of the wing leading edge, tail surfaces near the stern
-    x_nose = 0.25 * length
-    x_tail = x_nose - 0.95 * length
+    x_nose = WING_MOUNT_FRACTION * length
+    x_tail = x_nose - TAIL_FRACTION * length
     x_hull_mid = x_nose - 0.5 * length
     z_hull = -0.5 * d
     z_vstab = 0.5 * vstab.span + z_hull
 
     volume = displaced_volume(planform, d, length, rule, foil)
     structural = wing_mass + fuse_mass
-    ballast = max(flow.density * volume - structural, 0.0)
+    ballast = ballast_mass(structural, volume, flow.density)
     total = structural + ballast
 
     # component centers: wing mass on the quarter-chord line, hull mass at

@@ -19,7 +19,7 @@ from .control import FlightController, FlightGains, WinchParams, winch_command
 from .kite import KiteProperties, coriolis_matrix, cross3, net_force_moment
 from .paths import BasisParams, interior_angle, nearest_path_position, path_point, path_tangent
 from .tether import TetherProperties, tether_forces
-from ..errors import EmptyLap, NumericBlowup, PathLost
+from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
 from ..hydro import FlowEnv
 
 TWO_PI = 2.0 * math.pi
@@ -128,7 +128,13 @@ class Simulator:
         self.tether_length = tether_length
         self.n = tether.n_nodes
         self.minv = np.linalg.inv(props.mass_matrix())
-        self.controller = FlightController(gains, basis, params.dt)
+        aileron_gain = next((s.deflection_gain for s in props.surfaces
+                             if s.control == "aileron"), 0.0)
+        if aileron_gain == 0.0:
+            raise ConfigError("the kite has no aileron surface with a nonzero "
+                              "deflection gain for the roll controller")
+        self.controller = FlightController(gains, basis, params.dt,
+                                           aileron_gain)
 
     # -- state construction -------------------------------------------------
 
@@ -279,7 +285,7 @@ class Simulator:
 
             tension = self.winch_tension(y)
             power = tension * spool_speed
-            lap_rows.append((t, power, angle))
+            lap_rows.append((t, power, angle, tension))
             if step_count % params.trace_stride == 0:
                 rows.append((t, power, tension, angle, spool_speed,
                              p_total, pos[0], pos[1], pos[2]))
@@ -307,8 +313,8 @@ class Simulator:
         arr = np.array(rows)
         power = arr[:, 1]
         angle = arr[:, 2]
+        tension = arr[:, 3]
         k_w = self.params.objective_weight
-        # tension recomputed from power and the spool command sign
         return LapMetrics(
             index=index, t_start=t_start, t_end=t_end,
             power_avg=float(np.mean(power)),
@@ -316,8 +322,8 @@ class Simulator:
             objective=float(np.mean(power - k_w * angle)),
             angle_mean=float(np.mean(angle)),
             angle_max=float(np.max(angle)),
-            tension_mean=float(np.mean(np.abs(power)) / max(self.winch.spool_ratio * self.flow.speed, 1e-9)),
-            tension_peak=float(np.max(np.abs(power)) / max(self.winch.spool_ratio * self.flow.speed, 1e-9)),
+            tension_mean=float(np.mean(tension)),
+            tension_peak=float(np.max(tension)),
         )
 
 

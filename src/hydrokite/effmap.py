@@ -269,9 +269,7 @@ def _simulated_point(span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
     load = rated_wing_load(planform, flow, foil_coeffs)
     wing = swdt_optimize(planform, load, material, foil)
     d, length = rule.fuselage(planform)
-    floads = rated_fuselage_loads(
-        planform, length, flow, foil_coeffs,
-        hstab_area_fraction=rule.hstab_area_fraction)
+    floads = rated_fuselage_loads(planform, length, flow, foil_coeffs, rule)
     fuse = sfdt_optimize(d, length, floads, material)
     props = build_kite(planform, wing.mass, fuse.design, fuse.mass,
                        rule, flow, foil_coeffs, foil)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .design import ScalingRule
 from .errors import Infeasible, ThinWallViolation
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform
 from .wingstruct import Material, rated_wing_load
@@ -21,8 +22,7 @@ from .wingstruct import Material, rated_wing_load
 THICKNESS_MIN_PCT = 0.5
 THICKNESS_MAX_PCT = 10.0
 
-# default stabilizer sizing and layout along the hull
-HSTAB_AREA_FRACTION = 0.25
+# layout along the hull
 WING_MOUNT_FRACTION = 0.25   # wing leading edge at this fraction of L
 TAIL_FRACTION = 0.95         # stabilizer quarter-chord at this fraction of L
 
@@ -180,25 +180,21 @@ def rated_fuselage_loads(
     length: float,
     flow: FlowEnv = FlowEnv(),
     foil_coeffs: FoilCoeffs = FoilCoeffs(),
-    rated_efficiency: float = 0.33,
-    hstab_area_fraction: float = HSTAB_AREA_FRACTION,
-    pressure_diff: float = DEFAULT_PRESSURE_DIFF,
-    allowable_factor: float = DEFAULT_ALLOWABLE_FACTOR,
+    rule: ScalingRule = ScalingRule(),
 ) -> FuselageLoads:
     """Default hull load case from the rated wing lift.
 
     The wing and horizontal stabilizer both lift at the rated condition; the
     stabilizer share scales with its area fraction.  The stabilizer lift
     bends the hull about the tether attachment under the wing quarter-chord
-    (wing leading edge mounted at 25% of the hull length, tail at 95%).
+    (wing leading edge mounted at WING_MOUNT_FRACTION of the hull length,
+    tail at TAIL_FRACTION).
     """
-    wing_lift = 2.0 * rated_wing_load(planform, flow, foil_coeffs, rated_efficiency)
-    hstab_lift = hstab_area_fraction * wing_lift
+    wing_lift = 2.0 * rated_wing_load(planform, flow, foil_coeffs)
+    hstab_lift = rule.hstab_area_fraction * wing_lift
     arm = TAIL_FRACTION * length - (WING_MOUNT_FRACTION * length
                                     + 0.25 * planform.chord)
     return FuselageLoads(
         transverse_force=wing_lift + hstab_lift,
-        pressure_diff=pressure_diff,
         bending_moment=hstab_lift * max(arm, 0.0),
-        allowable_factor=allowable_factor,
     )

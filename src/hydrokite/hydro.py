@@ -171,22 +171,9 @@ def loyd_power(
     flow: FlowEnv,
     eta: float = 1.0,
     foil: FoilCoeffs | None = None,
-    form: str = "standard_area",
-    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE,
 ) -> float:
-    """Crosswind power bound in watts: (2/27)*eta*rho*v^3*S_eff*max(CL^3/CD^2).
-
-    ``form`` selects the effective area S_eff:
-      * "standard_area": S_eff = s^2/AR, the planform area (dimensionally sound).
-      * "legacy_area": S_eff = s^2/AR^2, a published variant kept selectable
-        for reproducing older sizing numbers.
-    """
+    """Crosswind power bound in watts: (2/27)*eta*rho*v^3*S*max(CL^3/CD^2),
+    with S the planform area s^2/AR."""
     foil = foil or FoilCoeffs()
-    glide3, _ = max_glide_cubed(foil, planform.aspect_ratio, alpha_range)
-    if form == "standard_area":
-        s_eff = planform.area
-    elif form == "legacy_area":
-        s_eff = planform.span**2 / planform.aspect_ratio**2
-    else:
-        raise ValueError(f"unknown power form {form!r}")
-    return (2.0 / 27.0) * eta * flow.density * flow.speed**3 * s_eff * glide3
+    glide3, _ = max_glide_cubed(foil, planform.aspect_ratio)
+    return (2.0 / 27.0) * eta * flow.density * flow.speed**3 * planform.area * glide3

@@ -28,6 +28,10 @@ SPAR_WIDTH_MAX_PCT = 20.0   # % of chord
 SHELL_MAX_PCT = 10.0        # % of max section thickness
 TIP_DEFLECTION_FRACTION = 0.05  # of the half span
 
+# fraction of the ideal crosswind tension a closed-loop lap sustains; sets
+# the rated load case of both the wing and the hull
+RATED_EFFICIENCY = 0.33
+
 
 @dataclass(frozen=True)
 class Material:
@@ -244,22 +248,20 @@ def rated_wing_load(
     planform: WingPlanform,
     flow: FlowEnv = FlowEnv(),
     foil_coeffs: FoilCoeffs = FoilCoeffs(),
-    rated_efficiency: float = 0.33,
 ) -> float:
     """Default per-wing bending load in N for structural sizing.
 
     Total lift at the power-maximizing angle of attack with crosswind apparent
-    speed v_a = (2/3) * v * (CL/CD), derated by ``rated_efficiency`` (the
-    fraction of the ideal crosswind tension a closed-loop lap actually
-    sustains), split half per wing.  Equivalent to half the tether tension at
-    the derated rated power with spool speed v/3.
+    speed v_a = (2/3) * v * (CL/CD), derated by ``RATED_EFFICIENCY``, split
+    half per wing.  Equivalent to half the tether tension at the derated
+    rated power with spool speed v/3.
     """
     _, alpha = max_glide_cubed(foil_coeffs, planform.aspect_ratio)
     cl = lift_coeff(foil_coeffs, planform.aspect_ratio, alpha)
     cd = drag_coeff(foil_coeffs, planform.aspect_ratio, cl)
     v_app = (2.0 / 3.0) * flow.speed * cl / cd
     total_lift = 0.5 * flow.density * planform.area * v_app**2 * cl
-    return 0.5 * rated_efficiency * total_lift
+    return 0.5 * RATED_EFFICIENCY * total_lift
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from hydrokite.codesign import (
 )
 from hydrokite.effmap import EffSurface
 from hydrokite.errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
-from hydrokite.hydro import WingPlanform, loyd_power
+from hydrokite.hydro import FlowEnv, WingPlanform, loyd_power
 
 
 def flat_surface(eta=1.0):
@@ -61,13 +61,12 @@ def test_design_box_is_enforced():
             evaluate_design(u, ctx)
 
 
-def test_buoyant_flag_matches_displacement():
-    ctx = fast_ctx()
+def test_buoyancy_margin_uses_flow_density():
+    ctx = fast_ctx(flow=FlowEnv(density=1025.0))
     design = evaluate_design(mid_vector(), ctx)
-    assert design.buoyant(1000.0) == (design.m_kite <= 1000.0 * design.volume)
-    # a dense enough fluid floats anything, a thin one nothing
-    assert design.buoyant(1e9)
-    assert not design.buoyant(1e-9)
+    displaced = 1025.0 * design.volume
+    assert design_margins(design, ctx)["buoyancy"] == (
+        (displaced - design.m_kite) / displaced)
 
 
 def test_power_is_ideal_times_surface():

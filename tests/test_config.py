@@ -7,7 +7,6 @@ import pytest
 
 from hydrokite.catalog import DesignRecord, kite_from_record, load_designs
 from hydrokite.config import (
-    BOUND_NAMES,
     SuiteConfig,
     apply_overrides,
     config_text,
@@ -35,7 +34,6 @@ def test_serialize_parse_round_trip():
         tether_length=150.0,
         simulation=replace(cfg.simulation, max_time=60.0, trace_stride=2),
         ga=replace(cfg.ga, seed=9, polish=False),
-        run=replace(cfg.run, output_dir="out", jobs=4),
     )
     assert parse_config(config_text(edited)) == edited
     assert edited != cfg
@@ -53,13 +51,20 @@ def test_partial_file_fills_remaining_sections():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="unknown section"):
-        parse_config("turbines:\n  count: 3\n")
+    # bounds and run were sections once; files that still carry them fail
+    for text in ("turbines:\n  count: 3\n",
+                 "bounds:\n  span: [7.0, 10.0]\n",
+                 "run:\n  jobs: 0\n"):
+        with pytest.raises(ConfigError, match="unknown section"):
+            parse_config(text)
 
 
 def test_unknown_key_lists_known_keys():
-    with pytest.raises(ConfigError, match="known keys"):
-        parse_config("simulation:\n  step: 0.01\n")
+    # the aileron gain comes from the kite build, not the controller section
+    for text in ("simulation:\n  step: 0.01\n",
+                 "controller:\n  aileron_gain: 1.5\n"):
+        with pytest.raises(ConfigError, match="known keys"):
+            parse_config(text)
 
 
 def test_root_and_section_shape_checks():
@@ -74,27 +79,11 @@ def test_value_type_mismatches_rejected():
         "simulation:\n  dt: fast\n",          # float key, string value
         "simulation:\n  trace_stride: 2.5\n",  # int key, float value
         "simulation:\n  trace_stride: true\n",  # int key, bool value
-        "run:\n  output_dir: 3\n",            # str key, number value
         "ga:\n  polish: 1\n",                 # bool key, int value
     ]
     for text in bad:
         with pytest.raises(ConfigError):
             parse_config(text)
-
-
-def test_bounds_table_is_fixed():
-    # the rendered defaults carry the full table and parse back cleanly
-    text = config_text(default_config())
-    assert "bounds:" in text
-    for name in BOUND_NAMES:
-        assert name in text
-
-    with pytest.raises(ConfigError, match="fixed at"):
-        parse_config("bounds:\n  span: [7.0, 11.0]\n")
-    with pytest.raises(ConfigError, match="unknown key bounds"):
-        parse_config("bounds:\n  chord: [0.1, 2.0]\n")
-    with pytest.raises(ConfigError, match="low, high"):
-        parse_config("bounds:\n  span: [7.0]\n")
 
 
 def test_tether_length_rides_in_tether_section():

@@ -37,7 +37,9 @@ from hydrokite.dynsim import (
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
 from hydrokite.dynsim.paths import sphere_point
 from hydrokite.dynsim.sim import quat_to_rot
-from hydrokite.errors import EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost
+from hydrokite.errors import (
+    ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
+)
 from hydrokite.fusestruct import FuselageDesign
 from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
 from hydrokite.wingstruct import FourDigitFoil
@@ -45,10 +47,10 @@ from hydrokite.wingstruct import FourDigitFoil
 STILL_WATER = FlowEnv(speed=0.0, density=1000.0)
 
 
-def mid_size_kite():
+def mid_size_kite(**build_kw):
     planform = WingPlanform(span=8.51, aspect_ratio=6.0)
     fuselage = FuselageDesign(diameter=0.59, length=7.0, thickness_pct=1.8)
-    return build_kite(planform, 628.7, fuselage, 387.8)
+    return build_kite(planform, 628.7, fuselage, 387.8, **build_kw)
 
 
 def point_body(mass=500.0, inertia_scalar=5.0, added=None, density=1000.0):
@@ -517,7 +519,7 @@ def carrot_chase(basis, gains, position, p_now):
 def test_controller_zero_error_zero_output():
     basis = BasisParams()
     gains = FlightGains()
-    ctl = FlightController(gains, basis, dt=2e-3)
+    ctl = FlightController(gains, basis, dt=2e-3, aileron_gain=1.5)
     position = path_point(basis, 0.3, 125.0)
     chase_t, radial, east, north = carrot_chase(basis, gains, position, 0.3)
     aileron, rudder, diag = ctl.update(position, chase_t, east, 0.3)
@@ -536,7 +538,7 @@ def test_controller_sign_and_saturation():
 
     # positive roll turns the track clockwise, so the command carries the
     # opposite sign of the heading error
-    ctl = FlightController(gains, basis, dt=2e-3)
+    ctl = FlightController(gains, basis, dt=2e-3, aileron_gain=1.5)
     clockwise = math.cos(-0.3) * e_hat + math.sin(-0.3) * perp
     a_neg, r_neg, _ = ctl.update(position, clockwise, east, 0.3)
     assert a_neg < 0.0
@@ -555,6 +557,25 @@ def test_controller_sign_and_saturation():
     assert abs(first[0]) == pytest.approx(gains.aileron_limit, abs=1e-12)
     assert abs(first[1]) == pytest.approx(gains.rudder_share * gains.aileron_limit, abs=1e-12)
     assert first[:2] == second[:2]
+
+
+def test_controller_takes_aileron_gain_from_kite():
+    basis = BasisParams()
+    position = path_point(basis, 0.3, 125.0)
+    chase_t, radial, east, _ = carrot_chase(basis, FlightGains(), position, 0.3)
+    e_hat = chase_t / np.linalg.norm(chase_t)
+    velocity = math.cos(0.02) * e_hat + math.sin(0.02) * np.cross(radial, e_hat)
+
+    commands = []
+    for gain in (1.5, 3.0):
+        sim = Simulator(mid_size_kite(aileron_gain=gain), TetherProperties(),
+                        basis)
+        commands.append(sim.controller.update(position, velocity, east, 0.3)[0])
+    assert 0.0 < abs(commands[0]) < FlightGains().aileron_limit
+    assert commands[1] == pytest.approx(0.5 * commands[0], rel=1e-12)
+
+    with pytest.raises(ConfigError, match="aileron"):
+        Simulator(point_body(), TetherProperties(), basis)
 
 
 def test_winch_command_phase_switch():

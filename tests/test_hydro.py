@@ -16,6 +16,7 @@ from hydrokite.hydro import (
     loyd_power,
     max_glide_cubed,
 )
+from hydrokite.wingstruct import rated_wing_load
 
 FOIL = FoilCoeffs()
 
@@ -102,9 +103,13 @@ def test_loyd_power_reference_planform():
     assert p == pytest.approx(0.737e6, rel=2e-3)
 
 
-def test_loyd_power_legacy_area_form():
-    p = loyd_power(WingPlanform(9.98, 4.7), FlowEnv(), eta=1.0, foil=FOIL, form="legacy_area")
-    assert p == pytest.approx(0.1568e6, rel=2e-3)
+def test_loyd_power_and_rated_load_share_one_glide_entry():
+    # both look the glide peak up with the same cache key
+    pl = WingPlanform(8.0, 6.0)
+    max_glide_cubed.cache_clear()
+    loyd_power(pl, FlowEnv(), foil=FOIL)
+    rated_wing_load(pl, FlowEnv(), FOIL)
+    assert max_glide_cubed.cache_info().misses == 1
 
 
 def test_loyd_power_scalings():
