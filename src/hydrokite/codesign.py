@@ -33,20 +33,36 @@ from .fusestruct import (
 )
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
 from .wingstruct import (
-    SHELL_MAX_PCT, SPAR_WIDTH_MAX_PCT, FourDigitFoil, Material,
-    WingStructureDesign, rated_wing_load, required_inertia,
+    SHELL_MAX_PCT, SPAR_STATIONS, SPAR_WIDTH_MAX_PCT, FourDigitFoil,
+    Material, WingStructureDesign, rated_wing_load, required_inertia,
     section_properties, swdt_optimize, wing_mass,
 )
 
+# spar counts with a station layout; the GA draws integers in this range
+N_SPARS_MIN, N_SPARS_MAX = min(SPAR_STATIONS), max(SPAR_STATIONS)
+
 # design vector order: s, AR, N_sp, spar width %c, shell %t, D, L, wall %D
-DESIGN_LO = np.array([SPAN_RANGE[0], ASPECT_RANGE[0], 1.0, 0.0, 0.0,
+DESIGN_LO = np.array([SPAN_RANGE[0], ASPECT_RANGE[0], N_SPARS_MIN, 0.0, 0.0,
                       FUSE_DIAMETER_RANGE[0], FUSE_LENGTH_RANGE[0],
                       THICKNESS_MIN_PCT])
-DESIGN_HI = np.array([SPAN_RANGE[1], ASPECT_RANGE[1], 3.0, SPAR_WIDTH_MAX_PCT,
-                      SHELL_MAX_PCT, FUSE_DIAMETER_RANGE[1],
-                      FUSE_LENGTH_RANGE[1], THICKNESS_MAX_PCT])
+DESIGN_HI = np.array([SPAN_RANGE[1], ASPECT_RANGE[1], N_SPARS_MAX,
+                      SPAR_WIDTH_MAX_PCT, SHELL_MAX_PCT,
+                      FUSE_DIAMETER_RANGE[1], FUSE_LENGTH_RANGE[1],
+                      THICKNESS_MAX_PCT])
 
 MARGIN_FLOOR = -1e-6
+
+
+@dataclass(frozen=True)
+class SearchGrid:
+    """Search resolutions shared by the design-space tools."""
+
+    s_step: float = 0.05             # m
+    d_step: float = 0.02             # m
+    l_step: float = 0.2              # m
+    ar_scan: int = 64                # sign-scan intervals per span station
+    n_stations: int = 2000           # section integration resolution
+    power_tol: float = 1e-3          # relative power equality tolerance
 
 
 @dataclass
@@ -59,12 +75,7 @@ class DesignContext:
     foil: FourDigitFoil = field(default_factory=FourDigitFoil)
     material: Material = field(default_factory=Material)
     rule: ScalingRule = field(default_factory=ScalingRule)
-    s_step: float = 0.05
-    d_step: float = 0.02
-    l_step: float = 0.2
-    ar_scan: int = 64                # sign-scan intervals per span station
-    n_stations: int = 2000           # section integration resolution
-    power_tol: float = 1e-3
+    grid: SearchGrid = field(default_factory=SearchGrid)
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,7 @@ def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
         spar_width_pct=t_sp, shell_pct=t_sw,
         diameter=d, length=length, wall_pct=t_sf,
         m_wing=wing_mass(planform, wing, ctx.material, ctx.foil,
-                         n_stations=ctx.n_stations),
+                         n_stations=ctx.grid.n_stations),
         m_fuse=fuse_mass(hull, ctx.material),
         volume=displaced_volume(planform, d, length, ctx.rule, ctx.foil),
         power=power_of(s, ar, ctx),
@@ -149,7 +160,7 @@ def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
     section = section_properties(
         WingStructureDesign(design.n_spars, design.spar_width_pct,
                             design.shell_pct),
-        planform.chord, ctx.foil, n_stations=ctx.n_stations)
+        planform.chord, ctx.foil, n_stations=ctx.grid.n_stations)
     hull = FuselageDesign(design.diameter, design.length, design.wall_pct)
     floads = rated_fuselage_loads(
         planform, design.length, ctx.flow, ctx.foil_coeffs, ctx.rule)
@@ -174,10 +185,10 @@ def audit_design(design: KiteDesign, ctx: DesignContext,
     margins = design_margins(design, ctx)
     power = power_of(design.span, design.aspect_ratio, ctx)
     margins["power_recompute"] = (
-        ctx.power_tol - abs(power - design.power) / max(power, 1e-12))
+        ctx.grid.power_tol - abs(power - design.power) / max(power, 1e-12))
     if p_req is not None:
         margins["power_target"] = (
-            ctx.power_tol - abs(design.power - p_req) / p_req)
+            ctx.grid.power_tol - abs(design.power - p_req) / p_req)
     return margins
 
 
@@ -202,8 +213,9 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     if p_req <= 0.0:
         raise ConfigError("required power must be positive")
     if s_grid is None:
-        s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.s_step)
-    ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1], ctx.ar_scan + 1)
+        s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
+    ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1],
+                          ctx.grid.ar_scan + 1)
 
     roots = []
     for s in s_grid:
@@ -291,10 +303,10 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
     against the actual wing mass rather than after the mass minimization.
     """
     best = None
-    for length in _axis_grid(*FUSE_LENGTH_RANGE, ctx.l_step):
+    for length in _axis_grid(*FUSE_LENGTH_RANGE, ctx.grid.l_step):
         floads = rated_fuselage_loads(
             planform, length, ctx.flow, ctx.foil_coeffs, ctx.rule)
-        for d in _axis_grid(*FUSE_DIAMETER_RANGE, ctx.d_step):
+        for d in _axis_grid(*FUSE_DIAMETER_RANGE, ctx.grid.d_step):
             try:
                 sizing = sfdt_optimize(d, length, floads, ctx.material)
             except Infeasible:
@@ -331,7 +343,7 @@ def nested_sequential(p_req: float, surrogate: str,
     planform = WingPlanform(s, ar)
     load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
     wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
-                         n_stations=ctx.n_stations)
+                         n_stations=ctx.grid.n_stations)
     hull = _best_hull(planform, wing.mass, ctx)
     if hull is None:
         raise Infeasible(
@@ -341,7 +353,7 @@ def nested_sequential(p_req: float, surrogate: str,
     return ParetoPoint(
         p_req=p_req, m_wing=wing.mass, design=design,
         strategy=f"nested_sequential[{surrogate}]",
-        diagnostics={"surrogate": surrogate}, power_tol=ctx.power_tol)
+        diagnostics={"surrogate": surrogate}, power_tol=ctx.grid.power_tol)
 
 
 def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
@@ -354,7 +366,7 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
         load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
         try:
             wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
-                                 n_stations=ctx.n_stations)
+                                 n_stations=ctx.grid.n_stations)
         except Infeasible:
             n_struct_infeasible += 1
             continue
@@ -379,7 +391,7 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
         p_req=p_req, m_wing=m_wing, design=design, strategy="fully_nested",
         diagnostics={"candidates": len(candidates),
                      "struct_infeasible": n_struct_infeasible},
-        power_tol=ctx.power_tol)
+        power_tol=ctx.grid.power_tol)
 
 
 # -- simultaneous (dual objective) ------------------------------------------
@@ -446,7 +458,8 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
     sample_lo[4] = max(sample_lo[4], 1e-3)
 
     pop = rng.uniform(sample_lo, hi, size=(cfg.population, 8))
-    pop[:, 2] = rng.integers(1, 4, size=cfg.population)
+    pop[:, 2] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1,
+                                 size=cfg.population)
     scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
     fitness = np.array([s[0] for s in scored])
 
@@ -474,7 +487,7 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
                 child[:] = _poly_mutate(child, lo, hi, cfg.mutation_eta,
                                         cfg.mutation_prob, rng)
                 if rng.uniform() < cfg.mutation_prob:
-                    child[2] = rng.integers(1, 4)
+                    child[2] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1)
                 np.clip(child, lo, hi, out=child)
                 child[2] = float(int(round(child[2])))
                 children.append(child)

@@ -19,13 +19,7 @@ from .paths import (
     path_tangent,
     spool_phase,
 )
-from .sim import (
-    LapMetrics,
-    SimParams,
-    SimResult,
-    Simulator,
-    simulate_laps,
-)
+from .sim import LapMetrics, SimParams, SimResult, Simulator
 from .tether import TetherProperties, link_tension, tether_forces
 
 __all__ = [
@@ -34,6 +28,5 @@ __all__ = [
     "TetherProperties", "WinchParams", "build_kite", "coriolis_matrix",
     "interior_angle", "link_tension", "nearest_path_position",
     "net_force_moment", "path_angles", "path_point", "path_tangent",
-    "simulate_laps", "spool_phase", "surface_force_moment", "tether_forces",
-    "winch_command",
+    "spool_phase", "surface_force_moment", "tether_forces", "winch_command",
 ]

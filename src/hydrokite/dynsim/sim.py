@@ -116,7 +116,6 @@ class Simulator:
         winch: WinchParams = WinchParams(),
         flow: FlowEnv = FlowEnv(),
         params: SimParams = SimParams(),
-        tether_length: float = 125.0,
     ):
         self.props = props
         self.tether = tether
@@ -125,7 +124,6 @@ class Simulator:
         self.winch = winch
         self.flow = flow
         self.params = params
-        self.tether_length = tether_length
         self.n = tether.n_nodes
         self.minv = np.linalg.inv(props.mass_matrix())
         aileron_gain = next((s.deflection_gain for s in props.surfaces
@@ -140,7 +138,7 @@ class Simulator:
 
     def initial_state(self) -> np.ndarray:
         p0 = self.params.init_path_pos
-        radius = self.tether_length * (1.0 + self.params.pre_strain)
+        radius = self.tether.length * (1.0 + self.params.pre_strain)
         attach_target = path_point(self.basis, p0, radius)
         tangent = path_tangent(self.basis, p0, radius)
         v_kite = self.params.init_speed * tangent
@@ -167,7 +165,7 @@ class Simulator:
 
         return np.concatenate([
             position, quat, nu, node_pos.ravel(), node_vel.ravel(),
-            [self.tether_length],
+            [self.tether.length],
         ])
 
     # -- dynamics -----------------------------------------------------------
@@ -270,7 +268,7 @@ class Simulator:
             if not np.all(np.isfinite(y)):
                 raise NumericBlowup(f"non-finite state at t = {t:.3f} s")
             speed = float(np.linalg.norm(y[7:10]))
-            if speed > params.blowup_speed or np.linalg.norm(y[0:3]) > 4.0 * self.tether_length:
+            if speed > params.blowup_speed or np.linalg.norm(y[0:3]) > 4.0 * self.tether.length:
                 raise NumericBlowup(
                     f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
 
@@ -325,20 +323,3 @@ class Simulator:
             tension_mean=float(np.mean(tension)),
             tension_peak=float(np.max(tension)),
         )
-
-
-def simulate_laps(
-    props: KiteProperties,
-    tether: TetherProperties,
-    basis: BasisParams,
-    n_laps: int = 3,
-    gains: FlightGains = FlightGains(),
-    winch: WinchParams = WinchParams(),
-    flow: FlowEnv = FlowEnv(),
-    params: SimParams = SimParams(),
-    tether_length: float = 125.0,
-) -> SimResult:
-    """Run the closed loop for n_laps figure-8 cycles."""
-    sim = Simulator(props, tether, basis, gains, winch, flow, params,
-                    tether_length)
-    return sim.run(n_laps)

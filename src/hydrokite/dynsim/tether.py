@@ -24,11 +24,12 @@ class TetherProperties:
     youngs_modulus: float = 1.0e10
     damping_ratio: float = 0.5
     drag_coeff: float = 1.0
+    length: float = 125.0           # unstretched line length, m
 
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
-        for name in ("radius", "density", "youngs_modulus"):
+        for name in ("radius", "density", "youngs_modulus", "length"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 

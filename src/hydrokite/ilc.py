@@ -9,18 +9,14 @@ uphill on the fitted surface after every lap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynsim import (
-    BasisParams, FlightGains, SimParams, Simulator, TetherProperties,
-    WinchParams,
-)
+from .dynsim import BasisParams, Simulator, TetherProperties
 from .dynsim.kite import KiteProperties
 from .errors import ConfigError, EmptyLap, NotConverged
-from .hydro import FlowEnv
 
 N_FEATURES = 15
 
@@ -97,8 +93,7 @@ def rls_update(model: RLSModel, b: np.ndarray, j_observed: float) -> RLSModel:
 class ILCConfig:
     """Learning gains, perturbation schedule, and stopping rules."""
 
-    learning_gain: np.ndarray = field(
-        default_factory=lambda: 1e-7 * np.eye(4))
+    learning_gain: float = 1e-7      # isotropic gain on the surrogate gradient
     k_w: float = 8.0e3               # W per rad; ~10% of a typical lap at 5 deg
     perturb_amplitude: float = 0.02
     perturb_decay: float = 30.0      # laps to halve-ish the excitation
@@ -106,19 +101,14 @@ class ILCConfig:
     warmup_laps: int = 20
     max_laps: int = 200
     tol: float = 1e-3                # on the basis-parameter step norm
-    box: tuple = DEFAULT_BOX
     init_cov: float = 1e8            # weak prior; features are collinear
                                      # over a small excitation cloud
 
     def __post_init__(self):
-        gain = np.asarray(self.learning_gain, dtype=float)
-        if gain.shape != (4, 4):
-            raise ConfigError("learning gain must be a 4x4 matrix")
-        if np.linalg.eigvalsh(0.5 * (gain + gain.T))[0] < -1e-12:
-            raise ConfigError("learning gain must be positive semidefinite")
+        if self.learning_gain < 0.0:
+            raise ConfigError("learning gain must be >= 0")
         if self.perturb_amplitude < 0.0:
             raise ConfigError("perturbation amplitude must be >= 0")
-        self.learning_gain = gain
 
 
 def perturbation(cfg: ILCConfig, k: int) -> np.ndarray:
@@ -134,15 +124,15 @@ def perturbation(cfg: ILCConfig, k: int) -> np.ndarray:
     return amp * rng.uniform(-1.0, 1.0, 4)
 
 
-def clamp_to_box(b: np.ndarray, box=DEFAULT_BOX) -> np.ndarray:
-    return np.clip(b, box[0], box[1])
+def clamp_to_box(b: np.ndarray) -> np.ndarray:
+    return np.clip(b, DEFAULT_BOX[0], DEFAULT_BOX[1])
 
 
 def ilc_update(model: RLSModel, b_k: np.ndarray, cfg: ILCConfig,
                k: int) -> np.ndarray:
     """Perturbed gradient ascent step on the fitted surface, box-clamped."""
-    step = cfg.learning_gain @ quad_gradient(model.theta, b_k)
-    return clamp_to_box(b_k + step + perturbation(cfg, k), cfg.box)
+    step = cfg.learning_gain * quad_gradient(model.theta, b_k)
+    return clamp_to_box(b_k + step + perturbation(cfg, k))
 
 
 def lap_objective(time: np.ndarray, power: np.ndarray, angle: np.ndarray,
@@ -164,33 +154,18 @@ class SimLapEvaluator:
     parameters apply to an already-flying kite.
     """
 
-    def __init__(
-        self,
-        props: KiteProperties,
-        tether: TetherProperties,
-        k_w: float,
-        gains: FlightGains = FlightGains(),
-        winch: WinchParams = WinchParams(),
-        flow: FlowEnv = FlowEnv(),
-        params: SimParams = SimParams(),
-        tether_length: float = 125.0,
-    ):
+    def __init__(self, props: KiteProperties, tether: TetherProperties,
+                 k_w: float, **sim_kwargs):
         self.props = props
         self.tether = tether
         self.k_w = k_w
-        self.gains = gains
-        self.winch = winch
-        self.flow = flow
-        self.params = params
-        self.tether_length = tether_length
+        self.sim_kwargs = sim_kwargs      # Simulator keyword arguments
         self._state: Optional[np.ndarray] = None
         self._path_pos: Optional[float] = None
 
     def __call__(self, b: np.ndarray) -> tuple[float, float, float]:
         basis = BasisParams(*np.asarray(b, dtype=float))
-        sim = Simulator(self.props, self.tether, basis, self.gains,
-                        self.winch, self.flow, self.params,
-                        self.tether_length)
+        sim = Simulator(self.props, self.tether, basis, **self.sim_kwargs)
         res = sim.run(1, y0=self._state, p_start=self._path_pos)
         self._state = res.final_state
         self._path_pos = res.final_path_pos
@@ -233,7 +208,7 @@ def optimize_path(
                               "when no lap evaluator is supplied")
         lap_fn = SimLapEvaluator(props, tether, cfg.k_w, **sim_kwargs)
 
-    b = clamp_to_box(np.array([b0.b1, b0.b2, b0.b3, b0.b4]), cfg.box)
+    b = clamp_to_box(np.array([b0.b1, b0.b2, b0.b3, b0.b4]))
     model = RLSModel.fresh(init_cov=cfg.init_cov)
     rows = []
     converged = False
@@ -244,7 +219,7 @@ def optimize_path(
         rows.append((k, b[0], b[1], b[2], b[3], score, p_avg, p_peak))
 
         if k < cfg.warmup_laps:
-            b_next = clamp_to_box(b + perturbation(cfg, k), cfg.box)
+            b_next = clamp_to_box(b + perturbation(cfg, k))
         else:
             b_next = ilc_update(model, b, cfg, k)
             if np.linalg.norm(b_next - b) <= cfg.tol:

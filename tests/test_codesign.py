@@ -1,6 +1,7 @@
 """Design-search tests: root enumeration, nesting dominance, GA, hull geometry."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from hydrokite.codesign import (
     DESIGN_HI, DESIGN_LO, DesignContext, DualPoint, GAConfig, KiteDesign,
-    ParetoPoint, audit_design, design_margins, design_record, dual_front_text,
+    ParetoPoint, SearchGrid, audit_design, design_margins, design_record, dual_front_text,
     dual_sweep, evaluate_design, front_text, fully_nested, hull_gap,
     lower_hull, margins_ok, nested_sequential, pareto_log_cloud, pareto_sweep,
     power_of, sft_enumerate, sfot, simultaneous_ga,
@@ -23,10 +24,13 @@ def flat_surface(eta=1.0):
                       domain=(7.0, 10.0, 4.0, 12.0), residual_rms=0.0)
 
 
+FAST_GRID = SearchGrid(s_step=0.5, d_step=0.1, l_step=1.0, ar_scan=32,
+                       n_stations=400)
+
+
 def fast_ctx(**kw):
     """Coarse grids keep solver tests quick; physics unchanged."""
-    base = dict(surface=flat_surface(), s_step=0.5, d_step=0.1, l_step=1.0,
-                ar_scan=32, n_stations=400)
+    base = dict(surface=flat_surface(), grid=FAST_GRID)
     base.update(kw)
     return DesignContext(**base)
 
@@ -146,7 +150,7 @@ def test_sfot_minimizes_each_surrogate():
 def test_sfot_breaks_span_ties_toward_larger_aspect():
     # the bundled basin surface bends the power contour back on itself, so
     # the smallest feasible span carries two roots
-    ctx = DesignContext(s_step=0.05, ar_scan=64)
+    ctx = DesignContext(grid=SearchGrid(s_step=0.05, ar_scan=64))
     p_req = 500e3
     candidates = sft_enumerate(p_req, ctx)
     s_min = min(c[0] for c in candidates)
@@ -178,7 +182,7 @@ def test_nested_sequential_returns_audited_point():
 def test_fully_nested_dominates_sequential():
     # both solvers draw from the same candidate set, so the global search
     # can never return a heavier wing than the surrogate pipeline
-    ctx = fast_ctx(s_step=0.25)
+    ctx = fast_ctx(grid=replace(FAST_GRID, s_step=0.25))
     for p_req in (500e3, 590e3):
         full = fully_nested(p_req, ctx)
         seq = nested_sequential(p_req, "span", ctx)
@@ -190,8 +194,8 @@ def test_fully_nested_beats_sequential_at_a_contour_fold():
     # the bundled basin surface folds the 500 kW contour back on itself at
     # the minimal span, so the span surrogate grabs the wrong branch and
     # the global search wins outright
-    ctx = DesignContext(s_step=0.05, d_step=0.05, l_step=0.5, ar_scan=64,
-                        n_stations=400)
+    ctx = DesignContext(grid=SearchGrid(s_step=0.05, d_step=0.05, l_step=0.5,
+                                        ar_scan=64, n_stations=400))
     seq = nested_sequential(500e3, "span", ctx)
     full = fully_nested(500e3, ctx)
     assert seq.design.span == pytest.approx(full.design.span)
@@ -210,7 +214,7 @@ def test_fully_nested_matches_exhaustive_scan():
         pl = WingPlanform(s, ar)
         try:
             sizing = swdt_optimize(pl, rated_wing_load(pl, ctx.flow, ctx.foil_coeffs),
-                                   ctx.material, ctx.foil, n_stations=ctx.n_stations)
+                                   ctx.material, ctx.foil, n_stations=ctx.grid.n_stations)
         except Infeasible:
             continue
         best = min(best, sizing.mass)

@@ -1,12 +1,15 @@
 """Config file parsing, overrides, and the bundled design catalog."""
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hydrokite.catalog import DesignRecord, kite_from_record, load_designs
+from hydrokite.codesign import SearchGrid
 from hydrokite.config import (
+    _SECTION_TYPES,
     SuiteConfig,
     apply_overrides,
     config_text,
@@ -15,9 +18,11 @@ from hydrokite.config import (
     parse_config,
     save_config,
 )
+from hydrokite.dynsim import BasisParams, Simulator, TetherProperties
+from hydrokite.dynsim.sim import quat_to_rot
 from hydrokite.effmap import EffSurface
-from hydrokite.errors import ConfigError
-from hydrokite.ilc import DEFAULT_BOX
+from hydrokite.errors import ConfigError, NotConverged
+from hydrokite.ilc import ILCConfig, optimize_path
 
 
 def test_packaged_defaults_match_builtin_defaults():
@@ -31,7 +36,7 @@ def test_serialize_parse_round_trip():
 
     edited = replace(
         cfg,
-        tether_length=150.0,
+        tether=replace(cfg.tether, length=150.0),
         simulation=replace(cfg.simulation, max_time=60.0, trace_stride=2),
         ga=replace(cfg.ga, seed=9, polish=False),
     )
@@ -88,11 +93,26 @@ def test_value_type_mismatches_rejected():
 
 def test_tether_length_rides_in_tether_section():
     cfg = parse_config("tether:\n  length: 140.0\n  radius: 0.06\n")
-    assert cfg.tether_length == 140.0
+    assert cfg.tether.length == 140.0
     assert cfg.tether.radius == 0.06
-    # the line model itself has no length field; length feeds the simulator
-    assert "length" not in {f for f in dir(cfg.tether) if not f.startswith("_")} or True
-    assert "tether_length" in cfg.sim_kwargs()
+    # the simulator takes the length from the line it is given
+    props = kite_from_record(load_designs()["intermediate"])
+    sim = Simulator(props, cfg.tether, BasisParams(), **cfg.sim_kwargs())
+    y = sim.initial_state()
+    attach = y[0:3] + quat_to_rot(y[3:7]) @ props.r_attach
+    assert np.linalg.norm(attach) == pytest.approx(
+        140.0 * (1.0 + cfg.simulation.pre_strain), rel=1e-12)
+    assert y[-1] == 140.0
+
+
+def test_tether_length_must_be_positive():
+    for length in (0.0, -5.0):
+        with pytest.raises(ValueError, match="length must be positive"):
+            TetherProperties(length=length)
+    with pytest.raises(ConfigError, match="length must be positive"):
+        parse_config("tether:\n  length: -5.0\n")
+    with pytest.raises(ConfigError, match="length must be positive"):
+        apply_overrides(default_config(), ["tether.length=0"])
 
 
 def test_overrides_apply_and_coerce():
@@ -106,7 +126,7 @@ def test_overrides_apply_and_coerce():
     assert out.simulation.max_time == 120.0
     assert isinstance(out.simulation.max_time, float)
     assert out.ga.seed == 7
-    assert out.tether_length == 150.0
+    assert out.tether.length == 150.0
     assert out.ga.polish is False
     # untouched sections shared, source config unchanged
     assert out.flow == cfg.flow
@@ -124,6 +144,8 @@ def test_override_rejections():
         "simulation.nosuch=1",
         "bounds.span=[7, 10]",
         "simulation.max_time=banana",
+        "tether.radius=-1",             # rejected by the section's own check
+        "ilc.learning_gain=-0.5",
     ]
     for item in bad:
         with pytest.raises(ConfigError):
@@ -144,9 +166,9 @@ def test_design_context_carries_grid_settings():
         "grids.s_step=0.5", "grids.n_stations=300", "grids.ar_scan=16",
     ])
     ctx = cfg.design_context()
-    assert ctx.s_step == 0.5
-    assert ctx.n_stations == 300
-    assert ctx.ar_scan == 16
+    assert ctx.grid.s_step == 0.5
+    assert ctx.grid.n_stations == 300
+    assert ctx.grid.ar_scan == 16
     assert ctx.flow == cfg.flow
     assert ctx.material == cfg.material
 
@@ -155,19 +177,32 @@ def test_design_context_carries_grid_settings():
     assert cfg.design_context(surface=flat).surface is flat
 
 
-def test_ilc_settings_expand_to_matrix_config():
+def test_sections_are_the_runtime_classes():
     cfg = default_config()
-    ilc = cfg.ilc.to_ilc_config()
-    assert np.allclose(ilc.learning_gain, cfg.ilc.learning_gain * np.eye(4))
-    assert ilc.box is DEFAULT_BOX
-    assert ilc.max_laps == cfg.ilc.max_laps
-    assert ilc.k_w == cfg.ilc.k_w
+    for section, cls in _SECTION_TYPES.items():
+        assert type(getattr(cfg, section)) is cls
+        assert cls.__module__ != "hydrokite.config"
+    # the ilc section drives the path search as it is
+    assert isinstance(cfg.ilc, ILCConfig)
+    short = replace(cfg.ilc, warmup_laps=2, max_laps=4, tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotConverged)
+        out = optimize_path(None, None, short,
+                            lap_fn=lambda b: (-float(b @ b), 1.0, 2.0))
+    assert out.history.shape == (4, 8)
+    # the grids section is the design search's grid object
+    assert isinstance(cfg.grids, SearchGrid)
+    assert cfg.design_context().grid is cfg.grids
+    # nothing reads effmap grid settings yet, so the section is not in the
+    # schema and a file that still has it fails
+    with pytest.raises(ConfigError, match="unknown section"):
+        parse_config("effmap:\n  degree: 2\n")
 
 
 def test_sim_kwargs_cover_simulator_inputs():
     cfg = default_config()
     kw = cfg.sim_kwargs()
-    assert set(kw) == {"gains", "winch", "flow", "params", "tether_length"}
+    assert set(kw) == {"gains", "winch", "flow", "params"}
     assert kw["gains"] is cfg.controller
     assert kw["params"] is cfg.simulation
 

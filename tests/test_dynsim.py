@@ -450,7 +450,7 @@ def test_initial_state_sits_on_path():
     y = sim.initial_state()
     rot = quat_to_rot(y[3:7])
     attach = y[0:3] + rot @ sim.props.r_attach
-    radius = sim.tether_length * (1.0 + sim.params.pre_strain)
+    radius = sim.tether.length * (1.0 + sim.params.pre_strain)
     p0 = sim.params.init_path_pos
     assert np.allclose(attach, path_point(sim.basis, p0, radius), atol=1e-9)
     assert np.linalg.norm(y[3:7]) == pytest.approx(1.0, abs=1e-12)

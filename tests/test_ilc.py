@@ -143,7 +143,7 @@ def test_ilc_update_contracts_at_half_rate_on_known_bowl():
     theta = quad_theta(const=-float(b_star @ b_star), linear=2.0 * b_star,
                        squares=[-1.0] * 4)
     model = RLSModel(theta=theta, cov=np.eye(15))
-    cfg = ILCConfig(learning_gain=0.25 * np.eye(4), perturb_amplitude=0.0)
+    cfg = ILCConfig(learning_gain=0.25, perturb_amplitude=0.0)
 
     b = np.array([0.20, 0.30, -0.20, 0.40])
     err0 = np.linalg.norm(b - b_star)
@@ -157,7 +157,7 @@ def test_ilc_update_clamps_to_box_boundary():
     theta = np.zeros(15)
     theta[1] = 1e3     # huge uphill slope in b1
     model = RLSModel(theta=theta, cov=np.eye(15))
-    cfg = ILCConfig(learning_gain=np.eye(4), perturb_amplitude=0.0)
+    cfg = ILCConfig(learning_gain=1.0, perturb_amplitude=0.0)
     b = np.array([0.3, 0.2, 0.0, 0.5])
     nxt = ilc_update(model, b, cfg, k=0)
     assert nxt[0] == DEFAULT_BOX[1][0]
@@ -165,9 +165,7 @@ def test_ilc_update_clamps_to_box_boundary():
 
 def test_ilc_config_validates_gain_and_amplitude():
     with pytest.raises(ConfigError):
-        ILCConfig(learning_gain=np.eye(3))
-    with pytest.raises(ConfigError):
-        ILCConfig(learning_gain=-np.eye(4))
+        ILCConfig(learning_gain=-1.0)
     with pytest.raises(ConfigError):
         ILCConfig(perturb_amplitude=-0.1)
 
@@ -197,7 +195,7 @@ def bowl_lap_fn(b_star, curvature=5e3, top=7e3):
 def test_optimize_path_finds_stub_maximizer():
     b_star = np.array([0.38, 0.24, 0.08, 0.55])
     cfg = ILCConfig(
-        learning_gain=5e-5 * np.eye(4),
+        learning_gain=5e-5,
         perturb_amplitude=0.05,
         perturb_decay=15.0,
         seed=11,
@@ -217,7 +215,7 @@ def test_optimize_path_finds_stub_maximizer():
 def test_optimize_path_best_seen_never_decreases_after_warmup():
     b_star = np.array([0.38, 0.24, 0.08, 0.55])
     cfg = ILCConfig(
-        learning_gain=5e-5 * np.eye(4), perturb_amplitude=0.05,
+        learning_gain=5e-5, perturb_amplitude=0.05,
         perturb_decay=40.0, seed=3, warmup_laps=25, max_laps=120, tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
@@ -230,7 +228,7 @@ def test_optimize_path_best_seen_never_decreases_after_warmup():
 
 
 def test_optimize_path_zero_gain_zero_perturbation_is_identity():
-    cfg = ILCConfig(learning_gain=np.zeros((4, 4)), perturb_amplitude=0.0,
+    cfg = ILCConfig(learning_gain=0.0, perturb_amplitude=0.0,
                     warmup_laps=5, max_laps=50)
     out = optimize_path(None, None, cfg, b0=BasisParams(),
                         lap_fn=bowl_lap_fn(np.array([0.3, 0.2, 0.0, 0.5])))
@@ -244,7 +242,7 @@ def test_optimize_path_same_seed_identical_history():
     b_star = np.array([0.4, 0.25, 0.0, 0.6])
     histories = []
     for _ in range(2):
-        cfg = ILCConfig(learning_gain=5e-5 * np.eye(4),
+        cfg = ILCConfig(learning_gain=5e-5,
                         perturb_amplitude=0.04, seed=77, warmup_laps=20,
                         max_laps=60, tol=0.0)
         with warnings.catch_warnings():
@@ -255,7 +253,7 @@ def test_optimize_path_same_seed_identical_history():
 
 
 def test_optimize_path_warns_when_budget_exhausted():
-    cfg = ILCConfig(learning_gain=np.zeros((4, 4)), perturb_amplitude=0.01,
+    cfg = ILCConfig(learning_gain=0.0, perturb_amplitude=0.01,
                     warmup_laps=5, max_laps=8, tol=0.0)
     with pytest.warns(NotConverged):
         out = optimize_path(None, None, cfg,
