@@ -322,18 +322,10 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
 
 
 def _assemble(s, ar, wing_sizing, hull, ctx) -> KiteDesign:
-    return KiteDesign(
-        span=s, aspect_ratio=ar,
-        n_spars=wing_sizing.design.n_spars,
-        spar_width_pct=wing_sizing.design.spar_width_pct,
-        shell_pct=wing_sizing.design.shell_pct,
-        diameter=hull.design.diameter, length=hull.design.length,
-        wall_pct=hull.design.thickness_pct,
-        m_wing=wing_sizing.mass, m_fuse=hull.mass,
-        volume=displaced_volume(WingPlanform(s, ar), hull.design.diameter,
-                                hull.design.length, ctx.rule, ctx.foil),
-        power=power_of(s, ar, ctx),
-    )
+    wing, fuse = wing_sizing.design, hull.design
+    return evaluate_design((s, ar, wing.n_spars, wing.spar_width_pct,
+                            wing.shell_pct, fuse.diameter, fuse.length,
+                            fuse.thickness_pct), ctx)
 
 
 def nested_sequential(p_req: float, surrogate: str,

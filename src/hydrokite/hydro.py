@@ -2,7 +2,7 @@
 
 Coefficients follow a finite-wing parametric model: a lifting-line corrected
 linear lift curve and a parabolic drag polar offset to the minimum-drag lift.
-The power bound is Loyd's crosswind limit scaled by a harvesting efficiency.
+The power bound is Loyd's crosswind limit.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateRange
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,14 @@ class FoilCoeffs:
     cl_min_drag: float = 0.02
     k_visc: float = 0.03
     cd_zero: float = 0.0065
+
+    def __post_init__(self):
+        # the closed-form glide optimum needs a rising lift curve and a
+        # drag polar with a positive floor and curvature
+        if not all(v > 0.0 for v in (self.gamma, self.e_lift, self.e_drag, self.cd_zero)):
+            raise ValueError("gamma, e_lift, e_drag and cd_zero must be positive")
+        if not self.k_visc >= 0.0:
+            raise ValueError("k_visc must be non-negative")
 
     def lift_slope(self, aspect_ratio: float) -> float:
         """Finite-span lift-curve slope dCL/dalpha in 1/rad."""
@@ -103,77 +109,32 @@ DEFAULT_ALPHA_RANGE = (0.0, math.radians(20.0))
 
 
 @lru_cache(maxsize=4096)
-def max_glide_cubed(
-    foil: FoilCoeffs,
-    aspect_ratio: float,
-    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE,
-    coarse_n: int = 512,
-    tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Maximize CL^3/CD^2 over a pre-stall alpha window.
+def max_glide_cubed(foil: FoilCoeffs, aspect_ratio: float) -> float:
+    """Peak CL^3/CD^2 over the pre-stall window ``DEFAULT_ALPHA_RANGE``.
 
-    Deterministic: coarse scan to bracket the peak, then golden-section
-    refinement of the bracket down to ``tol`` radians.
-
-    Returns
-    -------
-    (value, alpha_star) : tuple of float
-        Peak CL^3/CD^2 and the angle of attack (rad) where it occurs.
+    With k = drag_factor(AR) and m = cl_min_drag, d/dCL [3 ln CL - 2 ln CD] = 0
+    reads k*CL^2 + 2*k*m*CL - 3*(k*m^2 + cd_zero) = 0.  Its only positive root,
+    CL* = -m + sqrt(4*m^2 + 3*cd_zero/k), is the ratio's only maximum on CL > 0,
+    since the ratio tends to 0 as CL -> 0+ and as CL -> inf.  CL rises with
+    alpha, so the window maximum is at CL* clipped to the window's CL range.
 
     Raises
     ------
     DegenerateRange
         If CL <= 0 over the whole window, so the ratio has no positive peak.
     """
-    lo, hi = alpha_range
-    if not hi > lo:
-        raise DegenerateRange("alpha range is empty")
-
-    def ratio(a: float) -> float:
-        cl = lift_coeff(foil, aspect_ratio, a)
-        cd = drag_coeff(foil, aspect_ratio, cl)
-        return cl**3 / cd**2
-
-    if max(lift_coeff(foil, aspect_ratio, lo), lift_coeff(foil, aspect_ratio, hi)) <= 0.0:
+    lo, hi = (lift_coeff(foil, aspect_ratio, a) for a in DEFAULT_ALPHA_RANGE)
+    if hi <= 0.0:
         raise DegenerateRange("no positive lift anywhere in the alpha range")
-
-    step = (hi - lo) / coarse_n
-    best_i, best_v = 0, -math.inf
-    for i in range(coarse_n + 1):
-        v = ratio(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = max(lo, lo + (best_i - 1) * step)
-    b = min(hi, lo + (best_i + 1) * step)
-
-    # golden-section: shrink [a, b] keeping the interior maximum
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = ratio(x1), ratio(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = ratio(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = ratio(x1)
-    alpha_star = 0.5 * (a + b)
-    value = ratio(alpha_star)
-    if value <= 0.0:
-        raise DegenerateRange("glide ratio peak is not positive")
-    return value, alpha_star
+    k, m = foil.drag_factor(aspect_ratio), foil.cl_min_drag
+    cl_star = -m + math.sqrt(4.0 * m * m + 3.0 * foil.cd_zero / k)
+    cl = min(max(cl_star, lo), hi)
+    return cl**3 / drag_coeff(foil, aspect_ratio, cl) ** 2
 
 
-def loyd_power(
-    planform: WingPlanform,
-    flow: FlowEnv,
-    eta: float = 1.0,
-    foil: FoilCoeffs | None = None,
-) -> float:
-    """Crosswind power bound in watts: (2/27)*eta*rho*v^3*S*max(CL^3/CD^2),
+def loyd_power(planform: WingPlanform, flow: FlowEnv,
+               foil: FoilCoeffs = FoilCoeffs()) -> float:
+    """Crosswind power bound in watts: (2/27)*rho*v^3*S*max(CL^3/CD^2),
     with S the planform area s^2/AR."""
-    foil = foil or FoilCoeffs()
-    glide3, _ = max_glide_cubed(foil, planform.aspect_ratio)
-    return (2.0 / 27.0) * eta * flow.density * flow.speed**3 * planform.area * glide3
+    glide3 = max_glide_cubed(foil, planform.aspect_ratio)
+    return (2.0 / 27.0) * flow.density * flow.speed**3 * planform.area * glide3

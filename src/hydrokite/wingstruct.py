@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, Infeasible
-from .hydro import FlowEnv, FoilCoeffs, WingPlanform, drag_coeff, lift_coeff, max_glide_cubed
+from .hydro import FlowEnv, FoilCoeffs, WingPlanform, max_glide_cubed
 
 # chordwise spar stations (fraction of chord) keyed by spar count
 SPAR_STATIONS = {1: (0.25,), 2: (0.10, 0.40), 3: (0.15, 0.30, 0.60)}
@@ -251,16 +251,14 @@ def rated_wing_load(
 ) -> float:
     """Default per-wing bending load in N for structural sizing.
 
-    Total lift at the power-maximizing angle of attack with crosswind apparent
-    speed v_a = (2/3) * v * (CL/CD), derated by ``RATED_EFFICIENCY``, split
-    half per wing.  Equivalent to half the tether tension at the derated
-    rated power with spool speed v/3.
+    Total lift at the glide-ratio optimum, derated by ``RATED_EFFICIENCY``,
+    split half per wing.  With crosswind apparent speed v_a = (2/3)*v*CL/CD
+    the lift 0.5*rho*S*v_a^2*CL is 0.5*rho*S*((2/3)*v)^2 * max(CL^3/CD^2).
+    Equivalent to half the tether tension at the derated rated power with
+    spool speed v/3.
     """
-    _, alpha = max_glide_cubed(foil_coeffs, planform.aspect_ratio)
-    cl = lift_coeff(foil_coeffs, planform.aspect_ratio, alpha)
-    cd = drag_coeff(foil_coeffs, planform.aspect_ratio, cl)
-    v_app = (2.0 / 3.0) * flow.speed * cl / cd
-    total_lift = 0.5 * flow.density * planform.area * v_app**2 * cl
+    glide3 = max_glide_cubed(foil_coeffs, planform.aspect_ratio)
+    total_lift = 0.5 * flow.density * planform.area * ((2.0 / 3.0) * flow.speed) ** 2 * glide3
     return 0.5 * RATED_EFFICIENCY * total_lift
 
 

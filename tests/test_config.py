@@ -146,6 +146,9 @@ def test_override_rejections():
         "simulation.max_time=banana",
         "tether.radius=-1",             # rejected by the section's own check
         "ilc.learning_gain=-0.5",
+        "foil.cd_zero=0.0",             # no drag floor: glide ratio unbounded
+        "foil.e_drag=-1.0",
+        "foil.k_visc=-0.01",
     ]
     for item in bad:
         with pytest.raises(ConfigError):

@@ -22,16 +22,16 @@ FOIL = FoilCoeffs()
 
 
 def brute_force_glide_cubed(foil, ar, grid_step=1e-5):
-    """Independent oracle: dense scan of CL^3/CD^2 on a fixed-step alpha grid."""
-    a = np.arange(0.0, math.radians(20.0) + grid_step, grid_step)
+    """Independent oracle: CL^3/CD^2 on a fixed-step alpha grid over 0-20 deg,
+    the 20 deg edge included."""
+    hi = math.radians(20.0)
+    a = np.append(np.arange(0.0, hi, grid_step), hi)
     slope = 2.0 * np.pi * foil.gamma / (1.0 + 2.0 * foil.gamma / (foil.e_lift * ar))
     cl = slope * a + foil.cl_zero
     cd = (1.0 / (np.pi * foil.e_drag * ar) + foil.k_visc) * (cl - foil.cl_min_drag) ** 2 + foil.cd_zero
-    r = cl**3 / cd**2
-    i = int(np.argmax(r))
-    return float(r[i]), float(a[i])
+    return cl**3 / cd**2
 
-# frozen from the oracle above (grid step 1e-5 rad)
+# frozen from the oracle's maximum (grid step 1e-5 rad)
 ORACLE_G3 = {4.7: 139.11597212967848, 6.0: 176.70634895812492, 6.5: 190.37294530610455}
 
 
@@ -72,10 +72,26 @@ def test_drag_factor_decreases_with_aspect_ratio():
 
 
 def test_glide_cubed_matches_brute_force_oracle():
+    # the oracle's own grid error is about 2e-9
     for ar, expected in ORACLE_G3.items():
-        got, alpha = max_glide_cubed(FOIL, ar)
-        assert got == pytest.approx(expected, rel=1e-6)
-        assert DEFAULT_ALPHA_RANGE[0] < alpha < DEFAULT_ALPHA_RANGE[1]
+        assert max_glide_cubed(FOIL, ar) == pytest.approx(expected, rel=1e-8)
+
+
+def test_glide_cubed_is_the_window_maximum():
+    for ar in (4.0, 7.0, 12.0):
+        assert np.all(max_glide_cubed(FOIL, ar) >= brute_force_glide_cubed(FOIL, ar))
+
+
+def test_glide_cubed_clips_to_the_window_edges():
+    # camber lift above CL* puts the optimum at alpha = 0; a high drag floor
+    # with no viscous curvature puts CL* above the lift reached at 20 deg
+    cases = [(FoilCoeffs(cl_zero=1.2), ar, DEFAULT_ALPHA_RANGE[0]) for ar in (4.0, 7.0, 12.0)]
+    cases.append((FoilCoeffs(cd_zero=0.05, k_visc=0.0), 12.0, DEFAULT_ALPHA_RANGE[1]))
+    for foil, ar, edge in cases:
+        cl = lift_coeff(foil, ar, edge)
+        at_edge = cl**3 / drag_coeff(foil, ar, cl) ** 2
+        assert max_glide_cubed(foil, ar) == pytest.approx(at_edge, rel=1e-14)
+        assert brute_force_glide_cubed(foil, ar).max() <= at_edge * (1.0 + 1e-14)
 
 
 def test_glide_cubed_deterministic():
@@ -86,20 +102,27 @@ def test_glide_cubed_deterministic():
 
 def test_glide_cubed_monotone_in_aspect_ratio():
     # induced drag falls with AR, so the achievable peak rises
-    vals = [max_glide_cubed(FOIL, ar)[0] for ar in np.linspace(4.0, 12.0, 9)]
+    vals = [max_glide_cubed(FOIL, ar) for ar in np.linspace(4.0, 12.0, 9)]
     assert np.all(np.diff(vals) > 0.0)
 
 
 def test_glide_cubed_rejects_liftless_range():
     foil = FoilCoeffs(cl_zero=-2.5)  # lift stays negative below 20 deg
     with pytest.raises(DegenerateRange):
-        max_glide_cubed(foil, 6.0, alpha_range=(0.0, 0.05))
+        max_glide_cubed(foil, 6.0)
+
+
+def test_foil_coeffs_reject_a_polar_without_an_optimum():
+    for bad in ({"gamma": 0.0}, {"e_lift": -0.76}, {"e_drag": -1.0},
+                {"cd_zero": 0.0}, {"cd_zero": float("nan")}, {"k_visc": -0.01}):
+        with pytest.raises(ValueError):
+            FoilCoeffs(**bad)
 
 
 def test_loyd_power_reference_planform():
-    # s = 9.98 m, AR = 4.7, v = 1.5 m/s, eta = 1:
+    # s = 9.98 m, AR = 4.7, v = 1.5 m/s:
     # (2/27)*1000*1.5^3 = 250, S = 21.19 m^2, G3 = 139.1 -> 0.737 MW
-    p = loyd_power(WingPlanform(9.98, 4.7), FlowEnv(), eta=1.0, foil=FOIL)
+    p = loyd_power(WingPlanform(9.98, 4.7), FlowEnv(), foil=FOIL)
     assert p == pytest.approx(0.737e6, rel=2e-3)
 
 
@@ -113,16 +136,14 @@ def test_loyd_power_and_rated_load_share_one_glide_entry():
 
 
 def test_loyd_power_scalings():
-    base = loyd_power(WingPlanform(8.0, 6.0), FlowEnv(1.5, 1000.0), eta=0.5, foil=FOIL)
-    double_v = loyd_power(WingPlanform(8.0, 6.0), FlowEnv(3.0, 1000.0), eta=0.5, foil=FOIL)
-    double_eta = loyd_power(WingPlanform(8.0, 6.0), FlowEnv(1.5, 1000.0), eta=1.0, foil=FOIL)
+    base = loyd_power(WingPlanform(8.0, 6.0), FlowEnv(1.5, 1000.0), foil=FOIL)
+    double_v = loyd_power(WingPlanform(8.0, 6.0), FlowEnv(3.0, 1000.0), foil=FOIL)
     assert double_v == pytest.approx(8.0 * base, rel=1e-12)
-    assert double_eta == pytest.approx(2.0 * base, rel=1e-12)
     # halving AR at fixed span doubles area and raises drag; power changes by
     # area ratio times the glide ratio change
-    g3_6, _ = max_glide_cubed(FOIL, 6.0)
-    g3_3, _ = max_glide_cubed(FOIL, 3.0)
-    half_ar = loyd_power(WingPlanform(8.0, 3.0), FlowEnv(1.5, 1000.0), eta=0.5, foil=FOIL)
+    g3_6 = max_glide_cubed(FOIL, 6.0)
+    g3_3 = max_glide_cubed(FOIL, 3.0)
+    half_ar = loyd_power(WingPlanform(8.0, 3.0), FlowEnv(1.5, 1000.0), foil=FOIL)
     assert half_ar == pytest.approx(base * 2.0 * g3_3 / g3_6, rel=1e-12)
 
 
