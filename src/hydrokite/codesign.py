@@ -23,10 +23,7 @@ from .design import (
     ScalingRule, displaced_volume,
 )
 from .effmap import EffSurface, default_surface
-from .errors import (
-    ConfigError, EmptySet, GeometryError, Infeasible, NoFeasibleIndividual,
-    ThinWallViolation,
-)
+from .errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
 from .fusestruct import (
     THICKNESS_MAX_PCT, THICKNESS_MIN_PCT, FuselageDesign, constraint_margins,
     fuse_mass, rated_fuselage_loads, sfdt_optimize,
@@ -166,15 +163,12 @@ def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
         planform, design.length, ctx.flow, ctx.foil_coeffs, ctx.rule)
     fm = constraint_margins(hull, floads, ctx.material)
     displaced = ctx.flow.density * design.volume
-    u = design.as_vector()
-    span_box = np.minimum(u - DESIGN_LO, DESIGN_HI - u)
     return {
         "wing_inertia": section.inertia / i_req - 1.0,
         "fuse_shear": fm.shear,
         "fuse_hoop": fm.hoop,
         "fuse_buckling": fm.buckling,
         "buoyancy": (displaced - design.m_kite) / displaced,
-        "bounds": float(span_box.min()),
     }
 
 
@@ -401,6 +395,15 @@ class GAConfig:
     seed: int = 0
     polish: bool = True
 
+    def __post_init__(self):
+        # elitism carries the best genome into the last population, which
+        # is where simultaneous_ga reads its winner
+        if not 1 <= self.elite < self.population:
+            raise ConfigError(
+                f"elite must satisfy 1 <= elite < population; got "
+                f"elite={self.elite}, population={self.population}")
+
+
 DEATH = -1e18
 
 
@@ -424,12 +427,13 @@ def _poly_mutate(x, lo, hi, eta, prob, rng):
 
 
 def _ga_fitness(u, w, p_min, ctx):
-    """(fitness, design-or-None); infeasible genomes get a graded death value."""
-    try:
-        design = evaluate_design(u, ctx)
-        margins = design_margins(design, ctx)
-    except (ValueError, GeometryError, ThinWallViolation):
-        return DEATH * 2.0, None
+    """(fitness, design-or-None); infeasible genomes get a graded death value.
+
+    u must lie in the design box with an integer spar count, as every
+    clipped GA genome does.
+    """
+    design = evaluate_design(u, ctx)
+    margins = design_margins(design, ctx)
     shortfall = max(0.0, (p_min - design.power) / p_min)
     violation = shortfall + sum(max(0.0, -m) for m in margins.values())
     if violation > 0.0:
@@ -452,16 +456,12 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
     pop = rng.uniform(sample_lo, hi, size=(cfg.population, 8))
     pop[:, 2] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1,
                                  size=cfg.population)
-    scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
-    fitness = np.array([s[0] for s in scored])
 
-    best_fit = -np.inf
-    best_design = None
-    for fit, design in scored:
-        if design is not None and fit > best_fit:
-            best_fit, best_design = fit, design
-
-    for _ in range(cfg.generations):
+    for generation in range(cfg.generations + 1):
+        scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
+        fitness = np.array([s[0] for s in scored])
+        if generation == cfg.generations:
+            break
         order = np.argsort(-fitness, kind="stable")
         elite = pop[order[:cfg.elite]]
         children = []
@@ -484,13 +484,9 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
                 child[2] = float(int(round(child[2])))
                 children.append(child)
         pop = np.vstack([elite, np.array(children[:cfg.population - cfg.elite])])
-        scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
-        fitness = np.array([s[0] for s in scored])
-        gen_best = int(np.argmax(fitness))
-        if scored[gen_best][1] is not None and fitness[gen_best] > best_fit:
-            best_fit = float(fitness[gen_best])
-            best_design = scored[gen_best][1]
 
+    # elitism keeps the best genome ever scored in the last population
+    best_fit, best_design = scored[int(np.argmax(fitness))]
     if best_design is None:
         raise NoFeasibleIndividual(
             f"GA found no feasible design for w={w:g}, "

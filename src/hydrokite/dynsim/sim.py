@@ -100,9 +100,6 @@ class SimResult:
     final_state: np.ndarray = field(repr=False)
     final_path_pos: float = 0.0
 
-    def lap_slice(self, lap: LapMetrics) -> np.ndarray:
-        return (self.time >= lap.t_start) & (self.time < lap.t_end)
-
 
 class Simulator:
     """Owns one closed-loop run; strictly sequential, deterministic."""

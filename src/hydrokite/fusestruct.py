@@ -43,6 +43,10 @@ class FuselageDesign:
             raise ValueError("diameter and length must be positive")
         if self.thickness_pct < 0.0:
             raise ValueError("thickness_pct must be non-negative")
+        if self.thickness_pct > THICKNESS_MAX_PCT:
+            raise ThinWallViolation(
+                f"wall {self.thickness_pct!r}% of D exceeds the thin-wall "
+                f"limit {THICKNESS_MAX_PCT:g}%")
 
     @property
     def thickness(self) -> float:
@@ -87,9 +91,6 @@ class FuselageSizing:
 
 def section_modulus(diameter: float, thickness: float) -> float:
     """Thin-wall bending section modulus pi r^2 t."""
-    if thickness > diameter / 10.0:
-        raise ThinWallViolation(
-            f"t = {thickness:.4g} m exceeds D/10 = {diameter / 10.0:.4g} m")
     return math.pi * (diameter / 2.0) ** 2 * thickness
 
 
@@ -134,14 +135,15 @@ def sfdt_optimize(
     length: float,
     loads: FuselageLoads,
     material: Material = Material(),
-    bounds_pct: tuple[float, float] = (THICKNESS_MIN_PCT, THICKNESS_MAX_PCT),
 ) -> FuselageSizing:
     """Minimum-mass shell thickness for a (D, L) hull under the given loads.
 
     Mass is strictly increasing in t and each limit inverts to a minimum
     thickness, so the optimum is the largest of the three closed-form
     thicknesses, raised to the lower bound if slack.  Raises Infeasible when
-    the required thickness exceeds the upper bound.
+    the required thickness exceeds the upper bound.  The bounds are compared
+    in % of D, the unit FuselageDesign carries, so a bound case lands on
+    THICKNESS_MIN_PCT exactly.
     """
     zeta = loads.allowable_factor
     sigma_y = zeta * material.yield_stress
@@ -155,23 +157,20 @@ def sfdt_optimize(
     }
     active, t_need = max(candidates.items(), key=lambda kv: kv[1])
 
-    t_lo = bounds_pct[0] / 100.0 * diameter
-    t_hi = bounds_pct[1] / 100.0 * diameter
-    if t_need > t_hi:
+    pct = 100.0 * t_need / diameter
+    if pct > THICKNESS_MAX_PCT:
         raise Infeasible(
             "required shell thickness exceeds the upper bound",
             detail={
-                "thickness_required_m": t_need,
-                "thickness_bound_m": t_hi,
+                "thickness_required_pct": pct,
+                "thickness_bound_pct": THICKNESS_MAX_PCT,
                 "governing": active,
             },
         )
-    if t_need < t_lo:
-        t_star, active = t_lo, "bound"
-    else:
-        t_star = t_need
+    if pct < THICKNESS_MIN_PCT:
+        pct, active = THICKNESS_MIN_PCT, "bound"
 
-    design = FuselageDesign(diameter, length, 100.0 * t_star / diameter)
+    design = FuselageDesign(diameter, length, pct)
     return FuselageSizing(design, fuse_mass(design, material), active)
 
 

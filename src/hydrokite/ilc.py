@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynsim import BasisParams, Simulator, TetherProperties
 from .dynsim.kite import KiteProperties
-from .errors import ConfigError, EmptyLap, NotConverged
+from .errors import ConfigError, NotConverged
 
 N_FEATURES = 15
 
@@ -135,17 +135,6 @@ def ilc_update(model: RLSModel, b_k: np.ndarray, cfg: ILCConfig,
     return clamp_to_box(b_k + step + perturbation(cfg, k))
 
 
-def lap_objective(time: np.ndarray, power: np.ndarray, angle: np.ndarray,
-                  k_w: float) -> float:
-    """Lap score: time-averaged generated power minus k_w times the
-    interior-angle penalty, via the trapezoidal rule."""
-    time = np.asarray(time, dtype=float)
-    if time.size < 2 or time[-1] <= time[0]:
-        raise EmptyLap("lap series needs at least two samples with t_e > t_s")
-    integrand = np.asarray(power, dtype=float) - k_w * np.asarray(angle, dtype=float)
-    return float(np.trapezoid(integrand, time) / (time[-1] - time[0]))
-
-
 class SimLapEvaluator:
     """Scores one lap per call, continuing the flight between calls.
 
@@ -170,9 +159,8 @@ class SimLapEvaluator:
         self._state = res.final_state
         self._path_pos = res.final_path_pos
         lap = res.laps[-1]
-        mask = res.lap_slice(lap)
-        score = lap_objective(res.time[mask], res.power[mask],
-                              res.angle[mask], self.k_w)
+        # every-step lap means, so the score does not depend on trace_stride
+        score = lap.power_avg - self.k_w * lap.angle_mean
         return score, lap.power_avg, lap.power_peak
 
 

@@ -73,6 +73,16 @@ def test_buoyancy_margin_uses_flow_density():
         (displaced - design.m_kite) / displaced)
 
 
+def test_margins_at_the_wall_bound():
+    # wall = THICKNESS_MAX_PCT at the smallest diameter, the box corner where
+    # 0.1*D exceeds D/10 by rounding
+    ctx = fast_ctx()
+    margins = design_margins(evaluate_design([8, 6, 2, 10, 3, 0.4, 8, 10], ctx), ctx)
+    assert set(margins) == {"wing_inertia", "fuse_shear", "fuse_hoop",
+                            "fuse_buckling", "buoyancy"}
+    assert margins["fuse_buckling"] > 0.0
+
+
 def test_power_is_ideal_times_surface():
     eta = 0.73
     ctx = fast_ctx(surface=flat_surface(eta))
@@ -290,6 +300,13 @@ def test_ga_reports_infeasibility():
     ctx = fast_ctx()
     with pytest.raises(NoFeasibleIndividual):
         simultaneous_ga(1.0, 5e6, ctx, ga_cfg())
+
+
+def test_ga_config_requires_elitism():
+    for elite in (0, 40, 41):
+        with pytest.raises(ConfigError):
+            ga_cfg(elite=elite)
+    assert ga_cfg(elite=39).elite == 39
 
 
 def test_ga_rejects_nonpositive_weight():

@@ -149,6 +149,8 @@ def test_override_rejections():
         "foil.cd_zero=0.0",             # no drag floor: glide ratio unbounded
         "foil.e_drag=-1.0",
         "foil.k_visc=-0.01",
+        "ga.elite=200",                 # no room left for children
+        "ga.elite=0",                   # the GA reads its winner off the elite
     ]
     for item in bad:
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ import pytest
 
 from hydrokite.errors import Infeasible, ThinWallViolation
 from hydrokite.fusestruct import (
+    THICKNESS_MAX_PCT,
     FuselageDesign,
     FuselageLoads,
     constraint_margins,
@@ -45,8 +46,16 @@ def test_section_modulus_scaling():
 
 
 def test_section_modulus_thin_wall_guard():
+    # the thin-wall limit is checked once, on the hull design in % of D;
+    # section_modulus is the formula alone
     with pytest.raises(ThinWallViolation):
-        section_modulus(0.6, 0.07)
+        FuselageDesign(0.6, 8.0, 11.7)
+    assert section_modulus(0.6, 0.07) == pytest.approx(math.pi * 0.09 * 0.07, rel=1e-15)
+    loads = FuselageLoads(1.0e5, 2.5e3, 1.0e5)
+    for d in np.linspace(0.4, 0.8, 41):
+        # the box edge t = 0.1*D exceeds D/10 by rounding for some D
+        edge = FuselageDesign(float(d), 8.0, THICKNESS_MAX_PCT)
+        assert constraint_margins(edge, loads).feasible()
 
 
 def test_proof_stress_is_yield_for_default_material():
@@ -125,7 +134,7 @@ def test_design_and_loads_validation():
 
 def test_optimize_zero_loads_hits_lower_bound():
     sizing = sfdt_optimize(0.6, 8.0, FuselageLoads(0.0, 0.0, 0.0))
-    assert sizing.design.thickness_pct == pytest.approx(0.5, rel=1e-12)
+    assert sizing.design.thickness_pct == 0.5
     assert sizing.active_constraint == "bound"
 
 

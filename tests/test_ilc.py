@@ -1,14 +1,14 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hydrokite.dynsim import BasisParams
-from hydrokite.errors import ConfigError, EmptyLap, NotConverged
+from hydrokite.catalog import kite_from_record, load_designs
+from hydrokite.dynsim import BasisParams, SimParams, Simulator, TetherProperties
+from hydrokite.errors import ConfigError, NotConverged
 from hydrokite.ilc import (
-    DEFAULT_BOX, ILCConfig, RLSModel, clamp_to_box, format_history,
-    ilc_update, lap_objective, optimize_path, perturbation, quad_features,
+    DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator, clamp_to_box,
+    format_history, ilc_update, optimize_path, perturbation, quad_features,
     quad_gradient, quad_value, rls_update,
 )
 
@@ -23,40 +23,6 @@ def quad_theta(const, linear, squares, crosses=None):
     if crosses is not None:
         theta[[6, 7, 8, 10, 11, 13]] = crosses
     return theta
-
-
-# -- lap objective ----------------------------------------------------------
-
-def test_lap_objective_constant_power():
-    t = np.linspace(3.0, 17.0, 101)
-    j = lap_objective(t, np.full_like(t, 1e5), np.zeros_like(t), k_w=1e4)
-    assert j == pytest.approx(1e5, rel=1e-12)
-
-
-def test_lap_objective_pure_penalty():
-    t = np.linspace(0.0, 4.0, 33)
-    j = lap_objective(t, np.zeros_like(t), np.full_like(t, 0.1), k_w=1e4)
-    assert j == pytest.approx(-1e3, rel=1e-12)
-
-
-def test_lap_objective_sinusoid_matches_analytic_mean():
-    p0, amp, omega, t_end = 5.0e4, 2.0e4, 0.7, 13.0
-    n = 600
-    t = np.linspace(0.0, t_end, n + 1)
-    power = p0 + amp * np.sin(omega * t)
-    exact = p0 + amp * (1.0 - math.cos(omega * t_end)) / (omega * t_end)
-    j = lap_objective(t, power, np.zeros_like(t), k_w=0.0)
-    # composite trapezoid error on the mean is bounded by h^2 |f''|_max / 12
-    h = t_end / n
-    bound = h * h * omega * omega * amp / 12.0
-    assert abs(j - exact) < bound
-
-
-def test_lap_objective_rejects_degenerate_series():
-    with pytest.raises(EmptyLap):
-        lap_objective(np.array([1.0]), np.array([5.0]), np.array([0.0]), 0.0)
-    with pytest.raises(EmptyLap):
-        lap_objective(np.array([2.0, 2.0]), np.zeros(2), np.zeros(2), 0.0)
 
 
 # -- quadratic meta-model ---------------------------------------------------
@@ -181,6 +147,30 @@ def test_perturbation_schedule_decays_and_reproduces():
         assert np.all(np.abs(perturbation(cfg, k)) <= amp)
     assert np.array_equal(perturbation(ILCConfig(perturb_amplitude=0.0), 3),
                           np.zeros(4))
+
+
+# -- lap score --------------------------------------------------------------
+
+def test_sim_lap_score_does_not_depend_on_trace_stride():
+    # release the intermediate kite at p = 2.0 rad, as in test_golden.py,
+    # and close the lap 0.2 rad ahead
+    props = kite_from_record(load_designs()["intermediate"])
+    tether = TetherProperties()
+    basis = BasisParams()
+    y0 = Simulator(props, tether, basis,
+                   params=SimParams(init_path_pos=2.0)).initial_state()
+    b = np.array([basis.b1, basis.b2, basis.b3, basis.b4])
+    scores = []
+    for stride in (1, 5):
+        evaluator = SimLapEvaluator(
+            props, tether, k_w=8.0e3,
+            params=SimParams(init_path_pos=2.2, trace_stride=stride))
+        # resume from the release instead of the canonical start
+        evaluator._state, evaluator._path_pos = y0, 2.0
+        scores.append(evaluator(b))
+    assert scores[0] == scores[1]
+    score, p_avg, _ = scores[0]
+    assert p_avg < 0.0 and score < p_avg    # spooling in, off the path
 
 
 # -- path search ------------------------------------------------------------
