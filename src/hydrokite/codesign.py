@@ -92,11 +92,6 @@ class KiteDesign:
     volume: float
     power: float
 
-    def __post_init__(self):
-        u = self.as_vector()
-        if np.any(u < DESIGN_LO - 1e-9) or np.any(u > DESIGN_HI + 1e-9):
-            raise ValueError("design variables outside the admissible box")
-
     def as_vector(self) -> np.ndarray:
         return np.array([self.span, self.aspect_ratio, self.n_spars,
                          self.spar_width_pct, self.shell_pct, self.diameter,
@@ -116,11 +111,17 @@ class KiteDesign:
 
 
 def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
-    """Assemble a KiteDesign from the raw variable vector."""
+    """Assemble a KiteDesign from the raw variable vector.
+
+    This is the design box's only check, and it is exact: every solver clips
+    or sizes its variables to the bounds themselves.  It runs before any
+    component is built, so a vector outside the box raises this error and
+    not a component's own limit.
+    """
     vec = np.asarray(list(u), dtype=float)
     if vec.shape != (8,):
         raise ValueError("design vector must have eight entries")
-    if np.any(vec < DESIGN_LO - 1e-9) or np.any(vec > DESIGN_HI + 1e-9):
+    if np.any(vec < DESIGN_LO) or np.any(vec > DESIGN_HI):
         raise ValueError("design variables outside the admissible box")
     s, ar, n_sp, t_sp, t_sw, d, length, t_sf = vec
     planform = WingPlanform(s, ar)

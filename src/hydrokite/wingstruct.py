@@ -5,6 +5,12 @@ four-digit foil outline) plus one to three vertical spar webs that run from
 the lower to the upper surface at fixed chordwise stations.  Area and bending
 inertia are computed per unit chord by vertical-strip integration and scaled
 by c^2 and c^4; the outline is chord-proportional so the scaling is exact.
+The strip sums are taken in closed form: per strip, the shell's share is a
+polynomial in the shell thickness and a closed strip's share is fixed, so
+prefix sums over the station grid, taken once per foil and grid, give any
+section from a few index ranges (see ``SectionIntegrator``).  That needs
+the shell to close stations from both ends of the chord inward, which the
+integrator checks when it is built.
 
 Sizing minimizes section area (hence wing mass) subject to a bending-inertia
 floor derived from a cantilever tip-deflection limit on the half wing.
@@ -13,6 +19,7 @@ floor derived from a cantilever tip-deflection limit on the half wing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,64 +129,111 @@ class SectionProperties:
 
 
 class SectionIntegrator:
-    """Vertical-strip integrator for the shell + spar cross-section.
+    """Closed-form vertical-strip integrator for the shell + spar section.
 
     All geometry lives in unit-chord space; results scale as c^2 (area) and
     c^4 (inertia).  Stations are cosine-spaced midpoints, which resolves the
     sqrt leading-edge nose without excessive point counts.
+
+    Each station is a vertical strip of depth ``y_up - y_lo``.  While the
+    shell of thickness t leaves it open, its two bands (vertical heights
+    t*f_up and t*f_lo, the normal offset stretched by the surface slope) add
+    area, first and second moment that are polynomials in t of degree 1, 2
+    and 3; a closed strip adds its full depth, a fixed amount.  A spar web
+    closes the stations inside it, one index range on ``x`` per web, and the
+    shell closes station i once t >= tau_i = depth_i / (f_up_i + f_lo_i).
+
+    The constructor checks that tau rises strictly to a single peak and then
+    falls strictly (``GeometryError`` otherwise); the shell-closed stations
+    are then the two index ranges [0, a) and [b, n), found by bisecting the
+    rising and the falling half of tau.  The constructor also takes x-order
+    prefix sums of the nine per-station coefficients (three closed-strip
+    constants, six open-strip polynomial coefficients), so one section is
+    the closed-strip sums over at most five merged index ranges plus the
+    open-strip polynomials summed over the rest: a few bisections and a few
+    dozen float operations per call, with no array work.
     """
 
     def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = 2000):
         self.foil = foil
         edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, n_stations + 1)))
-        self.x = 0.5 * (edges[:-1] + edges[1:])
-        self.dx = np.diff(edges)
-        self.y_up, self.y_lo = foil.surfaces(self.x)
-        # slope factors turn a normal offset into a vertical strip height
-        du = np.gradient(self.y_up, self.x)
-        dl = np.gradient(self.y_lo, self.x)
-        self.f_up = np.sqrt(1.0 + du**2)
-        self.f_lo = np.sqrt(1.0 + dl**2)
-        self.t_max = float(np.max(self.y_up - self.y_lo))
+        x = 0.5 * (edges[:-1] + edges[1:])
+        dx = np.diff(edges)
+        y_up, y_lo = foil.surfaces(x)
+        f_up = np.sqrt(1.0 + np.gradient(y_up, x) ** 2)
+        f_lo = np.sqrt(1.0 + np.gradient(y_lo, x) ** 2)
+        depth = y_up - y_lo
+        self.t_max = float(np.max(depth))
 
-    def _spar_mask(self, n_spars: int, width: float) -> np.ndarray:
-        mask = np.zeros_like(self.x, dtype=bool)
-        for station in SPAR_STATIONS[n_spars]:
-            lo = max(0.0, station - 0.5 * width)
-            hi = min(1.0, station + 0.5 * width)
-            mask |= (self.x >= lo) & (self.x <= hi)
-        return mask
+        tau = depth / (f_up + f_lo)
+        peak = int(np.argmax(tau))
+        if np.any(np.diff(tau[:peak + 1]) <= 0.0) or np.any(np.diff(tau[peak:]) >= 0.0):
+            raise GeometryError(
+                "the shell thickness that closes a station does not rise to "
+                f"one peak and then fall along the chord ({foil}, "
+                f"{n_stations} stations)")
+        self._x = x.tolist()
+        self._tau_rise = tau[:peak + 1].tolist()
+        self._neg_tau_fall = (-tau[peak + 1:]).tolist()
+
+        coeffs = np.array([
+            # closed strip: area, first and second moment about the chord
+            depth,
+            0.5 * (y_up**2 - y_lo**2),
+            (y_up**3 - y_lo**3) / 3.0,
+            # open strip: area t^1; first moment t^1, t^2; second t^1..t^3
+            f_up + f_lo,
+            y_up * f_up + y_lo * f_lo,
+            0.5 * (f_lo**2 - f_up**2),
+            y_up**2 * f_up + y_lo**2 * f_lo,
+            y_lo * f_lo**2 - y_up * f_up**2,
+            (f_up**3 + f_lo**3) / 3.0,
+        ]) * dx
+        prefix = np.zeros((len(coeffs), n_stations + 1))
+        np.cumsum(coeffs, axis=1, out=prefix[:, 1:])
+        self._prefix = prefix.tolist()
 
     def properties(self, design: WingStructureDesign) -> SectionProperties:
         """Unit-chord area, inertia about the neutral axis, and its height."""
-        t_shell = design.shell_pct / 100.0 * self.t_max
-        if t_shell > 0.5 * self.t_max:
+        t = design.shell_pct / 100.0 * self.t_max
+        if t > 0.5 * self.t_max:
             raise GeometryError(
                 "shell offset exceeds the section half-thickness; "
                 "the inner surface self-intersects"
             )
         width = design.spar_width_pct / 100.0
-        depth = self.y_up - self.y_lo
-        band_up = t_shell * self.f_up
-        band_lo = t_shell * self.f_lo
-        solid = self._spar_mask(design.n_spars, width) | (band_up + band_lo >= depth)
-
-        # strip segments: full depth where solid, else two shell bands
-        if t_shell > 0.0 or width > 0.0:
-            a1 = self.y_lo
-            b1 = np.where(solid, self.y_up, self.y_lo + band_lo)
-            a2 = np.where(solid, self.y_up, self.y_up - band_up)
-            b2 = self.y_up
-        else:
+        if t == 0.0 and width == 0.0:
             return SectionProperties(0.0, 0.0, 0.0)
 
-        h1 = b1 - a1
-        h2 = b2 - a2
-        area = float(np.sum((h1 + h2) * self.dx))
+        n = len(self._x)
+        closed = [(0, bisect_right(self._tau_rise, t)),
+                  (len(self._tau_rise) + bisect_left(self._neg_tau_fall, -t), n)]
+        for station in SPAR_STATIONS[design.n_spars]:
+            closed.append((bisect_left(self._x, station - 0.5 * width),
+                           bisect_right(self._x, station + 0.5 * width)))
+        merged = []
+        end = 0
+        for start, stop in sorted(closed):
+            start = max(start, end)
+            if start < stop:
+                merged.append((start, stop))
+                end = stop
+
+        # closed-strip sums over the merged ranges; open strips are the rest
+        sums = []
+        for row in self._prefix:
+            acc = 0.0
+            for start, stop in merged:
+                acc += row[stop] - row[start]
+            sums.append(acc)
+        a0, f0, s0 = sums[:3]
+        a1, f1, f2, s1, s2, s3 = (
+            row[n] - acc for row, acc in zip(self._prefix[3:], sums[3:]))
+        area = a0 + t * a1
         if area == 0.0:
             return SectionProperties(0.0, 0.0, 0.0)
-        first = float(np.sum(((b1**2 - a1**2) + (b2**2 - a2**2)) * 0.5 * self.dx))
-        second = float(np.sum(((b1**3 - a1**3) + (b2**3 - a2**3)) / 3.0 * self.dx))
+        first = f0 + t * (f1 + t * f2)
+        second = s0 + t * (s1 + t * (s2 + t * s3))
         y_bar = first / area
         inertia = second - area * y_bar**2
         return SectionProperties(area, inertia, y_bar)

@@ -65,6 +65,15 @@ def test_design_box_is_enforced():
             evaluate_design(u, ctx)
 
 
+def test_design_box_is_exact():
+    ctx = DesignContext()
+    for corner in (DESIGN_LO, DESIGN_HI):
+        assert np.array_equal(evaluate_design(corner, ctx).as_vector(), corner)
+    # just past the wall bound: the box check fires before the hull is built
+    with pytest.raises(ValueError, match="admissible box"):
+        evaluate_design([8, 6, 2, 10, 3, 0.6, 8, 10 + 5e-10], ctx)
+
+
 def test_buoyancy_margin_uses_flow_density():
     ctx = fast_ctx(flow=FlowEnv(density=1025.0))
     design = evaluate_design(mid_vector(), ctx)

@@ -1,12 +1,15 @@
 """Wing box-section integration and minimum-mass sizing tests.
 
-The section integrator is checked against an independent oracle that
-rebuilds the same material layout (inward-offset shell bands plus
-full-depth spar webs at fixed stations) on a dense uniform grid and
-integrates with the trapezoid rule.
+The section integrator is checked two ways.  An independent oracle rebuilds
+the same material layout (inward-offset shell bands plus full-depth spar
+webs at fixed stations) on a dense uniform grid and integrates with the
+trapezoid rule.  The strip sum over the integrator's own cosine grid, the
+method the closed form replaced, is the exact reference: the two must agree
+to 1e-12 of the all-solid section.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ import pytest
 from hydrokite.errors import GeometryError, Infeasible
 from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
 from hydrokite.wingstruct import (
+    FourDigitFoil,
     Material,
+    SectionIntegrator,
     WingStructureDesign,
     rated_wing_load,
     required_inertia,
@@ -71,6 +76,83 @@ def oracle_section(n_spars, spar_width_pct, shell_pct, n=20001):
     return area, second - area * y_bar**2, y_bar
 
 
+def strip_sum_section(foil, n_stations, design, all_solid=False):
+    """Unit-chord (area, first moment, second moment about the chord line)
+    by summing vertical strips on the cosine-midpoint grid: full depth where
+    a spar web or the shell closes a station, else the two shell bands."""
+    edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, n_stations + 1)))
+    x = 0.5 * (edges[:-1] + edges[1:])
+    dx = np.diff(edges)
+    y_up, y_lo = foil.surfaces(x)
+    f_up = np.sqrt(1.0 + np.gradient(y_up, x)**2)
+    f_lo = np.sqrt(1.0 + np.gradient(y_lo, x)**2)
+    depth = y_up - y_lo
+    t_shell = design.shell_pct / 100.0 * float(np.max(depth))
+    width = design.spar_width_pct / 100.0
+    spar = np.zeros_like(x, dtype=bool)
+    for station in SPAR_STATIONS[design.n_spars]:
+        lo = max(0.0, station - 0.5 * width)
+        hi = min(1.0, station + 0.5 * width)
+        spar |= (x >= lo) & (x <= hi)
+    band_up, band_lo = t_shell * f_up, t_shell * f_lo
+    solid = all_solid | spar | (band_up + band_lo >= depth)
+    a1 = y_lo
+    b1 = np.where(solid, y_up, y_lo + band_lo)
+    a2 = np.where(solid, y_up, y_up - band_up)
+    b2 = y_up
+    area = float(np.sum(((b1 - a1) + (b2 - a2)) * dx))
+    first = float(np.sum(((b1**2 - a1**2) + (b2**2 - a2**2)) * 0.5 * dx))
+    second = float(np.sum(((b1**3 - a1**3) + (b2**3 - a2**3)) / 3.0 * dx))
+    return area, first, second
+
+
+def reference_designs(seed, count):
+    rng = np.random.default_rng(seed)
+    designs = [
+        WingStructureDesign(3, 20.0, 2.0),   # webs at 0.15 and 0.30 overlap
+        WingStructureDesign(3, 20.0, 0.0),
+        WingStructureDesign(2, 20.0, 2.0),   # the 0.10 web reaches x = 0
+        WingStructureDesign(1, 0.0, 3.0),    # shell only
+        WingStructureDesign(2, 10.0, 0.0),   # spars only
+        WingStructureDesign(1, 0.0, 0.0),    # nothing
+        WingStructureDesign(2, 5.0, 50.0),   # the largest admissible shell
+    ]
+    for k in range(count):
+        designs.append(WingStructureDesign(
+            int(rng.integers(1, 4)), float(rng.uniform(0.0, 20.0)),
+            float(rng.uniform(0.0, 10.0 if k % 2 else 50.0))))
+    return designs
+
+
+@pytest.mark.parametrize("n_stations", [400, 2000])
+def test_section_matches_strip_sum_reference(n_stations):
+    foil = FourDigitFoil()
+    integ = SectionIntegrator(foil, n_stations)
+    solid_area, solid_first, solid_second = strip_sum_section(
+        foil, n_stations, WingStructureDesign(1, 0.0, 0.0), all_solid=True)
+    solid_inertia = solid_second - solid_first**2 / solid_area
+    for design in reference_designs(20261018 + n_stations, 2000):
+        area, first, second = strip_sum_section(foil, n_stations, design)
+        inertia = second - first**2 / area if area > 0.0 else 0.0
+        got = integ.properties(design)
+        assert abs(got.area - area) <= 1e-12 * solid_area, design
+        assert abs(got.area * got.y_neutral - first) <= 1e-12 * solid_first, design
+        assert abs(got.inertia - inertia) <= 1e-12 * solid_inertia, design
+    empty = integ.properties(WingStructureDesign(1, 0.0, 0.0))
+    assert (empty.area, empty.inertia, empty.y_neutral) == (0.0, 0.0, 0.0)
+
+
+def test_integrator_rejects_a_section_the_shell_closes_in_two_places():
+    @dataclass(frozen=True)
+    class TwinHumpFoil(FourDigitFoil):
+        def half_thickness(self, x):
+            x = np.asarray(x, dtype=float)
+            return 0.06 * np.sqrt(x) * (1.0 - x) * (1.2 + np.cos(4.0 * math.pi * x))
+
+    with pytest.raises(GeometryError):
+        SectionIntegrator(TwinHumpFoil(), 400)
+
+
 def test_section_matches_oracle_reference_designs():
     for cfg, (a_ref, i_ref, y_ref) in ORACLE_SECTIONS.items():
         props = section_properties(WingStructureDesign(*cfg), chord=1.0)
@@ -111,8 +193,10 @@ def test_section_monotone_in_thicknesses():
 
 
 def test_shell_thicker_than_half_depth_rejected():
-    with pytest.raises(GeometryError):
-        section_properties(WingStructureDesign(1, 0.0, 60.0), chord=1.0)
+    section_properties(WingStructureDesign(1, 0.0, 50.0), chord=1.0)
+    for shell_pct in (np.nextafter(50.0, 100.0), 60.0):
+        with pytest.raises(GeometryError):
+            section_properties(WingStructureDesign(1, 0.0, float(shell_pct)), chord=1.0)
 
 
 def test_design_validation():
