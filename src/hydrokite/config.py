@@ -26,22 +26,6 @@ from .ilc import ILCConfig
 from .wingstruct import Material
 
 
-_SECTION_TYPES = {
-    "flow": FlowEnv,
-    "foil": FoilCoeffs,
-    "material": Material,
-    "tether": TetherProperties,
-    "scaling": ScalingRule,
-    "simulation": SimParams,
-    "controller": FlightGains,
-    "winch": WinchParams,
-    "path": BasisParams,
-    "ilc": ILCConfig,
-    "ga": GAConfig,
-    "grids": SearchGrid,
-}
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     flow: FlowEnv = field(default_factory=FlowEnv)
@@ -68,6 +52,10 @@ class SuiteConfig:
     def sim_kwargs(self) -> dict:
         return dict(gains=self.controller, winch=self.winch, flow=self.flow,
                     params=self.simulation)
+
+
+# section name -> the runtime dataclass it parses into, in file order
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(SuiteConfig)}
 
 
 def default_config() -> SuiteConfig:

@@ -20,13 +20,13 @@ from .paths import (
     spool_phase,
 )
 from .sim import LapMetrics, SimParams, SimResult, Simulator
-from .tether import TetherProperties, link_tension, tether_forces
+from .tether import TetherProperties, tether_forces
 
 __all__ = [
     "BasisParams", "FlightController", "FlightGains", "KiteProperties",
     "LapMetrics", "SimParams", "SimResult", "Simulator", "SurfaceDef",
     "TetherProperties", "WinchParams", "build_kite", "coriolis_matrix",
-    "interior_angle", "link_tension", "nearest_path_position",
+    "interior_angle", "nearest_path_position",
     "net_force_moment", "path_angles", "path_point", "path_tangent",
     "spool_phase", "surface_force_moment", "tether_forces", "winch_command",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import BasisParams, path_angles, spool_phase
+from .paths import BasisParams, path_direction, spool_phase
 from ..hydro import FlowEnv
 
 
@@ -36,9 +36,9 @@ def tangent_basis(position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return radial, east, north
 
 
-def velocity_angle(position: np.ndarray, velocity: np.ndarray) -> float:
+def velocity_angle(velocity: np.ndarray, east: np.ndarray,
+                   north: np.ndarray) -> float:
     """Direction of motion on the sphere, measured from local east."""
-    _, east, north = tangent_basis(position)
     return math.atan2(float(velocity @ north), float(velocity @ east))
 
 
@@ -67,7 +67,7 @@ class FlightController:
     """Stateful PI cascade; one update per control step (zero-order hold).
 
     aileron_gain is the kite's aileron effectiveness in dCL per rad, the
-    deflection_gain of its aileron surfaces.
+    magnitude of its aileron surfaces' deflection_gain.
     """
 
     def __init__(self, gains: FlightGains, basis: BasisParams, dt: float,
@@ -83,19 +83,17 @@ class FlightController:
         self._roll_int = 0.0
 
     def update(self, position: np.ndarray, velocity: np.ndarray,
-               body_y: np.ndarray, p_now: float) -> tuple[float, float, dict]:
+               body_y: np.ndarray, p_now: float) -> tuple[float, float]:
+        """(aileron, rudder) deflections for the current state."""
         g = self.gains
         radial, east, north = tangent_basis(position)
 
-        phi_t, theta_t = path_angles(self.basis, p_now + g.lookahead)
-        target = np.linalg.norm(position) * np.array(
-            [math.cos(theta_t) * math.cos(phi_t),
-             math.cos(theta_t) * math.sin(phi_t),
-             math.sin(theta_t)])
+        target = np.linalg.norm(position) * path_direction(
+            self.basis, p_now + g.lookahead)
         chase = target - position
         chase_t = chase - (chase @ radial) * radial
-        gamma_des = math.atan2(float(chase_t @ north), float(chase_t @ east))
-        gamma = velocity_angle(position, velocity)
+        gamma_des = velocity_angle(chase_t, east, north)
+        gamma = velocity_angle(velocity, east, north)
         vel_err = wrap_angle(gamma_des - gamma)
 
         # rolling the port wing outward tilts lift to starboard and turns
@@ -117,9 +115,7 @@ class FlightController:
                                 -g.aileron_limit, g.aileron_limit))
         rudder = float(np.clip(g.rudder_share * aileron,
                                -g.rudder_limit, g.rudder_limit))
-        diag = {"gamma": gamma, "gamma_des": gamma_des, "roll": roll,
-                "roll_des": roll_des, "moment_coeff": c_m}
-        return aileron, rudder, diag
+        return aileron, rudder
 
 
 def winch_command(p: float, params: WinchParams, flow: FlowEnv) -> tuple[float, float]:

@@ -48,7 +48,9 @@ class SurfaceDef:
     normal is the suction-side unit vector, spanwise the positive-span
     direction; chordwise follows as spanwise x normal.  Coefficients come
     from the surface's own foil at its own aspect ratio and are scaled by
-    the area fraction of the kite reference area.
+    the area fraction of the kite reference area.  deflection_gain is
+    signed per surface: the starboard aileron's gain is the port one's
+    negated, so one aileron command deflects the pair antisymmetrically.
     """
 
     name: str
@@ -85,23 +87,20 @@ class KiteProperties:
     planform: WingPlanform
     structural_mass: float = 0.0
     ballast: float = 0.0
-    _mass_matrix: np.ndarray = field(default=None, repr=False)
 
     def mass_matrix(self) -> np.ndarray:
-        if self._mass_matrix is None:
-            m = np.zeros((6, 6))
-            m[:3, :3] = self.mass * np.eye(3)
-            coupling = self.mass * _skew(self.r_cg)
-            m[:3, 3:] = -coupling
-            m[3:, :3] = coupling
-            m[3:, 3:] = self.inertia
-            m += np.diag(self.added_mass)
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite("kite mass matrix is not positive definite")
-            self._mass_matrix = m
-        return self._mass_matrix
+        m = np.zeros((6, 6))
+        m[:3, :3] = self.mass * np.eye(3)
+        coupling = self.mass * _skew(self.r_cg)
+        m[:3, 3:] = -coupling
+        m[3:, :3] = coupling
+        m[3:, 3:] = self.inertia
+        m += np.diag(self.added_mass)
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("kite mass matrix is not positive definite")
+        return m
 
 
 def coriolis_matrix(mass_matrix: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -161,8 +160,7 @@ def net_force_moment(
     """Generalized force tau in body axes.
 
     rotation maps body to inertial; tether_force is inertial, applied at
-    the attachment point.  deflections keys the surfaces' control tags;
-    port/starboard ailerons deflect antisymmetrically.
+    the attachment point.  deflections keys the surfaces' control tags.
     """
     force = np.zeros(3)
     moment = np.zeros(3)
@@ -178,8 +176,6 @@ def net_force_moment(
 
     for surface in props.surfaces:
         delta = deflections.get(surface.control, 0.0)
-        if surface.control == "aileron" and surface.name.startswith("starboard"):
-            delta = -delta
         f_s, m_s = surface_force_moment(surface, nu, delta, props.ref_area,
                                         flow.density)
         force += f_s
@@ -274,7 +270,7 @@ def build_kite(
         SurfaceDef("starboard_wing", np.array([-0.25 * c, -0.25 * s, 0.0]),
                    ez, ey, foil_coeffs, planform.aspect_ratio, 0.5,
                    incidence=wing_incidence,
-                   control="aileron", deflection_gain=aileron_gain),
+                   control="aileron", deflection_gain=-aileron_gain),
         SurfaceDef("hstab", np.array([x_tail, 0.0, z_hull]),
                    ez, ey, foil_coeffs, hstab.aspect_ratio,
                    rule.hstab_area_fraction,

@@ -63,6 +63,14 @@ def path_point(b: BasisParams, p, radius) -> np.ndarray:
     return sphere_point(phi, theta, radius)
 
 
+def path_direction(b: BasisParams, p: float) -> np.ndarray:
+    """path_point(b, p, 1.0) for a scalar p, with math calls, which beat
+    NumPy's per-call overhead on scalars."""
+    phi, theta = path_angles(b, p)
+    ct = math.cos(theta)
+    return np.array([ct * math.cos(phi), ct * math.sin(phi), math.sin(theta)])
+
+
 def path_tangent(b: BasisParams, p: float, radius: float, dp: float = 1e-6) -> np.ndarray:
     """Unit tangent along increasing p (central difference)."""
     ahead = path_point(b, p + dp, radius)
@@ -92,12 +100,8 @@ def nearest_path_position(b: BasisParams, direction: np.ndarray,
     """Path position whose direction is closest to the kite's, searched in
     a forward window from the last known position (keeps p monotone)."""
     candidates = p_guess + np.linspace(0.0, window, n_scan)
-    phi, theta = path_angles(b, candidates)
-    pts = np.stack([np.cos(theta) * np.cos(phi),
-                    np.cos(theta) * np.sin(phi),
-                    np.sin(theta)], axis=-1)
     unit = direction / np.linalg.norm(direction)
-    dots = pts @ unit
+    dots = path_point(b, candidates, 1.0) @ unit
     return float(candidates[int(np.argmax(dots))])
 
 
@@ -105,8 +109,4 @@ def interior_angle(b: BasisParams, p: float, position: np.ndarray) -> float:
     """Angle between the kite's direction and the path point at p (rad);
     the cross-track error measure on the sphere."""
     unit = position / np.linalg.norm(position)
-    phi, theta = path_angles(b, p)
-    target = np.array([math.cos(theta) * math.cos(phi),
-                       math.cos(theta) * math.sin(phi),
-                       math.sin(theta)])
-    return float(np.arccos(np.clip(unit @ target, -1.0, 1.0)))
+    return float(np.arccos(np.clip(unit @ path_direction(b, p), -1.0, 1.0)))

@@ -122,8 +122,10 @@ class Simulator:
         self.flow = flow
         self.params = params
         self.n = tether.n_nodes
-        self.minv = np.linalg.inv(props.mass_matrix())
-        aileron_gain = next((s.deflection_gain for s in props.surfaces
+        self.mass_matrix = props.mass_matrix()
+        self.minv = np.linalg.inv(self.mass_matrix)
+        # the aileron pair's gains differ only in sign
+        aileron_gain = next((abs(s.deflection_gain) for s in props.surfaces
                              if s.control == "aileron"), 0.0)
         if aileron_gain == 0.0:
             raise ConfigError("the kite has no aileron surface with a nonzero "
@@ -192,8 +194,7 @@ class Simulator:
 
         tau = net_force_moment(self.props, rot, nu, kite_f, deflections,
                                self.flow)
-        mass_m = self.props.mass_matrix()
-        dnu = self.minv @ (tau - coriolis_matrix(mass_m, nu) @ nu)
+        dnu = self.minv @ (tau - coriolis_matrix(self.mass_matrix, nu) @ nu)
 
         return np.concatenate([
             v_inertial,
@@ -253,7 +254,7 @@ class Simulator:
             p_mod = p_total % TWO_PI
 
             spool_speed, elevator = winch_command(p_mod, self.winch, self.flow)
-            aileron, rudder, _ = self.controller.update(
+            aileron, rudder = self.controller.update(
                 pos, v_inertial, rot[:, 1], p_mod)
             deflections = {"aileron": aileron, "rudder": rudder,
                            "elevator": elevator}

@@ -44,23 +44,6 @@ class TetherProperties:
         return self.density * self.section_area * rest_length
 
 
-def link_tension(span: np.ndarray, rate: np.ndarray, rest_length: float,
-                 props: TetherProperties) -> np.ndarray:
-    """Force the link applies to its outer end; zero when slack.
-
-    span runs inner to outer end; rate is the relative velocity of the
-    outer end.  The cable cannot push: the damped magnitude floors at zero.
-    """
-    dist = float(np.linalg.norm(span))
-    if dist < rest_length or dist == 0.0:
-        return np.zeros(3)
-    k = props.link_stiffness(rest_length)
-    m = props.link_mass(rest_length)
-    stretch_rate = float(span @ rate) / dist
-    mag = k * (dist - rest_length) + 2.0 * props.damping_ratio * math.sqrt(k * m) * stretch_rate
-    return -max(mag, 0.0) / dist * span
-
-
 def tether_forces(
     node_pos: np.ndarray,
     node_vel: np.ndarray,
@@ -81,7 +64,9 @@ def tether_forces(
     spans = chain_pos[1:] - chain_pos[:-1]
     rates = chain_vel[1:] - chain_vel[:-1]
 
-    # all links at once; same math as link_tension
+    # all links at once.  The cable cannot push: a slack link carries
+    # nothing and a taut one's damped pull floors at zero; the distance is
+    # floored only where it divides, for a zero-length link
     dist = np.linalg.norm(spans, axis=1)
     safe = np.maximum(dist, 1e-12)
     k = props.link_stiffness(rest_length)

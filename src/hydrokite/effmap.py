@@ -20,7 +20,7 @@ from .dynsim import TetherProperties
 from .dynsim.kite import build_kite
 from .errors import (
     ConfigError, DomainWarning, EmptyLap, Infeasible, NumericBlowup,
-    PathLost, RankDeficient, SimDiverged,
+    PathLost, RankDeficient,
 )
 from .fusestruct import rated_fuselage_loads, sfdt_optimize
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
@@ -255,8 +255,7 @@ def generate_samples(
                     tether or TetherProperties(), **sim_kwargs)
             samples.append(
                 EffSample.from_powers(span, aspect, p_star, p_ideal, eta_cap))
-        except (SimDiverged, NumericBlowup, PathLost, EmptyLap,
-                Infeasible) as exc:
+        except (NumericBlowup, PathLost, EmptyLap, Infeasible) as exc:
             warnings.warn(
                 f"skipping geometry ({span:g}, {aspect:g}): {exc}",
                 stacklevel=2)

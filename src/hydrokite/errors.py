@@ -44,10 +44,6 @@ class NumericBlowup(HydrokiteError):
     """Simulation state left the trusted numeric envelope (NaN or runaway norm)."""
 
 
-class SimDiverged(HydrokiteError):
-    """A simulation run ended without producing a usable lap."""
-
-
 class PathLost(HydrokiteError):
     """Kite strayed beyond the allowed interior angle from the reference path."""
 

@@ -20,6 +20,9 @@ from .errors import ConfigError, NotConverged
 
 N_FEATURES = 15
 
+# lowest covariance eigenvalue kept by the RLS update
+COV_FLOOR = 1e-10
+
 # admissible box for (b1, b2, b3, b4); keeps the path away from the poles
 # and b2 away from zero
 DEFAULT_BOX = (
@@ -62,31 +65,26 @@ class RLSModel:
 
     theta: np.ndarray
     cov: np.ndarray
-    forgetting: float = 1.0
-    cov_floor: float = 1e-10
 
     @classmethod
-    def fresh(cls, init_cov: float = 1e4, forgetting: float = 1.0) -> "RLSModel":
+    def fresh(cls, init_cov: float = 1e4) -> "RLSModel":
         return cls(theta=np.zeros(N_FEATURES),
-                   cov=init_cov * np.eye(N_FEATURES),
-                   forgetting=forgetting)
+                   cov=init_cov * np.eye(N_FEATURES))
 
 
 def rls_update(model: RLSModel, b: np.ndarray, j_observed: float) -> RLSModel:
     """One RLS step on the quadratic feature vector of b."""
     phi = quad_features(np.asarray(b, dtype=float))
-    lam = model.forgetting
     p_phi = model.cov @ phi
-    gain = p_phi / (lam + phi @ p_phi)
+    gain = p_phi / (1.0 + phi @ p_phi)
     theta = model.theta + gain * (j_observed - phi @ model.theta)
-    cov = (model.cov - np.outer(gain, p_phi)) / lam
+    cov = model.cov - np.outer(gain, p_phi)
     cov = 0.5 * (cov + cov.T)
     # floor the spectrum so the covariance stays positive definite
     w, v = np.linalg.eigh(cov)
-    if w[0] < model.cov_floor:
-        cov = (v * np.maximum(w, model.cov_floor)) @ v.T
-    return RLSModel(theta=theta, cov=cov, forgetting=lam,
-                    cov_floor=model.cov_floor)
+    if w[0] < COV_FLOOR:
+        cov = (v * np.maximum(w, COV_FLOOR)) @ v.T
+    return RLSModel(theta=theta, cov=cov)
 
 
 @dataclass

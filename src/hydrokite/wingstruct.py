@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,15 +87,6 @@ class FourDigitFoil:
         yt = self.half_thickness(x)
         yc = self.camber_line(x)
         return yc + yt, yc - yt
-
-    def outline(self, n: int = 400):
-        """Closed outline polygon (x, y), trailing edge to trailing edge."""
-        beta = np.linspace(0.0, math.pi, n)
-        x = 0.5 * (1.0 - np.cos(beta))
-        yu, yl = self.surfaces(x)
-        xs = np.concatenate([x[::-1], x[1:]])
-        ys = np.concatenate([yu[::-1], yl[1:]])
-        return xs, ys
 
 
 @dataclass(frozen=True)
@@ -350,8 +341,9 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat, tol=1e-4):
     for _ in range(60):
         if hi - lo <= tol * 0.01:
             break
-        # regula falsi with a bisection fallback against stagnation
-        w = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo) if f_hi > f_lo else 0.5 * (lo + hi)
+        # regula falsi, kept off the bracket ends against stagnation; the
+        # bracket holds f_hi >= 0 > f_lo, so the secant slope is positive
+        w = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
         w = min(max(w, lo + 0.1 * (hi - lo)), hi - 0.1 * (hi - lo))
         f = shortfall(w)
         if f >= 0.0:
@@ -439,20 +431,13 @@ def swdt_optimize(
     return WingSizing(design, mass, inertia, i_req, area, active)
 
 
-def _shave(integ, design, i_req_hat, which):
-    """Bisect one thickness down until inertia sits within 0.1% of the floor."""
-    if which == "spar":
-        hi = design.spar_width_pct
+def _shave(integ, design, i_req_hat, field):
+    """Bisect one thickness field down until inertia sits within 0.1% of
+    the floor."""
+    def build(v):
+        return replace(design, **{field: v})
 
-        def build(v):
-            return WingStructureDesign(design.n_spars, v, design.shell_pct)
-    else:
-        hi = design.shell_pct
-
-        def build(v):
-            return WingStructureDesign(design.n_spars, design.spar_width_pct, v)
-
-    lo = 0.0
+    lo, hi = 0.0, getattr(design, field)
     if integ.properties(build(lo)).inertia >= i_req_hat:
         return build(lo)
     for _ in range(60):
@@ -472,9 +457,9 @@ def _tighten(integ, design, i_req_hat):
     if i_req_hat <= 0.0 or props.inertia <= i_req_hat * 1.001:
         return design, props
     if design.spar_width_pct > 0.0:
-        design = _shave(integ, design, i_req_hat, "spar")
+        design = _shave(integ, design, i_req_hat, "spar_width_pct")
         props = integ.properties(design)
     if props.inertia > i_req_hat * 1.001 and design.shell_pct > 0.0:
-        design = _shave(integ, design, i_req_hat, "shell")
+        design = _shave(integ, design, i_req_hat, "shell_pct")
         props = integ.properties(design)
     return design, props

@@ -5,11 +5,13 @@ The Coriolis construction and the tether spring chain have exact analytic
 references; the integrator order is checked by Richardson step halving.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hydrokite.dynsim
 from hydrokite.dynsim import (
     BasisParams,
     FlightController,
@@ -23,7 +25,6 @@ from hydrokite.dynsim import (
     build_kite,
     coriolis_matrix,
     interior_angle,
-    link_tension,
     nearest_path_position,
     net_force_moment,
     path_angles,
@@ -35,7 +36,7 @@ from hydrokite.dynsim import (
     winch_command,
 )
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
-from hydrokite.dynsim.paths import sphere_point
+from hydrokite.dynsim.paths import path_direction, sphere_point
 from hydrokite.dynsim.sim import quat_to_rot
 from hydrokite.errors import (
     ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
@@ -252,28 +253,54 @@ def test_aileron_rolls_antisymmetrically():
     assert pos[2] == pytest.approx(zero[2], rel=1e-9)
 
 
+def test_aileron_sign_belongs_to_the_surface_not_its_name():
+    props = mid_size_kite()
+    renamed = dataclasses.replace(props, surfaces=[
+        dataclasses.replace(s, name=f"surface_{i}")
+        for i, s in enumerate(props.surfaces)])
+    nu = np.array([3.0, 0.2, -0.1, 0.05, -0.02, 0.03])
+    rot = np.eye(3)
+    for aileron in (0.2, -0.2):
+        deflections = {"aileron": aileron, "rudder": 0.06, "elevator": -0.1}
+        want = net_force_moment(props, rot, nu, np.zeros(3), deflections,
+                                STILL_WATER)
+        got = net_force_moment(renamed, rot, nu, np.zeros(3), deflections,
+                               STILL_WATER)
+        assert np.array_equal(got, want)
+
+
 # -- tether -----------------------------------------------------------------
 
+def kite_link_force(outer_span, outer_rate, rest=10.0):
+    """Force on the kite from a one-node neutral chain in still water whose
+    winch link sits exactly at rest length: the outer link's pull alone."""
+    props = TetherProperties(n_nodes=1, density=1000.0)
+    node = np.array([[rest, 0.0, 0.0]])
+    forces, kite_force, tension = tether_forces(
+        node, np.zeros((1, 3)), node[0] + outer_span, outer_rate, rest,
+        props, STILL_WATER)
+    assert tension == 0.0
+    assert np.array_equal(forces[0], -kite_force)
+    return kite_force
+
+
 def test_link_tension_matches_linear_spring():
-    props = TetherProperties()
     rest = 10.0
     k = 1e10 * math.pi * 0.05**2 / rest
     for strain in (1e-5, 1e-4, 1e-3, 1e-2):
-        span = np.array([rest * (1.0 + strain), 0.0, 0.0])
-        stretch = float(span[0]) - rest       # realized, post-rounding
-        f = link_tension(span, np.zeros(3), rest, props)
+        outer = rest + rest * (1.0 + strain)
+        stretch = (outer - rest) - rest       # realized, post-rounding
+        f = kite_link_force(np.array([outer - rest, 0.0, 0.0]), np.zeros(3))
         assert np.linalg.norm(f) == pytest.approx(k * stretch, rel=1e-12)
         assert f[0] < 0.0                     # pulls the outer end back
 
 
 def test_link_tension_slack_and_compression_floor():
-    props = TetherProperties()
     assert np.array_equal(
-        link_tension(np.array([9.9, 0.0, 0.0]), np.zeros(3), 10.0, props),
-        np.zeros(3))
+        kite_link_force(np.array([9.9, 0.0, 0.0]), np.zeros(3)), np.zeros(3))
     # fast shortening overwhelms the elastic term; the rope cannot push
-    f = link_tension(np.array([10.0001, 0.0, 0.0]),
-                     np.array([-10.0, 0.0, 0.0]), 10.0, props)
+    f = kite_link_force(np.array([10.0001, 0.0, 0.0]),
+                        np.array([-10.0, 0.0, 0.0]))
     assert np.array_equal(f, np.zeros(3))
 
 
@@ -501,17 +528,20 @@ def test_tangent_basis_orthonormal():
 
 
 def test_velocity_angle_axes():
-    pos = np.array([10.0, 0.0, 0.0])
-    assert velocity_angle(pos, np.array([0.0, 2.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert velocity_angle(pos, np.array([0.0, 0.0, 2.0])) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    _, east, north = tangent_basis(np.array([10.0, 0.0, 0.0]))
+    assert velocity_angle(np.array([0.0, 2.0, 0.0]), east, north) == pytest.approx(0.0, abs=1e-12)
+    assert velocity_angle(np.array([0.0, 0.0, 2.0]), east, north) == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+def test_path_direction_is_the_unit_path_point():
+    basis = BasisParams()
+    for p in np.linspace(0.0, 2.0 * math.pi, 13):
+        assert np.array_equal(path_direction(basis, p), path_point(basis, p, 1.0))
 
 
 def carrot_chase(basis, gains, position, p_now):
     radial, east, north = tangent_basis(position)
-    phi, theta = path_angles(basis, p_now + gains.lookahead)
-    target = np.linalg.norm(position) * np.array(
-        [math.cos(theta) * math.cos(phi),
-         math.cos(theta) * math.sin(phi), math.sin(theta)])
+    target = np.linalg.norm(position) * path_direction(basis, p_now + gains.lookahead)
     chase = target - position
     return chase - (chase @ radial) * radial, radial, east, north
 
@@ -522,10 +552,9 @@ def test_controller_zero_error_zero_output():
     ctl = FlightController(gains, basis, dt=2e-3, aileron_gain=1.5)
     position = path_point(basis, 0.3, 125.0)
     chase_t, radial, east, north = carrot_chase(basis, gains, position, 0.3)
-    aileron, rudder, diag = ctl.update(position, chase_t, east, 0.3)
+    aileron, rudder = ctl.update(position, chase_t, east, 0.3)
     assert abs(aileron) < 1e-12
     assert abs(rudder) < 1e-12
-    assert abs(diag["roll"]) < 1e-12
 
 
 def test_controller_sign_and_saturation():
@@ -540,13 +569,13 @@ def test_controller_sign_and_saturation():
     # opposite sign of the heading error
     ctl = FlightController(gains, basis, dt=2e-3, aileron_gain=1.5)
     clockwise = math.cos(-0.3) * e_hat + math.sin(-0.3) * perp
-    a_neg, r_neg, _ = ctl.update(position, clockwise, east, 0.3)
+    a_neg, r_neg = ctl.update(position, clockwise, east, 0.3)
     assert a_neg < 0.0
     assert r_neg == pytest.approx(gains.rudder_share * a_neg, rel=1e-12)
 
     ctl.reset()
     counter = math.cos(0.3) * e_hat + math.sin(0.3) * perp
-    a_pos, _, _ = ctl.update(position, counter, east, 0.3)
+    a_pos, _ = ctl.update(position, counter, east, 0.3)
     assert a_pos > 0.0
 
     # opposed velocity saturates the whole cascade; the clipped command is
@@ -556,7 +585,7 @@ def test_controller_sign_and_saturation():
     second = ctl.update(position, -chase_t, east, 0.3)
     assert abs(first[0]) == pytest.approx(gains.aileron_limit, abs=1e-12)
     assert abs(first[1]) == pytest.approx(gains.rudder_share * gains.aileron_limit, abs=1e-12)
-    assert first[:2] == second[:2]
+    assert first == second
 
 
 def test_controller_takes_aileron_gain_from_kite():
@@ -589,3 +618,9 @@ def test_winch_command_phase_switch():
     assert elevator == params.elevator_in
     speed, _ = winch_command(0.0, params, FlowEnv(speed=0.0, density=1000.0))
     assert speed == 0.0
+
+
+def test_dynsim_exports_resolve():
+    missing = [name for name in hydrokite.dynsim.__all__
+               if not hasattr(hydrokite.dynsim, name)]
+    assert missing == []

@@ -8,7 +8,7 @@ from hydrokite.effmap import (
     generate_samples, load_samples, load_surface, monomial_exponents,
     parse_surface, save_samples, save_surface, surface_text,
 )
-from hydrokite.errors import ConfigError, DomainWarning, RankDeficient, SimDiverged
+from hydrokite.errors import ConfigError, DomainWarning, NumericBlowup, RankDeficient
 
 
 def bowl_eta(s, ar):
@@ -183,7 +183,7 @@ def test_generate_samples_grid_properties_and_determinism():
 def test_generate_samples_skips_diverged_points_with_warning():
     def scorer(s, ar):
         if ar > 10.0:
-            raise SimDiverged("flight never closed a lap")
+            raise NumericBlowup("non-finite state at t = 1.000 s")
         return 2.5e5, 5e5
 
     grid = [(8.0, 6.0), (8.0, 11.0), (9.0, 5.0)]

@@ -7,7 +7,7 @@ from hydrokite.catalog import kite_from_record, load_designs
 from hydrokite.dynsim import BasisParams, SimParams, Simulator, TetherProperties
 from hydrokite.errors import ConfigError, NotConverged
 from hydrokite.ilc import (
-    DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator, clamp_to_box,
+    COV_FLOOR, DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator, clamp_to_box,
     format_history, ilc_update, optimize_path, perturbation, quad_features,
     quad_gradient, quad_value, rls_update,
 )
@@ -91,7 +91,7 @@ def test_rls_covariance_stays_positive_definite():
     model = RLSModel.fresh(init_cov=1e4)
     for _ in range(300):
         model = rls_update(model, b, 1.0)
-    assert np.linalg.eigvalsh(model.cov)[0] >= model.cov_floor * 0.99
+    assert np.linalg.eigvalsh(model.cov)[0] >= COV_FLOOR * 0.99
     assert np.allclose(model.cov, model.cov.T)
 
 
