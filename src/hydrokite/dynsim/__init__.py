@@ -3,10 +3,12 @@ and the RK4 time stepper."""
 
 from .control import FlightController, FlightGains, WinchParams, winch_command
 from .kite import (
+    ForceTable,
     KiteProperties,
     SurfaceDef,
+    SurfaceRow,
     build_kite,
-    coriolis_matrix,
+    coriolis_force,
     net_force_moment,
     surface_force_moment,
 )
@@ -23,10 +25,10 @@ from .sim import LapMetrics, SimParams, SimResult, Simulator
 from .tether import TetherProperties, tether_forces
 
 __all__ = [
-    "BasisParams", "FlightController", "FlightGains", "KiteProperties",
-    "LapMetrics", "SimParams", "SimResult", "Simulator", "SurfaceDef",
-    "TetherProperties", "WinchParams", "build_kite", "coriolis_matrix",
-    "interior_angle", "nearest_path_position",
+    "BasisParams", "FlightController", "FlightGains", "ForceTable",
+    "KiteProperties", "LapMetrics", "SimParams", "SimResult", "Simulator",
+    "SurfaceDef", "SurfaceRow", "TetherProperties", "WinchParams",
+    "build_kite", "coriolis_force", "interior_angle", "nearest_path_position",
     "net_force_moment", "path_angles", "path_point", "path_tangent",
     "spool_phase", "surface_force_moment", "tether_forces", "winch_command",
 ]

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .paths import BasisParams, path_direction, spool_phase
 from ..hydro import FlowEnv
 
@@ -23,23 +21,29 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def tangent_basis(position: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tangent_basis(position) -> tuple[tuple[float, float, float], ...]:
     """(radial, east, north) unit vectors of the tangent plane at position."""
-    radial = position / np.linalg.norm(position)
-    east = np.cross(np.array([0.0, 0.0, 1.0]), radial)
-    norm = np.linalg.norm(east)
+    x, y, z = position
+    r = math.sqrt(x * x + y * y + z * z)
+    rx, ry, rz = x / r, y / r, z / r
+    # east = z_hat x radial, north = radial x east
+    norm = math.sqrt(ry * ry + rx * rx)
     if norm < 1e-12:
-        east = np.array([0.0, 1.0, 0.0])
+        ex, ey = 0.0, 1.0
     else:
-        east = east / norm
-    north = np.cross(radial, east)
-    return radial, east, north
+        ex, ey = -ry / norm, rx / norm
+    return (rx, ry, rz), (ex, ey, 0.0), (-rz * ey, rz * ex, rx * ey - ry * ex)
 
 
-def velocity_angle(velocity: np.ndarray, east: np.ndarray,
-                   north: np.ndarray) -> float:
+def velocity_angle(velocity, east, north) -> float:
     """Direction of motion on the sphere, measured from local east."""
-    return math.atan2(float(velocity @ north), float(velocity @ east))
+    vx, vy, vz = velocity
+    return math.atan2(vx * north[0] + vy * north[1] + vz * north[2],
+                      vx * east[0] + vy * east[1] + vz * east[2])
+
+
+def _clip(value: float, limit: float) -> float:
+    return min(max(value, -limit), limit)
 
 
 @dataclass
@@ -82,16 +86,20 @@ class FlightController:
         self._vel_int = 0.0
         self._roll_int = 0.0
 
-    def update(self, position: np.ndarray, velocity: np.ndarray,
-               body_y: np.ndarray, p_now: float) -> tuple[float, float]:
-        """(aileron, rudder) deflections for the current state."""
+    def update(self, position, velocity, body_y, p_now: float
+               ) -> tuple[float, float]:
+        """(aileron, rudder) deflections for the current state; position,
+        velocity and the body y axis are inertial 3-sequences."""
         g = self.gains
         radial, east, north = tangent_basis(position)
+        rx, ry, rz = radial
+        px, py, pz = position
 
-        target = np.linalg.norm(position) * path_direction(
-            self.basis, p_now + g.lookahead)
-        chase = target - position
-        chase_t = chase - (chase @ radial) * radial
+        r = math.sqrt(px * px + py * py + pz * pz)
+        dx, dy, dz = path_direction(self.basis, p_now + g.lookahead)
+        cx, cy, cz = r * dx - px, r * dy - py, r * dz - pz
+        c_r = cx * rx + cy * ry + cz * rz
+        chase_t = (cx - c_r * rx, cy - c_r * ry, cz - c_r * rz)
         gamma_des = velocity_angle(chase_t, east, north)
         gamma = velocity_angle(velocity, east, north)
         vel_err = wrap_angle(gamma_des - gamma)
@@ -101,20 +109,19 @@ class FlightController:
         roll_des = -(g.velocity_kp * vel_err + g.velocity_ki * self._vel_int)
         if abs(roll_des) < g.roll_limit:
             self._vel_int += vel_err * self.dt
-        roll_des = float(np.clip(roll_des, -g.roll_limit, g.roll_limit))
+        roll_des = _clip(roll_des, g.roll_limit)
 
-        roll = math.asin(float(np.clip(body_y @ radial, -1.0, 1.0)))
+        bx, by, bz = body_y
+        roll = math.asin(_clip(bx * rx + by * ry + bz * rz, 1.0))
         roll_err = roll_des - roll
         c_m = g.roll_kp * roll_err + g.roll_ki * self._roll_int
         if abs(c_m) < g.moment_coeff_limit:
             self._roll_int += roll_err * self.dt
-        c_m = float(np.clip(c_m, -g.moment_coeff_limit, g.moment_coeff_limit))
+        c_m = _clip(c_m, g.moment_coeff_limit)
 
         # antisymmetric ailerons at quarter-span levers: dCl = gain*delta/4
-        aileron = float(np.clip(4.0 * c_m / self.aileron_gain,
-                                -g.aileron_limit, g.aileron_limit))
-        rudder = float(np.clip(g.rudder_share * aileron,
-                               -g.rudder_limit, g.rudder_limit))
+        aileron = _clip(4.0 * c_m / self.aileron_gain, g.aileron_limit)
+        rudder = _clip(g.rudder_share * aileron, g.rudder_limit)
         return aileron, rudder
 
 

@@ -5,19 +5,25 @@ mid-span.  The equations of motion use the 6-vector relative velocity
 nu = [v_body - R^T u_flow, omega] and read M nu_dot = tau(nu) - C(nu) nu
 with M the rigid-body-plus-added-mass matrix and C the standard skew
 Coriolis construction, which is energy-neutral by design.
+
+The per-step terms (coriolis_force, surface_force_moment,
+net_force_moment) work on plain floats: on 3- and 6-vectors NumPy's
+per-call overhead costs more than the arithmetic.  Rotations are three
+rows of floats, as quat_to_rot in sim.py returns them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..design import ScalingRule, ballast_mass, displaced_volume
 from ..errors import NotPositiveDefinite
 from ..fusestruct import TAIL_FRACTION, WING_MOUNT_FRACTION, FuselageDesign
-from ..hydro import FlowEnv, FoilCoeffs, WingPlanform, drag_coeff, lift_coeff
+from ..hydro import FlowEnv, FoilCoeffs, WingPlanform
 from ..wingstruct import FourDigitFoil
 
 GRAVITY = 9.81
@@ -28,17 +34,36 @@ FUSELAGE_FOIL = FoilCoeffs(gamma=0.3, e_lift=1.0, e_drag=1.0, cl_zero=0.0,
                            cl_min_drag=0.0, k_visc=0.0, cd_zero=0.05)
 
 
+Vec3 = tuple[float, float, float]
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],
                      [-v[1], v[0], 0.0]])
 
 
-def cross3(a, b) -> np.ndarray:
-    # np.cross carries axis bookkeeping overhead that dominates tight loops
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def cross3(a, b) -> Vec3:
+    """a x b for two 3-sequences, as a tuple of floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def rotate(rot, v) -> Vec3:
+    """rot @ v for a 3x3 given as three rows and a 3-sequence."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    x, y, z = v
+    return (r00 * x + r01 * y + r02 * z,
+            r10 * x + r11 * y + r12 * z,
+            r20 * x + r21 * y + r22 * z)
+
+
+def matvec6(rows, v) -> list[float]:
+    """rows @ v for a 6x6 given as six rows and a 6-sequence."""
+    v0, v1, v2, v3, v4, v5 = v
+    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5
+            for m0, m1, m2, m3, m4, m5 in rows]
 
 
 @dataclass(frozen=True)
@@ -68,7 +93,7 @@ class SurfaceDef:
     def __post_init__(self):
         if self.chordwise is None:
             object.__setattr__(self, "chordwise",
-                               cross3(self.spanwise, self.normal))
+                               np.array(cross3(self.spanwise, self.normal)))
 
 
 @dataclass
@@ -103,85 +128,160 @@ class KiteProperties:
         return m
 
 
-def coriolis_matrix(mass_matrix: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Skew Coriolis matrix from the momentum; nu^T C nu = 0 exactly."""
-    p_lin = mass_matrix[:3, :3] @ nu[:3] + mass_matrix[:3, 3:] @ nu[3:]
-    p_ang = mass_matrix[3:, :3] @ nu[:3] + mass_matrix[3:, 3:] @ nu[3:]
-    c = np.zeros((6, 6))
-    s_lin = _skew(p_lin)
-    c[:3, 3:] = -s_lin
-    c[3:, :3] = -s_lin
-    c[3:, 3:] = -_skew(p_ang)
-    return c
+def coriolis_force(mass_rows, nu) -> tuple[float, ...]:
+    """C(nu) nu from the momentum p = M nu, as cross products.
+
+    With p = [p_lin, p_ang] and nu = [v, omega] this is
+    [omega x p_lin, v x p_lin + omega x p_ang], the skew construction
+    C = [[0, -S(p_lin)], [-S(p_lin), -S(p_ang)]] applied to nu, so
+    nu . C(nu) nu = 0 up to rounding.  mass_rows is M as six rows.
+    """
+    p = matvec6(mass_rows, nu)
+    p_lin, p_ang = p[:3], p[3:]
+    v, omega = nu[:3], nu[3:]
+    lin, ang = cross3(v, p_lin), cross3(omega, p_ang)
+    return cross3(omega, p_lin) + (lin[0] + ang[0], lin[1] + ang[1],
+                                   lin[2] + ang[2])
 
 
-def surface_force_moment(
-    surface: SurfaceDef,
-    nu: np.ndarray,
-    deflection: float,
-    ref_area: float,
-    density: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quasi-steady lift and drag of one surface in body axes."""
-    v_local = nu[:3] + cross3(nu[3:], surface.center)
-    speed = math.sqrt(float(v_local @ v_local))
+class SurfaceRow(NamedTuple):
+    """One surface in plain floats, for the per-step force sum."""
+
+    center: Vec3
+    normal: Vec3
+    chordwise: Vec3
+    spanwise: Vec3
+    incidence: float
+    lift_slope: float     # dCL/dalpha of the surface's foil at its AR
+    cl_zero: float
+    drag_factor: float    # induced plus viscous k of the parabolic polar
+    cl_min_drag: float
+    cd_zero: float
+    control: str
+    gain: float           # deflection_gain
+    q_factor: float       # 1/2 rho S area_fraction: force per CL per speed^2
+
+    @classmethod
+    def of(cls, surface: SurfaceDef, ref_area: float, density: float) -> "SurfaceRow":
+        foil, ar = surface.foil, surface.aspect_ratio
+        return cls(
+            tuple(surface.center.tolist()), tuple(surface.normal.tolist()),
+            tuple(surface.chordwise.tolist()), tuple(surface.spanwise.tolist()),
+            surface.incidence, foil.lift_slope(ar), foil.cl_zero,
+            foil.drag_factor(ar), foil.cl_min_drag, foil.cd_zero,
+            surface.control, surface.deflection_gain,
+            0.5 * density * ref_area * surface.area_fraction)
+
+
+@dataclass(frozen=True)
+class ForceTable:
+    """What net_force_moment needs of a kite in a flow, in plain floats.
+
+    Built once per simulator from KiteProperties and FlowEnv; the body
+    vectors are in body axes, the weight and buoyancy are magnitudes.
+    """
+
+    weight: float
+    buoyancy: float
+    r_cg: Vec3
+    r_cb: Vec3
+    r_attach: Vec3
+    surfaces: tuple[SurfaceRow, ...]
+
+    @classmethod
+    def of(cls, props: KiteProperties, flow: FlowEnv) -> "ForceTable":
+        return cls(
+            props.mass * GRAVITY,
+            flow.density * props.volume * GRAVITY,
+            tuple(props.r_cg.tolist()), tuple(props.r_cb.tolist()),
+            tuple(props.r_attach.tolist()),
+            tuple(SurfaceRow.of(s, props.ref_area, flow.density)
+                  for s in props.surfaces))
+
+
+def surface_force_moment(row: SurfaceRow, nu, deflection: float
+                         ) -> tuple[Vec3, Vec3]:
+    """Quasi-steady lift and drag of one surface in body axes, and their
+    moment about the body origin."""
+    ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+     lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, _, gain,
+     q_factor) = row
+    u, v, w, p, q, r = nu
+    vx = u + (q * cz - r * cy)
+    vy = v + (r * cx - p * cz)
+    vz = w + (p * cy - q * cx)
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if speed < 1e-9:
-        return np.zeros(3), np.zeros(3)
-    u_n = float(v_local @ surface.normal)
-    u_t = float(v_local @ surface.chordwise)
-    alpha = math.atan2(-u_n, u_t) + surface.incidence
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    u_n = vx * nx + vy * ny + vz * nz
+    u_t = vx * tx + vy * ty + vz * tz
+    alpha = math.atan2(-u_n, u_t) + incidence
 
-    cl = lift_coeff(surface.foil, surface.aspect_ratio, alpha)
-    cl += surface.deflection_gain * deflection
-    cd = drag_coeff(surface.foil, surface.aspect_ratio, cl)
+    cl = lift_slope * alpha + cl_zero
+    cl += gain * deflection
+    cd = drag_factor * (cl - cl_min_drag) ** 2 + cd_zero
 
-    u_drag = -v_local / speed
-    lift_dir = cross3(surface.spanwise, u_drag)
-    norm = math.sqrt(float(lift_dir @ lift_dir))
+    dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
+    lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
+    norm = math.sqrt(lx * lx + ly * ly + lz * lz)
+    q_s = q_factor * speed**2
     if norm < 1e-9:
         # flow along the span: no lift, drag only
-        force = 0.5 * density * ref_area * surface.area_fraction * speed**2 * cd * u_drag
-        return force, cross3(surface.center, force)
-    lift_dir = lift_dir / norm
-
-    q_s = 0.5 * density * ref_area * surface.area_fraction * speed**2
-    force = q_s * (cl * lift_dir + cd * u_drag)
-    return force, cross3(surface.center, force)
+        q_d = q_s * cd
+        fx, fy, fz = q_d * dx, q_d * dy, q_d * dz
+    else:
+        fx = q_s * (cl * (lx / norm) + cd * dx)
+        fy = q_s * (cl * (ly / norm) + cd * dy)
+        fz = q_s * (cl * (lz / norm) + cd * dz)
+    return (fx, fy, fz), (cy * fz - cz * fy, cz * fx - cx * fz,
+                          cx * fy - cy * fx)
 
 
 def net_force_moment(
-    props: KiteProperties,
-    rotation: np.ndarray,
-    nu: np.ndarray,
-    tether_force: np.ndarray,
+    table: ForceTable,
+    rotation,
+    nu,
+    tether_force,
     deflections: dict[str, float],
-    flow: FlowEnv,
-) -> np.ndarray:
-    """Generalized force tau in body axes.
+) -> tuple[float, ...]:
+    """Generalized force tau = (force, moment) in body axes.
 
-    rotation maps body to inertial; tether_force is inertial, applied at
-    the attachment point.  deflections keys the surfaces' control tags.
+    rotation maps body to inertial, given as three rows; tether_force is
+    inertial, applied at the attachment point.  deflections keys the
+    surfaces' control tags.
     """
-    force = np.zeros(3)
-    moment = np.zeros(3)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    # gravity and buoyancy act along inertial z: the third row of rotation
+    w_b = -table.weight
+    b_b = table.buoyancy
+    weight = (r20 * w_b, r21 * w_b, r22 * w_b)
+    buoyancy = (r20 * b_b, r21 * b_b, r22 * b_b)
+    tx, ty, tz = tether_force
+    f_thr = (r00 * tx + r10 * ty + r20 * tz,
+             r01 * tx + r11 * ty + r21 * tz,
+             r02 * tx + r12 * ty + r22 * tz)
 
-    weight = rotation.T @ np.array([0.0, 0.0, -props.mass * GRAVITY])
-    buoyancy = rotation.T @ np.array(
-        [0.0, 0.0, flow.density * props.volume * GRAVITY])
-    f_thr = rotation.T @ tether_force
+    fx = weight[0] + buoyancy[0] + f_thr[0]
+    fy = weight[1] + buoyancy[1] + f_thr[1]
+    fz = weight[2] + buoyancy[2] + f_thr[2]
+    m_cg = cross3(table.r_cg, weight)
+    m_cb = cross3(table.r_cb, buoyancy)
+    m_thr = cross3(table.r_attach, f_thr)
+    mx = m_cg[0] + m_cb[0] + m_thr[0]
+    my = m_cg[1] + m_cb[1] + m_thr[1]
+    mz = m_cg[2] + m_cb[2] + m_thr[2]
 
-    force += weight + buoyancy + f_thr
-    moment += (cross3(props.r_cg, weight) + cross3(props.r_cb, buoyancy)
-               + cross3(props.r_attach, f_thr))
+    for row in table.surfaces:
+        (sfx, sfy, sfz), (smx, smy, smz) = surface_force_moment(
+            row, nu, deflections.get(row.control, 0.0))
+        fx += sfx
+        fy += sfy
+        fz += sfz
+        mx += smx
+        my += smy
+        mz += smz
 
-    for surface in props.surfaces:
-        delta = deflections.get(surface.control, 0.0)
-        f_s, m_s = surface_force_moment(surface, nu, delta, props.ref_area,
-                                        flow.density)
-        force += f_s
-        moment += m_s
-
-    return np.concatenate([force, moment])
+    return (fx, fy, fz, mx, my, mz)
 
 
 def build_kite(

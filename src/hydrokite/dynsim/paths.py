@@ -43,8 +43,11 @@ class BasisParams:
 def path_angles(b: BasisParams, p):
     """(azimuth, elevation) at path position p; p may be an array."""
     q = (b.b1 / b.b2) ** 2
-    s, c = np.sin(p), np.cos(p)
-    denom = 1.0 + q * c**2
+    if isinstance(p, float):
+        s, c = math.sin(p), math.cos(p)
+    else:
+        s, c = np.sin(p), np.cos(p)
+    denom = 1.0 + q * (c * c)
     phi = q * s * c / denom + b.b3
     theta = b.b1 * s / denom + b.b4
     return phi, theta
@@ -63,12 +66,12 @@ def path_point(b: BasisParams, p, radius) -> np.ndarray:
     return sphere_point(phi, theta, radius)
 
 
-def path_direction(b: BasisParams, p: float) -> np.ndarray:
-    """path_point(b, p, 1.0) for a scalar p, with math calls, which beat
-    NumPy's per-call overhead on scalars."""
+def path_direction(b: BasisParams, p: float) -> tuple[float, float, float]:
+    """path_point(b, p, 1.0) for a scalar p, as floats from math calls,
+    which beat NumPy's per-call overhead on scalars."""
     phi, theta = path_angles(b, p)
     ct = math.cos(theta)
-    return np.array([ct * math.cos(phi), ct * math.sin(phi), math.sin(theta)])
+    return (ct * math.cos(phi), ct * math.sin(phi), math.sin(theta))
 
 
 def path_tangent(b: BasisParams, p: float, radius: float, dp: float = 1e-6) -> np.ndarray:
@@ -105,8 +108,15 @@ def nearest_path_position(b: BasisParams, direction: np.ndarray,
     return float(candidates[int(np.argmax(dots))])
 
 
-def interior_angle(b: BasisParams, p: float, position: np.ndarray) -> float:
+def interior_angle(b: BasisParams, p: float, position) -> float:
     """Angle between the kite's direction and the path point at p (rad);
-    the cross-track error measure on the sphere."""
-    unit = position / np.linalg.norm(position)
-    return float(np.arccos(np.clip(unit @ path_direction(b, p), -1.0, 1.0)))
+    the cross-track error measure on the sphere.
+
+    Taken as atan2(|r x d|, r . d), which keeps its relative accuracy at
+    small angles, where arccos of a cosine near 1 loses it.
+    """
+    x, y, z = position
+    dx, dy, dz = path_direction(b, p)
+    cx, cy, cz = y * dz - z * dy, z * dx - x * dz, x * dy - y * dx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                      x * dx + y * dy + z * dz)

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import FlightController, FlightGains, WinchParams, winch_command
-from .kite import KiteProperties, coriolis_matrix, cross3, net_force_moment
+from .kite import (
+    ForceTable, KiteProperties, coriolis_force, cross3, matvec6, net_force_moment,
+    rotate,
+)
 from .paths import BasisParams, interior_angle, nearest_path_position, path_point, path_tangent
 from .tether import TetherProperties, tether_forces
 from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
@@ -25,24 +28,26 @@ from ..hydro import FlowEnv
 TWO_PI = 2.0 * math.pi
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
+def quat_to_rot(q) -> tuple[tuple[float, float, float], ...]:
+    """Body-to-inertial rotation of the unit quaternion (w, x, y, z), as
+    three rows of floats."""
     w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
 
 
-def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
+def quat_derivative(q, omega_body) -> tuple[float, float, float, float]:
     w, x, y, z = q
     ox, oy, oz = omega_body
-    return 0.5 * np.array([
-        -x * ox - y * oy - z * oz,
-        w * ox + y * oz - z * oy,
-        w * oy + z * ox - x * oz,
-        w * oz + x * oy - y * ox,
-    ])
+    return (
+        0.5 * (-x * ox - y * oy - z * oz),
+        0.5 * (w * ox + y * oz - z * oy),
+        0.5 * (w * oy + z * ox - x * oz),
+        0.5 * (w * oz + x * oy - y * ox),
+    )
 
 
 def quat_from_rot(rot: np.ndarray) -> np.ndarray:
@@ -123,7 +128,10 @@ class Simulator:
         self.params = params
         self.n = tether.n_nodes
         self.mass_matrix = props.mass_matrix()
-        self.minv = np.linalg.inv(self.mass_matrix)
+        # plain-float tables for the per-step math
+        self.mass_rows = tuple(map(tuple, self.mass_matrix.tolist()))
+        self.minv_rows = tuple(map(tuple, np.linalg.inv(self.mass_matrix).tolist()))
+        self.forces = ForceTable.of(props, flow)
         # the aileron pair's gains differ only in sign
         aileron_gain = next((abs(s.deflection_gain) for s in props.surfaces
                              if s.control == "aileron"), 0.0)
@@ -172,37 +180,39 @@ class Simulator:
     def derivative(self, y: np.ndarray, deflections: dict[str, float],
                    spool_speed: float) -> np.ndarray:
         n = self.n
-        pos = y[0:3]
-        quat = y[3:7]
-        nu = y[7:13]
-        node_pos = y[13:13 + 3 * n].reshape(n, 3)
-        node_vel = y[13 + 3 * n:13 + 6 * n].reshape(n, 3)
-        l_total = y[13 + 6 * n]
+        s = y.tolist()
+        quat = s[3:7]
+        nu = s[7:13]
+        omega = s[10:13]
+        node_vel = s[13 + 3 * n:13 + 6 * n]
 
         rot = quat_to_rot(quat)
-        u_flow = np.array([self.flow.speed, 0.0, 0.0])
-        v_inertial = rot @ nu[:3] + u_flow
-        omega = nu[3:]
+        vx, vy, vz = rotate(rot, nu[:3])
+        v_inertial = (vx + self.flow.speed, vy, vz)
+        r_attach = self.forces.r_attach
+        ox, oy, oz = rotate(rot, r_attach)
+        attach_pos = (s[0] + ox, s[1] + oy, s[2] + oz)
+        wx, wy, wz = rotate(rot, cross3(omega, r_attach))
+        attach_vel = (v_inertial[0] + wx, v_inertial[1] + wy,
+                      v_inertial[2] + wz)
 
-        attach_pos = pos + rot @ self.props.r_attach
-        attach_vel = v_inertial + rot @ cross3(omega, self.props.r_attach)
-        rest = l_total / (n + 1)
+        rest = s[13 + 6 * n] / (n + 1)
         node_f, kite_f, _ = tether_forces(
-            node_pos, node_vel, attach_pos, attach_vel, rest,
+            s[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest,
             self.tether, self.flow)
         node_mass = self.tether.link_mass(rest)
 
-        tau = net_force_moment(self.props, rot, nu, kite_f, deflections,
-                               self.flow)
-        dnu = self.minv @ (tau - coriolis_matrix(self.mass_matrix, nu) @ nu)
+        tau = net_force_moment(self.forces, rot, nu, kite_f, deflections)
+        dnu = matvec6(self.minv_rows, [
+            t - c for t, c in zip(tau, coriolis_force(self.mass_rows, nu))])
 
-        return np.concatenate([
-            v_inertial,
-            quat_derivative(quat, omega),
-            dnu,
-            node_vel.ravel(),
-            (node_f / node_mass).ravel(),
-            [spool_speed],
+        return np.array([
+            *v_inertial,
+            *quat_derivative(quat, omega),
+            *dnu,
+            *node_vel,
+            *[f / node_mass for f in node_f],
+            spool_speed,
         ])
 
     def rk4_step(self, y: np.ndarray, deflections: dict[str, float],
@@ -213,22 +223,24 @@ class Simulator:
         k3 = self.derivative(y + 0.5 * dt * k2, deflections, spool_speed)
         k4 = self.derivative(y + dt * k3, deflections, spool_speed)
         out = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[3:7] /= np.linalg.norm(out[3:7])
+        w, x, yq, z = out[3:7].tolist()
+        out[3:7] /= math.sqrt(w * w + x * x + yq * yq + z * z)
         return out
 
     def winch_tension(self, y: np.ndarray) -> float:
         # only the first link matters: inner end pinned at the winch
         n = self.n
-        node1 = y[13:16]
-        vel1 = y[13 + 3 * n:16 + 3 * n]
-        rest = y[13 + 6 * n] / (n + 1)
-        dist = math.sqrt(float(node1 @ node1))
+        s = y.tolist()
+        x, yy, z = s[13:16]
+        vx, vy, vz = s[13 + 3 * n:16 + 3 * n]
+        rest = s[13 + 6 * n] / (n + 1)
+        dist = math.sqrt(x * x + yy * yy + z * z)
         if dist < rest or dist == 0.0:
             return 0.0
         k = self.tether.link_stiffness(rest)
         damp = 2.0 * self.tether.damping_ratio * math.sqrt(
             k * self.tether.link_mass(rest))
-        mag = k * (dist - rest) + damp * float(node1 @ vel1) / dist
+        mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
         return max(mag, 0.0)
 
     # -- closed loop --------------------------------------------------------
@@ -248,14 +260,15 @@ class Simulator:
         max_steps = int(params.max_time / params.dt)
 
         while len(laps) < n_laps and step_count < max_steps:
-            pos = y[0:3]
-            rot = quat_to_rot(y[3:7])
-            v_inertial = rot @ y[7:10] + np.array([self.flow.speed, 0.0, 0.0])
+            s = y[0:10].tolist()
+            rot = quat_to_rot(s[3:7])
+            vx, vy, vz = rotate(rot, s[7:10])
             p_mod = p_total % TWO_PI
 
             spool_speed, elevator = winch_command(p_mod, self.winch, self.flow)
             aileron, rudder = self.controller.update(
-                pos, v_inertial, rot[:, 1], p_mod)
+                s[0:3], (vx + self.flow.speed, vy, vz),
+                (rot[0][1], rot[1][1], rot[2][1]), p_mod)
             deflections = {"aileron": aileron, "rudder": rudder,
                            "elevator": elevator}
 
@@ -270,9 +283,9 @@ class Simulator:
                 raise NumericBlowup(
                     f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
 
-            pos = y[0:3]
+            pos = y[0:3].tolist()
             p_prev = p_total
-            p_new = nearest_path_position(self.basis, pos, p_mod, window=0.25)
+            p_new = nearest_path_position(self.basis, y[0:3], p_mod, window=0.25)
             p_total += p_new - p_mod
             angle = interior_angle(self.basis, p_total % TWO_PI, pos)
             if angle > params.abort_angle and t > params.grace_time:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kite import GRAVITY
 from ..hydro import FlowEnv
 
@@ -45,53 +43,67 @@ class TetherProperties:
 
 
 def tether_forces(
-    node_pos: np.ndarray,
-    node_vel: np.ndarray,
-    attach_pos: np.ndarray,
-    attach_vel: np.ndarray,
+    node_pos,
+    node_vel,
+    attach_pos,
+    attach_vel,
     rest_length: float,
     props: TetherProperties,
     flow: FlowEnv,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[list[float], tuple[float, float, float], float]:
     """Net force per free node, force on the kite, and winch tension.
 
-    node_pos/node_vel are (N, 3) for the free nodes ordered winch to kite;
-    rest_length is the current per-link rest length (uniform spooling).
+    node_pos/node_vel are flat sequences of 3N floats, x, y, z per free
+    node ordered winch to kite, as in the simulator state; attach_pos and
+    attach_vel are 3-sequences.  rest_length is the current per-link rest
+    length (uniform spooling).  The node forces come back in the same flat
+    layout.
     """
     n = props.n_nodes
-    chain_pos = np.vstack([np.zeros(3), node_pos, attach_pos])
-    chain_vel = np.vstack([np.zeros(3), node_vel, attach_vel])
-    spans = chain_pos[1:] - chain_pos[:-1]
-    rates = chain_vel[1:] - chain_vel[:-1]
-
-    # all links at once.  The cable cannot push: a slack link carries
-    # nothing and a taut one's damped pull floors at zero; the distance is
-    # floored only where it divides, for a zero-length link
-    dist = np.linalg.norm(spans, axis=1)
-    safe = np.maximum(dist, 1e-12)
+    chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
+    chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
     k = props.link_stiffness(rest_length)
     damp = 2.0 * props.damping_ratio * math.sqrt(k * props.link_mass(rest_length))
-    stretch_rate = np.einsum("ij,ij->i", spans, rates) / safe
-    mag = k * (dist - rest_length) + damp * stretch_rate
-    mag = np.where(dist >= rest_length, np.maximum(mag, 0.0), 0.0)
-    pulls = -(mag / safe)[:, None] * spans
 
-    forces = pulls[:n] - pulls[1:]
+    # pull of each link on its outer end, winch to kite.  The cable cannot
+    # push: a slack link carries nothing and a taut one's damped pull
+    # floors at zero; the distance is floored only where it divides, for
+    # a zero-length link
+    pulls = []
+    for i in range(0, 3 * n + 3, 3):
+        sx = chain_pos[i + 3] - chain_pos[i]
+        sy = chain_pos[i + 4] - chain_pos[i + 1]
+        sz = chain_pos[i + 5] - chain_pos[i + 2]
+        dist = math.sqrt(sx * sx + sy * sy + sz * sz)
+        mag = 0.0
+        if dist >= rest_length:
+            safe = max(dist, 1e-12)
+            stretch_rate = (sx * (chain_vel[i + 3] - chain_vel[i])
+                            + sy * (chain_vel[i + 4] - chain_vel[i + 1])
+                            + sz * (chain_vel[i + 5] - chain_vel[i + 2])) / safe
+            mag = max(k * (dist - rest_length) + damp * stretch_rate, 0.0) / safe
+        pulls += (-mag * sx, -mag * sy, -mag * sz)
 
     # buoyancy net of weight, on each node's share of cable length
-    lift_per_len = (flow.density - props.density) * props.section_area * GRAVITY
-    forces[:, 2] += lift_per_len * rest_length
-
+    lift = (flow.density - props.density) * props.section_area * GRAVITY * rest_length
     # cross-flow drag on the projected strip, tangential component dropped
-    tangents = chain_pos[2:] - chain_pos[:-2]
-    t_norm = np.maximum(np.linalg.norm(tangents, axis=1), 1e-12)
-    tangents = tangents / t_norm[:, None]
-    v_app = np.array([flow.speed, 0.0, 0.0]) - node_vel
-    v_n = v_app - np.einsum("ij,ij->i", v_app, tangents)[:, None] * tangents
-    speed_n = np.linalg.norm(v_n, axis=1)
-    area = 2.0 * props.radius * rest_length
-    forces += 0.5 * flow.density * props.drag_coeff * area * speed_n[:, None] * v_n
+    drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
+    forces = []
+    for i in range(0, 3 * n, 3):
+        tx = chain_pos[i + 6] - chain_pos[i]
+        ty = chain_pos[i + 7] - chain_pos[i + 1]
+        tz = chain_pos[i + 8] - chain_pos[i + 2]
+        t_norm = max(math.sqrt(tx * tx + ty * ty + tz * tz), 1e-12)
+        tx, ty, tz = tx / t_norm, ty / t_norm, tz / t_norm
+        ax = flow.speed - chain_vel[i + 3]
+        ay = -chain_vel[i + 4]
+        az = -chain_vel[i + 5]
+        along = ax * tx + ay * ty + az * tz
+        nx, ny, nz = ax - along * tx, ay - along * ty, az - along * tz
+        drag_n = drag * math.sqrt(nx * nx + ny * ny + nz * nz)
+        forces += (pulls[i] - pulls[i + 3] + drag_n * nx,
+                   pulls[i + 1] - pulls[i + 4] + drag_n * ny,
+                   pulls[i + 2] - pulls[i + 5] + lift + drag_n * nz)
 
-    kite_force = pulls[n]
-    winch_tension = float(np.linalg.norm(pulls[0]))
-    return forces, kite_force, winch_tension
+    px, py, pz = pulls[0:3]
+    return forces, tuple(pulls[3 * n:]), math.sqrt(px * px + py * py + pz * pz)

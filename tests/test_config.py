@@ -10,7 +10,6 @@ from hydrokite.catalog import DesignRecord, kite_from_record, load_designs
 from hydrokite.codesign import SearchGrid
 from hydrokite.config import (
     _SECTION_TYPES,
-    SuiteConfig,
     apply_overrides,
     config_text,
     default_config,

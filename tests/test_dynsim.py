@@ -1,7 +1,7 @@
 """Flight dynamics tests: path geometry, rigid-body terms, surface forces,
 tether mechanics, controllers, and integrator order.
 
-The Coriolis construction and the tether spring chain have exact analytic
+The Coriolis term and the tether spring chain have exact analytic
 references; the integrator order is checked by Richardson step halving.
 """
 
@@ -16,14 +16,16 @@ from hydrokite.dynsim import (
     BasisParams,
     FlightController,
     FlightGains,
+    ForceTable,
     KiteProperties,
     SimParams,
     Simulator,
     SurfaceDef,
+    SurfaceRow,
     TetherProperties,
     WinchParams,
     build_kite,
-    coriolis_matrix,
+    coriolis_force,
     interior_angle,
     nearest_path_position,
     net_force_moment,
@@ -43,7 +45,6 @@ from hydrokite.errors import (
 )
 from hydrokite.fusestruct import FuselageDesign
 from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
-from hydrokite.wingstruct import FourDigitFoil
 
 STILL_WATER = FlowEnv(speed=0.0, density=1000.0)
 
@@ -63,6 +64,16 @@ def point_body(mass=500.0, inertia_scalar=5.0, added=None, density=1000.0):
         added_mass=np.zeros(6) if added is None else np.asarray(added, float),
         surfaces=[], ref_area=1.0,
         planform=WingPlanform(span=1.0, aspect_ratio=1.0))
+
+
+def tau(props, rot, nu, deflections, flow=STILL_WATER):
+    """Generalized force with no tether pull."""
+    return np.array(net_force_moment(ForceTable.of(props, flow), rot, nu,
+                                     (0.0, 0.0, 0.0), deflections))
+
+
+def rotation(state):
+    return np.array(quat_to_rot(state[3:7]))
 
 
 # -- path geometry ----------------------------------------------------------
@@ -154,17 +165,29 @@ def test_indefinite_mass_matrix_rejected():
         bad.mass_matrix()
 
 
+def skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
 def test_coriolis_skew_and_energy_neutral():
+    # the cross-product term is the skew construction
+    # C = [[0, -S(p_lin)], [-S(p_lin), -S(p_ang)]], p = M nu, applied to nu
     rng = np.random.default_rng(20240819)
     worst = 0.0
     for _ in range(1000):
         a = rng.normal(size=(6, 6))
         mass_m = a @ a.T + 6.0 * np.eye(6)
         nu = rng.normal(scale=3.0, size=6)
-        c = coriolis_matrix(mass_m, nu)
+        term = np.array(coriolis_force(mass_m.tolist(), nu.tolist()))
+        p = mass_m @ nu
+        c = np.zeros((6, 6))
+        c[:3, 3:] = -skew(p[:3])
+        c[3:, :3] = -skew(p[:3])
+        c[3:, 3:] = -skew(p[3:])
         assert np.all(c + c.T == 0.0)
         scale = 1.0 + np.linalg.norm(mass_m) * float(nu @ nu)
-        worst = max(worst, abs(float(nu @ c @ nu)) / scale)
+        assert np.allclose(term, c @ nu, rtol=0, atol=1e-12 * scale)
+        worst = max(worst, abs(float(nu @ term)) / scale)
     assert worst < 1e-9
 
 
@@ -176,8 +199,8 @@ def test_neutral_body_has_zero_generalized_force():
     angle = 0.8
     k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     rot = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-    tau = net_force_moment(props, rot, np.zeros(6), np.zeros(3), {}, STILL_WATER)
-    assert np.allclose(tau, 0.0, atol=1e-9 * props.mass * 9.81)
+    assert np.allclose(tau(props, rot, np.zeros(6), {}), 0.0,
+                       atol=1e-9 * props.mass * 9.81)
 
 
 def test_surface_force_hand_value():
@@ -185,7 +208,8 @@ def test_surface_force_hand_value():
     surf = SurfaceDef("s", np.zeros(3), np.array([0.0, 0.0, 1.0]),
                       np.array([0.0, 1.0, 0.0]), foil, 6.0, 1.0)
     nu = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    force, moment = surface_force_moment(surf, nu, 0.0, 2.0, 1000.0)
+    force, moment = surface_force_moment(SurfaceRow.of(surf, 2.0, 1000.0),
+                                         nu, 0.0)
     q_s = 0.5 * 1000.0 * 2.0 * 16.0
     cl = 0.16
     cd = (1.0 / (math.pi * 0.92 * 6.0) + 0.03) * (0.16 - 0.02) ** 2 + 0.0065
@@ -212,7 +236,9 @@ def test_surface_force_lift_drag_decomposition():
         nu = np.concatenate([rng.normal(scale=3.0, size=3), np.zeros(3)])
         v = nu[:3]
         speed = np.linalg.norm(v)
-        force, moment = surface_force_moment(surf, nu, 0.0, 2.5, 1000.0)
+        force, moment = surface_force_moment(SurfaceRow.of(surf, 2.5, 1000.0),
+                                             nu, 0.0)
+        force = np.array(force)
         q_s = 0.5 * 1000.0 * 2.5 * 0.7 * speed**2
         u_n = float(v @ normal)
         u_t = float(v @ surf.chordwise)
@@ -230,10 +256,8 @@ def test_elevator_adds_tail_lift_and_pitch():
     props = mid_size_kite()
     nu = np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     rot = np.eye(3)
-    base = net_force_moment(props, rot, nu, np.zeros(3), {"elevator": 0.0},
-                            STILL_WATER)
-    up = net_force_moment(props, rot, nu, np.zeros(3), {"elevator": 0.1},
-                          STILL_WATER)
+    base = tau(props, rot, nu, {"elevator": 0.0})
+    up = tau(props, rot, nu, {"elevator": 0.1})
     assert up[2] > base[2]          # extra lift at the tail
     assert up[4] > base[4]          # nose-down pitch from an aft lift rise
 
@@ -242,11 +266,9 @@ def test_aileron_rolls_antisymmetrically():
     props = mid_size_kite()
     nu = np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     rot = np.eye(3)
-    pos = net_force_moment(props, rot, nu, np.zeros(3), {"aileron": 0.2},
-                           STILL_WATER)
-    neg = net_force_moment(props, rot, nu, np.zeros(3), {"aileron": -0.2},
-                           STILL_WATER)
-    zero = net_force_moment(props, rot, nu, np.zeros(3), {}, STILL_WATER)
+    pos = tau(props, rot, nu, {"aileron": 0.2})
+    neg = tau(props, rot, nu, {"aileron": -0.2})
+    zero = tau(props, rot, nu, {})
     assert pos[3] > zero[3] + 1.0
     assert pos[3] - zero[3] == pytest.approx(zero[3] - neg[3], rel=1e-9)
     # differential deflection leaves the net lift unchanged
@@ -262,10 +284,8 @@ def test_aileron_sign_belongs_to_the_surface_not_its_name():
     rot = np.eye(3)
     for aileron in (0.2, -0.2):
         deflections = {"aileron": aileron, "rudder": 0.06, "elevator": -0.1}
-        want = net_force_moment(props, rot, nu, np.zeros(3), deflections,
-                                STILL_WATER)
-        got = net_force_moment(renamed, rot, nu, np.zeros(3), deflections,
-                               STILL_WATER)
+        want = tau(props, rot, nu, deflections)
+        got = tau(renamed, rot, nu, deflections)
         assert np.array_equal(got, want)
 
 
@@ -275,13 +295,13 @@ def kite_link_force(outer_span, outer_rate, rest=10.0):
     """Force on the kite from a one-node neutral chain in still water whose
     winch link sits exactly at rest length: the outer link's pull alone."""
     props = TetherProperties(n_nodes=1, density=1000.0)
-    node = np.array([[rest, 0.0, 0.0]])
+    node = np.array([rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
-        node, np.zeros((1, 3)), node[0] + outer_span, outer_rate, rest,
+        node, np.zeros(3), node + outer_span, outer_rate, rest,
         props, STILL_WATER)
     assert tension == 0.0
-    assert np.array_equal(forces[0], -kite_force)
-    return kite_force
+    assert np.array_equal(forces, -np.array(kite_force))
+    return np.array(kite_force)
 
 
 def test_link_tension_matches_linear_spring():
@@ -308,8 +328,8 @@ def test_straight_neutral_chain_is_force_free():
     props = TetherProperties(density=1000.0)
     rest = 10.0
     n = props.n_nodes
-    node_pos = np.arange(1, n + 1)[:, None] * np.array([rest, 0.0, 0.0])
-    node_vel = np.zeros((n, 3))
+    node_pos = (np.arange(1, n + 1)[:, None] * np.array([rest, 0.0, 0.0])).ravel()
+    node_vel = np.zeros(3 * n)
     attach = np.array([(n + 1) * rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
         node_pos, node_vel, attach, np.zeros(3), rest, props, STILL_WATER)
@@ -325,14 +345,13 @@ def test_winch_tension_fast_path_matches_reference():
     for _ in range(40):
         y = sim.rk4_step(y, defl, -0.3)       # spooling in keeps link 0 taut
     n = sim.n
-    pos, quat, nu = y[0:3], y[3:7], y[7:13]
-    rot = quat_to_rot(quat)
+    pos, nu = y[0:3], y[7:13]
+    rot = rotation(y)
     attach_pos = pos + rot @ sim.props.r_attach
     attach_vel = (rot @ nu[:3] + np.array([sim.flow.speed, 0.0, 0.0])
                   + rot @ np.cross(nu[3:], sim.props.r_attach))
     _, _, reference = tether_forces(
-        y[13:13 + 3 * n].reshape(n, 3),
-        y[13 + 3 * n:13 + 6 * n].reshape(n, 3),
+        y[13:13 + 3 * n], y[13 + 3 * n:13 + 6 * n],
         attach_pos, attach_vel, y[13 + 6 * n] / (n + 1), sim.tether, sim.flow)
     assert sim.winch_tension(y) == pytest.approx(reference, rel=1e-9)
     assert sim.winch_tension(y) > 0.0
@@ -358,9 +377,9 @@ def test_chain_mode_frequency():
     attach = np.array([(n + 1) * rest * (1.0 + strain), 0.0, 0.0])
 
     def acc(p, v):
-        f, _, _ = tether_forces(p, v, attach, np.zeros(3), rest, props,
-                                STILL_WATER)
-        return f / m
+        f, _, _ = tether_forces(p.ravel(), v.ravel(), attach, np.zeros(3),
+                                rest, props, STILL_WATER)
+        return np.reshape(f, (n, 3)) / m
 
     dt = 5e-4
     track = []
@@ -391,12 +410,13 @@ def test_chain_mode_frequency():
 # -- integration ------------------------------------------------------------
 
 def rigid_body_rk4(props, y, dt, flow):
+    mass_m = props.mass_matrix()
+
     def deriv(state):
-        rot = quat_to_rot(state[3:7])
+        rot = rotation(state)
         nu = state[7:13]
-        tau = net_force_moment(props, rot, nu, np.zeros(3), {}, flow)
-        dnu = np.linalg.solve(props.mass_matrix(),
-                              tau - coriolis_matrix(props.mass_matrix(), nu) @ nu)
+        dnu = np.linalg.solve(mass_m, tau(props, rot, nu, {}, flow)
+                              - np.array(coriolis_force(mass_m.tolist(), nu)))
         w, x, yq, z = state[3:7]
         ox, oy, oz = nu[3:]
         dq = 0.5 * np.array([-x * ox - yq * oy - z * oz,
@@ -436,8 +456,7 @@ def test_tumbling_body_keeps_inertial_velocity():
     dt = 1e-3
     for _ in range(1000):
         y = rigid_body_rk4(props, y, dt, STILL_WATER)
-    rot = quat_to_rot(y[3:7])
-    assert np.allclose(rot @ y[7:10], v_inertial_0, atol=1e-6)
+    assert np.allclose(rotation(y) @ y[7:10], v_inertial_0, atol=1e-6)
     assert np.linalg.norm(y[10:13]) == pytest.approx(np.linalg.norm(omega), rel=1e-9)
 
 
@@ -475,8 +494,7 @@ def test_stepper_is_deterministic_and_keeps_quat_norm():
 def test_initial_state_sits_on_path():
     sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
     y = sim.initial_state()
-    rot = quat_to_rot(y[3:7])
-    attach = y[0:3] + rot @ sim.props.r_attach
+    attach = y[0:3] + rotation(y) @ sim.props.r_attach
     radius = sim.tether.length * (1.0 + sim.params.pre_strain)
     p0 = sim.params.init_path_pos
     assert np.allclose(attach, path_point(sim.basis, p0, radius), atol=1e-9)
@@ -516,7 +534,7 @@ def test_tangent_basis_orthonormal():
         pos = rng.normal(size=3) * 50.0
         if np.linalg.norm(pos) < 1.0:
             continue
-        radial, east, north = tangent_basis(pos)
+        radial, east, north = (np.array(u) for u in tangent_basis(pos))
         for u in (radial, east, north):
             assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
         assert abs(radial @ east) < 1e-12
@@ -540,8 +558,9 @@ def test_path_direction_is_the_unit_path_point():
 
 
 def carrot_chase(basis, gains, position, p_now):
-    radial, east, north = tangent_basis(position)
-    target = np.linalg.norm(position) * path_direction(basis, p_now + gains.lookahead)
+    radial, east, north = (np.array(u) for u in tangent_basis(position))
+    target = np.linalg.norm(position) * np.array(
+        path_direction(basis, p_now + gains.lookahead))
     chase = target - position
     return chase - (chase @ radial) * radial, radial, east, north
 
@@ -618,6 +637,28 @@ def test_winch_command_phase_switch():
     assert elevator == params.elevator_in
     speed, _ = winch_command(0.0, params, FlowEnv(speed=0.0, density=1000.0))
     assert speed == 0.0
+
+
+def test_step_functions_work_in_plain_floats():
+    # a NumPy call inside the per-step math would hand back NumPy scalars
+    sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
+    y = sim.initial_state()
+    s = y.tolist()
+    n = sim.n
+    rot = quat_to_rot(s[3:7])
+    node_f, kite_f, tension = tether_forces(
+        s[13:13 + 3 * n], s[13 + 3 * n:13 + 6 * n], s[0:3], (0.0, 0.0, 0.0),
+        s[-1] / (n + 1), sim.tether, sim.flow)
+    assert tension > 0.0
+    tau = net_force_moment(sim.forces, rot, s[7:13], kite_f,
+                           {"aileron": 0.1, "rudder": 0.05, "elevator": -0.1})
+    values = [
+        *(x for row in rot for x in row), *node_f, *kite_f, tension, *tau,
+        *coriolis_force(sim.mass_rows, s[7:13]),
+        *sim.controller.update(s[0:3], (1.0, 2.0, 0.5), (0.0, 1.0, 0.0), 0.8),
+        interior_angle(sim.basis, 0.8, s[0:3]), sim.winch_tension(y),
+    ]
+    assert all(type(v) is float for v in values)
 
 
 def test_dynsim_exports_resolve():

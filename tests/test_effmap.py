@@ -1,10 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from hydrokite.effmap import (
-    EffSample, EffSurface, default_surface, design_matrix, fit_surface,
+    EffSample, default_surface, design_matrix, fit_surface,
     generate_samples, load_samples, load_surface, monomial_exponents,
     parse_surface, save_samples, save_surface, surface_text,
 )

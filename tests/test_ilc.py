@@ -7,7 +7,7 @@ from hydrokite.catalog import kite_from_record, load_designs
 from hydrokite.dynsim import BasisParams, SimParams, Simulator, TetherProperties
 from hydrokite.errors import ConfigError, NotConverged
 from hydrokite.ilc import (
-    COV_FLOOR, DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator, clamp_to_box,
+    COV_FLOOR, DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator,
     format_history, ilc_update, optimize_path, perturbation, quad_features,
     quad_gradient, quad_value, rls_update,
 )
