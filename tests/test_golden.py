@@ -5,6 +5,14 @@ flown until the lap boundary 0.4 rad ahead (about 2,000 RK4 steps, crossing
 the spool in->out switch at 3*pi/4).  The final state, the lap fields and
 the traced columns must match the committed reference to rtol 1e-12.
 
+The reference was recorded from the plain-float flight core, whose step
+arithmetic is Python float operations in the order the source writes them,
+so it no longer depends on the BLAS kernel NumPy picks for the CPU.  The
+array core before it sent 3- and 6-element dot and matrix-vector products
+through OpenBLAS, whose FMA-chained kernels round differently from a plain
+sum.  Two NumPy products remain: the release state is built once with
+them, and the path-position scan takes an argmax over one.
+
 Regenerate the reference only for a change that is meant to alter flight
 results, and say so in the change log:
 
