@@ -217,6 +217,7 @@ def surface_force_moment(row: SurfaceRow, nu, deflection: float
     u_t = vx * tx + vy * ty + vz * tz
     alpha = math.atan2(-u_n, u_t) + incidence
 
+    # hydro.lift_coeff and drag_coeff, with the row's precomputed slope and k
     cl = lift_slope * alpha + cl_zero
     cl += gain * deflection
     cd = drag_factor * (cl - cl_min_drag) ** 2 + cd_zero

@@ -127,10 +127,10 @@ class Simulator:
         self.flow = flow
         self.params = params
         self.n = tether.n_nodes
-        self.mass_matrix = props.mass_matrix()
         # plain-float tables for the per-step math
-        self.mass_rows = tuple(map(tuple, self.mass_matrix.tolist()))
-        self.minv_rows = tuple(map(tuple, np.linalg.inv(self.mass_matrix).tolist()))
+        mass_matrix = props.mass_matrix()
+        self.mass_rows = tuple(map(tuple, mass_matrix.tolist()))
+        self.minv_rows = tuple(map(tuple, np.linalg.inv(mass_matrix).tolist()))
         self.forces = ForceTable.of(props, flow)
         # the aileron pair's gains differ only in sign
         aileron_gain = next((abs(s.deflection_gain) for s in props.surfaces
