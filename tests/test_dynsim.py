@@ -76,6 +76,10 @@ def rotation(state):
     return np.array(quat_to_rot(state[3:7]))
 
 
+def skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
 # -- path geometry ----------------------------------------------------------
 
 def test_path_angles_trivial_points():
@@ -165,10 +169,6 @@ def test_indefinite_mass_matrix_rejected():
         bad.mass_matrix()
 
 
-def skew(v):
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
 def test_coriolis_skew_and_energy_neutral():
     # the cross-product term is the skew construction
     # C = [[0, -S(p_lin)], [-S(p_lin), -S(p_ang)]], p = M nu, applied to nu
@@ -197,7 +197,7 @@ def test_neutral_body_has_zero_generalized_force():
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     angle = 0.8
-    k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    k = skew(v)
     rot = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
     assert np.allclose(tau(props, rot, np.zeros(6), {}), 0.0,
                        atol=1e-9 * props.mass * 9.81)
