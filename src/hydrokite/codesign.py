@@ -538,23 +538,21 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
     that optimization library would triple the package's start-up time
     and double its peak memory.
     """
-    x0 = np.asarray(x0, dtype=float).flatten()
+    x0 = np.asarray(x0, dtype=float)
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array([fun(x) for x in sim], dtype=float)
-    ind = np.argsort(fsim)
-    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
     iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if iterations >= maxiter or (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
+            return sim[0]
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
         fxr = fun(xr)
@@ -580,9 +578,6 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = fun(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0]
 
 
 # -- sweeps -----------------------------------------------------------------

@@ -9,10 +9,10 @@ from scipy.optimize import brentq, minimize
 
 from hydrokite.codesign import (
     DESIGN_HI, DESIGN_LO, DesignContext, DualPoint, GAConfig, KiteDesign,
-    ParetoPoint, SearchGrid, audit_design, design_margins, design_record, dual_front_text,
-    dual_sweep, evaluate_design, front_text, fully_nested, hull_gap,
+    ParetoPoint, SearchGrid, _nelder_mead, audit_design, design_margins, design_record,
+    dual_front_text, dual_sweep, evaluate_design, front_text, fully_nested, hull_gap,
     lower_hull, margins_ok, nested_sequential, pareto_log_cloud, pareto_sweep,
-    _nelder_mead, power_of, sft_enumerate, sfot, simultaneous_ga,
+    power_of, sft_enumerate, sfot, simultaneous_ga,
 )
 from hydrokite.effmap import EffSurface
 from hydrokite.errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
@@ -298,7 +298,7 @@ def test_ga_polish_never_hurts():
 
 
 def nelder_mead_problems():
-    """(name, f, x0, maxiter) of seeded problems in 2 to 7 variables."""
+    """(name, f, x0, maxiter) of seeded problems in 1 to 7 variables."""
     rng = np.random.default_rng(5)
     for trial in range(24):
         n = 1 + trial % 7
