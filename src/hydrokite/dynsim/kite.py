@@ -8,8 +8,10 @@ Coriolis construction, which is energy-neutral by design.
 
 The per-step terms (coriolis_force, surface_force_moment,
 net_force_moment) work on plain floats: on 3- and 6-vectors NumPy's
-per-call overhead costs more than the arithmetic.  Rotations are three
-rows of floats, as quat_to_rot in sim.py returns them.
+per-call overhead costs more than the arithmetic.  They read slices of
+the simulator state, which is one list of floats through every RK4 step
+of Simulator.run, and return tuples or lists of floats.  Rotations are
+three rows of floats, as quat_to_rot in sim.py returns them.
 """
 
 from __future__ import annotations

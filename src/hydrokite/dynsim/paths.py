@@ -8,6 +8,7 @@ z up, winch at the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,15 +98,31 @@ def spool_phase(p: float) -> str:
     return "out"
 
 
-def nearest_path_position(b: BasisParams, direction: np.ndarray,
-                          p_guess: float, window: float = 0.6,
-                          n_scan: int = 61) -> float:
+@functools.lru_cache(maxsize=8)
+def _scan_offsets(window: float, n_scan: int) -> np.ndarray:
+    offsets = np.linspace(0.0, window, n_scan)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def nearest_path_position(b: BasisParams, direction, p_guess: float,
+                          window: float = 0.6, n_scan: int = 61) -> float:
     """Path position whose direction is closest to the kite's, searched in
-    a forward window from the last known position (keeps p monotone)."""
-    candidates = p_guess + np.linspace(0.0, window, n_scan)
+    a forward window from the last known position (keeps p monotone).
+
+    The candidates are path_point(b, p, 1.0) for p_guess plus each of
+    n_scan even offsets in [0, window], filled column by column.
+    """
+    candidates = p_guess + _scan_offsets(window, n_scan)
+    phi, theta = path_angles(b, candidates)
+    ct = np.cos(theta)
+    points = np.empty((n_scan, 3))
+    points[:, 0] = ct * np.cos(phi)
+    points[:, 1] = ct * np.sin(phi)
+    points[:, 2] = np.sin(theta)
+    direction = np.asarray(direction, dtype=float)
     unit = direction / np.linalg.norm(direction)
-    dots = path_point(b, candidates, 1.0) @ unit
-    return float(candidates[int(np.argmax(dots))])
+    return float(candidates[int(np.argmax(points @ unit))])
 
 
 def interior_angle(b: BasisParams, p: float, position) -> float:

@@ -6,6 +6,11 @@ State vector layout (n tether nodes):
   [0:3] kite position  [3:7] attitude quaternion (w, x, y, z)
   [7:13] body relative velocity  [13:13+3n] node positions
   [13+3n:13+6n] node velocities  [13+6n] total unspooled length
+
+Inside ``Simulator.run`` the state is one Python list of floats:
+``derivative`` and ``rk4_step`` take and return lists, so a step makes no
+NumPy call on the state.  ``run`` converts its starting array once, and
+``SimResult.final_state`` is an array again.
 """
 
 from __future__ import annotations
@@ -177,28 +182,27 @@ class Simulator:
 
     # -- dynamics -----------------------------------------------------------
 
-    def derivative(self, y: np.ndarray, deflections: dict[str, float],
-                   spool_speed: float) -> np.ndarray:
+    def derivative(self, y: list[float], deflections: dict[str, float],
+                   spool_speed: float) -> list[float]:
         n = self.n
-        s = y.tolist()
-        quat = s[3:7]
-        nu = s[7:13]
-        omega = s[10:13]
-        node_vel = s[13 + 3 * n:13 + 6 * n]
+        quat = y[3:7]
+        nu = y[7:13]
+        omega = y[10:13]
+        node_vel = y[13 + 3 * n:13 + 6 * n]
 
         rot = quat_to_rot(quat)
         vx, vy, vz = rotate(rot, nu[:3])
         v_inertial = (vx + self.flow.speed, vy, vz)
         r_attach = self.forces.r_attach
         ox, oy, oz = rotate(rot, r_attach)
-        attach_pos = (s[0] + ox, s[1] + oy, s[2] + oz)
+        attach_pos = (y[0] + ox, y[1] + oy, y[2] + oz)
         wx, wy, wz = rotate(rot, cross3(omega, r_attach))
         attach_vel = (v_inertial[0] + wx, v_inertial[1] + wy,
                       v_inertial[2] + wz)
 
-        rest = s[13 + 6 * n] / (n + 1)
+        rest = y[13 + 6 * n] / (n + 1)
         node_f, kite_f, _ = tether_forces(
-            s[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest,
+            y[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest,
             self.tether, self.flow)
         node_mass = self.tether.link_mass(rest)
 
@@ -206,34 +210,40 @@ class Simulator:
         dnu = matvec6(self.minv_rows, [
             t - c for t, c in zip(tau, coriolis_force(self.mass_rows, nu))])
 
-        return np.array([
+        return [
             *v_inertial,
             *quat_derivative(quat, omega),
             *dnu,
             *node_vel,
             *[f / node_mass for f in node_f],
             spool_speed,
-        ])
+        ]
 
-    def rk4_step(self, y: np.ndarray, deflections: dict[str, float],
-                 spool_speed: float) -> np.ndarray:
+    def rk4_step(self, y: list[float], deflections: dict[str, float],
+                 spool_speed: float) -> list[float]:
         dt = self.params.dt
+        h = 0.5 * dt
         k1 = self.derivative(y, deflections, spool_speed)
-        k2 = self.derivative(y + 0.5 * dt * k1, deflections, spool_speed)
-        k3 = self.derivative(y + 0.5 * dt * k2, deflections, spool_speed)
-        k4 = self.derivative(y + dt * k3, deflections, spool_speed)
-        out = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w, x, yq, z = out[3:7].tolist()
-        out[3:7] /= math.sqrt(w * w + x * x + yq * yq + z * z)
+        k2 = self.derivative([a + h * b for a, b in zip(y, k1)],
+                             deflections, spool_speed)
+        k3 = self.derivative([a + h * b for a, b in zip(y, k2)],
+                             deflections, spool_speed)
+        k4 = self.derivative([a + dt * b for a, b in zip(y, k3)],
+                             deflections, spool_speed)
+        c = dt / 6.0
+        out = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        w, x, yq, z = out[3:7]
+        norm = math.sqrt(w * w + x * x + yq * yq + z * z)
+        out[3:7] = (w / norm, x / norm, yq / norm, z / norm)
         return out
 
-    def winch_tension(self, y: np.ndarray) -> float:
+    def winch_tension(self, y: list[float]) -> float:
         # only the first link matters: inner end pinned at the winch
         n = self.n
-        s = y.tolist()
-        x, yy, z = s[13:16]
-        vx, vy, vz = s[13 + 3 * n:16 + 3 * n]
-        rest = s[13 + 6 * n] / (n + 1)
+        x, yy, z = y[13:16]
+        vx, vy, vz = y[13 + 3 * n:16 + 3 * n]
+        rest = y[13 + 6 * n] / (n + 1)
         dist = math.sqrt(x * x + yy * yy + z * z)
         if dist < rest or dist == 0.0:
             return 0.0
@@ -248,7 +258,7 @@ class Simulator:
     def run(self, n_laps: int, y0: np.ndarray | None = None,
             p_start: float | None = None) -> SimResult:
         params = self.params
-        y = self.initial_state() if y0 is None else y0.copy()
+        y = (self.initial_state() if y0 is None else y0).tolist()
         self.controller.reset()
         p_total = params.init_path_pos if p_start is None else p_start
         t = 0.0
@@ -260,14 +270,13 @@ class Simulator:
         max_steps = int(params.max_time / params.dt)
 
         while len(laps) < n_laps and step_count < max_steps:
-            s = y[0:10].tolist()
-            rot = quat_to_rot(s[3:7])
-            vx, vy, vz = rotate(rot, s[7:10])
+            rot = quat_to_rot(y[3:7])
+            vx, vy, vz = rotate(rot, y[7:10])
             p_mod = p_total % TWO_PI
 
             spool_speed, elevator = winch_command(p_mod, self.winch, self.flow)
             aileron, rudder = self.controller.update(
-                s[0:3], (vx + self.flow.speed, vy, vz),
+                y[0:3], (vx + self.flow.speed, vy, vz),
                 (rot[0][1], rot[1][1], rot[2][1]), p_mod)
             deflections = {"aileron": aileron, "rudder": rudder,
                            "elevator": elevator}
@@ -276,16 +285,16 @@ class Simulator:
             t += params.dt
             step_count += 1
 
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise NumericBlowup(f"non-finite state at t = {t:.3f} s")
-            speed = float(np.linalg.norm(y[7:10]))
-            if speed > params.blowup_speed or np.linalg.norm(y[0:3]) > 4.0 * self.tether.length:
+            speed = math.hypot(*y[7:10])
+            pos = y[0:3]
+            if speed > params.blowup_speed or math.hypot(*pos) > 4.0 * self.tether.length:
                 raise NumericBlowup(
                     f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
 
-            pos = y[0:3].tolist()
             p_prev = p_total
-            p_new = nearest_path_position(self.basis, y[0:3], p_mod, window=0.25)
+            p_new = nearest_path_position(self.basis, pos, p_mod, window=0.25)
             p_total += p_new - p_mod
             angle = interior_angle(self.basis, p_total % TWO_PI, pos)
             if angle > params.abort_angle and t > params.grace_time:
@@ -310,12 +319,14 @@ class Simulator:
             raise EmptyLap(
                 f"no lap completed in {t:.0f} s (p reached {p_total:.2f} rad)")
 
-        data = np.array(rows)
+        # a lap can close before the first traced row: keep the columns 2-D
+        data = np.array(rows).reshape(len(rows), 9)
         return SimResult(
             laps=laps,
             time=data[:, 0], power=data[:, 1], tension=data[:, 2],
             angle=data[:, 3], spool_speed=data[:, 4], path_pos=data[:, 5],
-            position=data[:, 6:9], final_state=y, final_path_pos=p_total)
+            position=data[:, 6:9], final_state=np.array(y),
+            final_path_pos=p_total)
 
     def _close_lap(self, index: int, t_start: float, t_end: float,
                    rows: list[tuple]) -> LapMetrics:

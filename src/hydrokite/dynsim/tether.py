@@ -62,8 +62,12 @@ def tether_forces(
     n = props.n_nodes
     chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
     chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
-    k = props.link_stiffness(rest_length)
-    damp = 2.0 * props.damping_ratio * math.sqrt(k * props.link_mass(rest_length))
+    # link_stiffness and link_mass, with the section area taken once for
+    # them and for the buoyancy below
+    area = props.section_area
+    k = props.youngs_modulus * area / rest_length
+    damp = 2.0 * props.damping_ratio * math.sqrt(
+        k * (props.density * area * rest_length))
 
     # pull of each link on its outer end, winch to kite.  The cable cannot
     # push: a slack link carries nothing and a taut one's damped pull
@@ -85,7 +89,7 @@ def tether_forces(
         pulls += (-mag * sx, -mag * sy, -mag * sz)
 
     # buoyancy net of weight, on each node's share of cable length
-    lift = (flow.density - props.density) * props.section_area * GRAVITY * rest_length
+    lift = (flow.density - props.density) * area * GRAVITY * rest_length
     # cross-flow drag on the projected strip, tangential component dropped
     drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
     forces = []

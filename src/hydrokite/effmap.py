@@ -64,11 +64,27 @@ def monomial_exponents(degree: int) -> list[tuple[int, int]]:
     return [(g - j, j) for g in range(degree + 1) for j in range(g + 1)]
 
 
+def monomials(s, a, degree: int) -> list:
+    """The terms s^i * a^j of monomial_exponents(degree), for floats or
+    arrays alike.
+
+    Each power is a chain of products (s*s*s, not s**3): NumPy's array
+    power squares by multiplying but rounds higher powers in its own
+    kernel, which Python's float power does not match, so products are
+    what rounds the same for a float and for an array.
+    """
+    s_pows, a_pows = [1.0], [1.0]
+    for _ in range(degree):
+        s_pows.append(s_pows[-1] * s)
+        a_pows.append(a_pows[-1] * a)
+    return [s_pows[i] * a_pows[j] for i, j in monomial_exponents(degree)]
+
+
 def design_matrix(spans, aspects, degree: int) -> np.ndarray:
     s = np.asarray(spans, dtype=float)
     a = np.asarray(aspects, dtype=float)
     return np.column_stack(
-        [s ** i * a ** j for i, j in monomial_exponents(degree)])
+        [np.broadcast_to(term, s.shape) for term in monomials(s, a, degree)])
 
 
 @dataclass
@@ -92,7 +108,7 @@ class EffSurface:
                 "evaluating at the clamped point", DomainWarning, stacklevel=2)
             s = min(max(s, s_lo), s_hi)
             a = min(max(a, a_lo), a_hi)
-        val = float(design_matrix([s], [a], self.degree)[0] @ self.coeffs)
+        val = float(np.dot(monomials(s, a, self.degree), self.coeffs))
         return min(max(val, self.eta_floor), self.eta_cap)
 
 

@@ -61,7 +61,7 @@ class _Recorder(Simulator):
         self.inputs = []
 
     def rk4_step(self, y, deflections, spool_speed):
-        self.inputs.append((y.copy(), [deflections[c] for c in CONTROLS],
+        self.inputs.append((np.array(y), [deflections[c] for c in CONTROLS],
                             spool_speed))
         return super().rk4_step(y, deflections, spool_speed)
 
@@ -99,7 +99,7 @@ def write_reference() -> None:
         cases.append(perturbed(y, sim.n, rng))
     rows = []
     for y, controls, spool in cases:
-        dy = sim.derivative(y, dict(zip(CONTROLS, controls)), spool)
+        dy = sim.derivative(y.tolist(), dict(zip(CONTROLS, controls)), spool)
         rows.append(np.concatenate([y, controls, [spool], dy]))
     np.savetxt(REFERENCE_FILE, np.array(rows), fmt="%.17g",
                header=f"state ({len(y)}), aileron rudder elevator, "
@@ -116,7 +116,7 @@ def test_derivative_matches_reference():
         y = row[:size]
         controls = dict(zip(CONTROLS, row[size:size + 3].tolist()))
         want = row[size + 4:]
-        got = sim.derivative(y, controls, float(row[size + 3]))
+        got = np.array(sim.derivative(y.tolist(), controls, float(row[size + 3])))
         for name, block in blocks(sim.n).items():
             scale = float(np.max(np.abs(want[block])))
             np.testing.assert_allclose(got[block], want[block], rtol=0,

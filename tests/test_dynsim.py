@@ -135,6 +135,35 @@ def test_spool_phase_quarters():
     assert frac == pytest.approx(0.5, abs=1e-3)
 
 
+def reference_nearest_path_position(b, direction, p_guess, window, n_scan=61):
+    """Reference scan: linspace candidates, path_point at radius 1, a
+    matrix-vector product and its argmax."""
+    candidates = p_guess + np.linspace(0.0, window, n_scan)
+    unit = direction / np.linalg.norm(direction)
+    dots = path_point(b, candidates, 1.0) @ unit
+    return float(candidates[int(np.argmax(dots))])
+
+
+@pytest.mark.parametrize("window", [0.25, 0.6])
+def test_nearest_path_position_matches_reference_scan(window):
+    rng = np.random.default_rng(20261018)
+    interior = 0
+    for _ in range(10_000):
+        b = BasisParams(*(np.array([0.3, 0.2, 0.0, 0.5])
+                          + rng.uniform(-0.05, 0.05, 4)))
+        p_guess = rng.uniform(0.0, 2.0 * math.pi)
+        # a few metres off the path, somewhere around the window
+        target = p_guess + rng.uniform(-0.1, window + 0.1)
+        direction = path_point(b, target, 125.0) + rng.normal(scale=2.0, size=3)
+        want = reference_nearest_path_position(b, direction, p_guess, window)
+        # run hands over the kite position as a list
+        got = nearest_path_position(b, direction.tolist(), p_guess, window=window)
+        assert got == want
+        interior += p_guess < got < p_guess + window
+    # most draws pick a point inside the window, not one of its ends
+    assert interior > 5_000
+
+
 def test_nearest_path_position_recovers_exact_point():
     b = BasisParams()
     pos = path_point(b, 1.3, 125.0)
@@ -340,10 +369,12 @@ def test_straight_neutral_chain_is_force_free():
 
 def test_winch_tension_fast_path_matches_reference():
     sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
-    y = sim.initial_state()
+    y = sim.initial_state().tolist()
     defl = {"aileron": 0.0, "rudder": 0.0, "elevator": 0.0}
     for _ in range(40):
         y = sim.rk4_step(y, defl, -0.3)       # spooling in keeps link 0 taut
+    tension = sim.winch_tension(y)
+    y = np.array(y)
     n = sim.n
     pos, nu = y[0:3], y[7:13]
     rot = rotation(y)
@@ -353,8 +384,8 @@ def test_winch_tension_fast_path_matches_reference():
     _, _, reference = tether_forces(
         y[13:13 + 3 * n], y[13 + 3 * n:13 + 6 * n],
         attach_pos, attach_vel, y[13 + 6 * n] / (n + 1), sim.tether, sim.flow)
-    assert sim.winch_tension(y) == pytest.approx(reference, rel=1e-9)
-    assert sim.winch_tension(y) > 0.0
+    assert tension == pytest.approx(reference, rel=1e-9)
+    assert tension > 0.0
 
 
 def test_chain_mode_frequency():
@@ -467,10 +498,10 @@ def test_rk4_order_by_step_halving():
     def final_state(dt, horizon=0.08):
         sim = Simulator(props, TetherProperties(), BasisParams(),
                         params=SimParams(dt=dt))
-        y = sim.initial_state()
+        y = sim.initial_state().tolist()
         for _ in range(round(horizon / dt)):
             y = sim.rk4_step(y, defl, 0.2)
-        return y
+        return np.array(y)
 
     ref = final_state(1.25e-4)
     err_coarse = np.linalg.norm(final_state(2e-3) - ref)
@@ -483,10 +514,10 @@ def test_stepper_is_deterministic_and_keeps_quat_norm():
     finals = []
     for _ in range(2):
         sim = Simulator(props, TetherProperties(), BasisParams())
-        y = sim.initial_state()
+        y = sim.initial_state().tolist()
         for _ in range(200):
             y = sim.rk4_step(y, {"elevator": -0.05}, 0.5)
-        finals.append(y)
+        finals.append(np.array(y))
     assert np.array_equal(finals[0], finals[1])
     assert abs(np.linalg.norm(finals[0][3:7]) - 1.0) < 1e-12
 
@@ -516,6 +547,24 @@ def test_run_guards_raise():
     with pytest.raises(PathLost):
         Simulator(props, TetherProperties(), BasisParams(),
                   params=SimParams(abort_angle=1e-9, grace_time=0.0)).run(1)
+
+
+def test_lap_closing_before_the_first_trace_row():
+    # released 1e-4 rad short of the lap boundary, the lap closes within
+    # the first few steps, before the trace_stride-th step records a row
+    props = mid_size_kite()
+    y0 = Simulator(props, TetherProperties(), BasisParams(),
+                   params=SimParams(init_path_pos=2.0)).initial_state()
+    params = SimParams(init_path_pos=2.0 + 1e-4)
+    res = Simulator(props, TetherProperties(), BasisParams(),
+                    params=params).run(1, y0=y0, p_start=2.0)
+    assert len(res.laps) == 1
+    assert res.laps[0].t_end < params.trace_stride * params.dt
+    for column in (res.time, res.power, res.tension, res.angle,
+                   res.spool_speed, res.path_pos):
+        assert column.shape == (0,)
+    assert res.position.shape == (0, 3)
+    assert res.final_state.shape == y0.shape
 
 
 # -- controllers ------------------------------------------------------------
@@ -642,21 +691,25 @@ def test_winch_command_phase_switch():
 def test_step_functions_work_in_plain_floats():
     # a NumPy call inside the per-step math would hand back NumPy scalars
     sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
-    y = sim.initial_state()
-    s = y.tolist()
+    s = sim.initial_state().tolist()
     n = sim.n
+    deflections = {"aileron": 0.1, "rudder": 0.05, "elevator": -0.1}
     rot = quat_to_rot(s[3:7])
     node_f, kite_f, tension = tether_forces(
         s[13:13 + 3 * n], s[13 + 3 * n:13 + 6 * n], s[0:3], (0.0, 0.0, 0.0),
         s[-1] / (n + 1), sim.tether, sim.flow)
     assert tension > 0.0
-    tau = net_force_moment(sim.forces, rot, s[7:13], kite_f,
-                           {"aileron": 0.1, "rudder": 0.05, "elevator": -0.1})
+    tau = net_force_moment(sim.forces, rot, s[7:13], kite_f, deflections)
+    dy = sim.derivative(s, deflections, 0.3)
+    stepped = sim.rk4_step(s, deflections, 0.3)
+    assert type(dy) is list and type(stepped) is list
+    assert len(dy) == len(stepped) == len(s)
     values = [
         *(x for row in rot for x in row), *node_f, *kite_f, tension, *tau,
         *coriolis_force(sim.mass_rows, s[7:13]),
         *sim.controller.update(s[0:3], (1.0, 2.0, 0.5), (0.0, 1.0, 0.0), 0.8),
-        interior_angle(sim.basis, 0.8, s[0:3]), sim.winch_tension(y),
+        interior_angle(sim.basis, 0.8, s[0:3]), sim.winch_tension(s),
+        *dy, *stepped,
     ]
     assert all(type(v) is float for v in values)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,36 @@ def test_eval_never_exceeds_cap():
             for ar in np.linspace(4, 12, 21)]
     assert max(grid) <= 1.0
     assert raw > 0.98  # the clamp is doing real work near the cap
+
+
+def cubic_samples(n=40, seed=5):
+    # a bowl with cubic terms, so every degree-3 coefficient does work
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        s = rng.uniform(7.0, 10.0)
+        ar = rng.uniform(4.0, 12.0)
+        eta = (bowl_eta(s, ar) + 0.002 * (s - 8.5) ** 3
+               - 0.0002 * (ar - 7.0) ** 3)
+        out.append(EffSample(s, ar, eta, eta * 1e5, 1e5))
+    return out
+
+
+@pytest.mark.parametrize("degree", ["bundled", 1, 3])
+def test_eval_matches_the_design_matrix_bitwise(degree):
+    if degree == "bundled":
+        surface = default_surface()
+    else:
+        surface = fit_surface(cubic_samples(), degree=degree)
+    # no clamp, so every raw value is compared
+    raw = dataclasses.replace(surface, eta_floor=-np.inf, eta_cap=np.inf)
+    s_lo, s_hi, a_lo, a_hi = surface.domain
+    rng = np.random.default_rng(20261018)
+    spans = rng.uniform(s_lo, s_hi, 10_000).tolist()
+    aspects = rng.uniform(a_lo, a_hi, 10_000).tolist()
+    want = [float(design_matrix([s], [a], surface.degree)[0] @ surface.coeffs)
+            for s, a in zip(spans, aspects)]
+    assert [raw.eval(s, a) for s, a in zip(spans, aspects)] == want
 
 
 def test_surface_round_trip_is_identity():

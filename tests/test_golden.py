@@ -10,8 +10,10 @@ arithmetic is Python float operations in the order the source writes them,
 so it no longer depends on the BLAS kernel NumPy picks for the CPU.  The
 array core before it sent 3- and 6-element dot and matrix-vector products
 through OpenBLAS, whose FMA-chained kernels round differently from a plain
-sum.  Two NumPy products remain: the release state is built once with
-them, and the path-position scan takes an argmax over one.
+sum.  The state is a list of floats through every RK4 step, and two
+NumPy products that go through BLAS remain: the release state is built
+once with matrix products, and each step's path-position scan takes the
+argmax of one matrix-vector product over its 61 candidate directions.
 
 Regenerate the reference only for a change that is meant to alter flight
 results, and say so in the change log:
