@@ -18,7 +18,6 @@ from .paths import (
     nearest_path_position,
     path_angles,
     path_point,
-    path_tangent,
     spool_phase,
 )
 from .sim import LapMetrics, SimParams, SimResult, Simulator
@@ -29,6 +28,6 @@ __all__ = [
     "KiteProperties", "LapMetrics", "SimParams", "SimResult", "Simulator",
     "SurfaceDef", "SurfaceRow", "TetherProperties", "WinchParams",
     "build_kite", "coriolis_force", "interior_angle", "nearest_path_position",
-    "net_force_moment", "path_angles", "path_point", "path_tangent",
-    "spool_phase", "surface_force_moment", "tether_forces", "winch_command",
+    "net_force_moment", "path_angles", "path_point", "spool_phase",
+    "surface_force_moment", "tether_forces", "winch_command",
 ]

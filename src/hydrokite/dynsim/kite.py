@@ -35,6 +35,11 @@ GRAVITY = 9.81
 FUSELAGE_FOIL = FoilCoeffs(gamma=0.3, e_lift=1.0, e_drag=1.0, cl_zero=0.0,
                            cl_min_drag=0.0, k_visc=0.0, cd_zero=0.05)
 
+# build_kite's fixed tail gains (dCL per rad of deflection) and wing rigging
+ELEVATOR_GAIN = 2.0
+RUDDER_GAIN = 2.0
+WING_INCIDENCE = 0.065   # rad
+
 
 Vec3 = tuple[float, float, float]
 
@@ -296,10 +301,7 @@ def build_kite(
     flow: FlowEnv = FlowEnv(),
     foil_coeffs: FoilCoeffs = FoilCoeffs(),
     foil: FourDigitFoil = FourDigitFoil(),
-    elevator_gain: float = 2.0,
     aileron_gain: float = 1.5,
-    rudder_gain: float = 2.0,
-    wing_incidence: float = 0.065,
 ) -> KiteProperties:
     """Assemble the simulated kite from sized components.
 
@@ -368,16 +370,16 @@ def build_kite(
     surfaces = [
         SurfaceDef("port_wing", np.array([-0.25 * c, 0.25 * s, 0.0]),
                    ez, ey, foil_coeffs, planform.aspect_ratio, 0.5,
-                   incidence=wing_incidence,
+                   incidence=WING_INCIDENCE,
                    control="aileron", deflection_gain=aileron_gain),
         SurfaceDef("starboard_wing", np.array([-0.25 * c, -0.25 * s, 0.0]),
                    ez, ey, foil_coeffs, planform.aspect_ratio, 0.5,
-                   incidence=wing_incidence,
+                   incidence=WING_INCIDENCE,
                    control="aileron", deflection_gain=-aileron_gain),
         SurfaceDef("hstab", np.array([x_tail, 0.0, z_hull]),
                    ez, ey, foil_coeffs, hstab.aspect_ratio,
                    rule.hstab_area_fraction,
-                   control="elevator", deflection_gain=elevator_gain),
+                   control="elevator", deflection_gain=ELEVATOR_GAIN),
         SurfaceDef("vstab", np.array([x_tail, 0.0, z_vstab]),
                    -ey, ez, FoilCoeffs(gamma=foil_coeffs.gamma,
                                        e_lift=foil_coeffs.e_lift,
@@ -386,7 +388,7 @@ def build_kite(
                                        k_visc=foil_coeffs.k_visc,
                                        cd_zero=foil_coeffs.cd_zero),
                    vstab.aspect_ratio, rule.vstab_area_fraction,
-                   control="rudder", deflection_gain=rudder_gain),
+                   control="rudder", deflection_gain=RUDDER_GAIN),
         SurfaceDef("fuselage", np.array([x_hull_mid, 0.0, z_hull]),
                    ez, ey, FUSELAGE_FOIL, d / length,
                    (math.pi * d**2 / 4.0) / s_ref),

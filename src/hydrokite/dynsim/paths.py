@@ -75,14 +75,6 @@ def path_direction(b: BasisParams, p: float) -> tuple[float, float, float]:
     return (ct * math.cos(phi), ct * math.sin(phi), math.sin(theta))
 
 
-def path_tangent(b: BasisParams, p: float, radius: float, dp: float = 1e-6) -> np.ndarray:
-    """Unit tangent along increasing p (central difference)."""
-    ahead = path_point(b, p + dp, radius)
-    behind = path_point(b, p - dp, radius)
-    diff = ahead - behind
-    return diff / np.linalg.norm(diff)
-
-
 # spool-in on the two azimuth-edge quarters of the lap, spool-out in the
 # two center quarters; half-open intervals decide the boundaries
 SPOOL_IN_SPANS = ((0.25 * math.pi, 0.75 * math.pi),
@@ -98,25 +90,29 @@ def spool_phase(p: float) -> str:
     return "out"
 
 
+# candidate path positions per nearest_path_position scan
+SCAN_POINTS = 61
+
+
 @functools.lru_cache(maxsize=8)
-def _scan_offsets(window: float, n_scan: int) -> np.ndarray:
-    offsets = np.linspace(0.0, window, n_scan)
+def _scan_offsets(window: float) -> np.ndarray:
+    offsets = np.linspace(0.0, window, SCAN_POINTS)
     offsets.flags.writeable = False
     return offsets
 
 
 def nearest_path_position(b: BasisParams, direction, p_guess: float,
-                          window: float = 0.6, n_scan: int = 61) -> float:
+                          window: float) -> float:
     """Path position whose direction is closest to the kite's, searched in
     a forward window from the last known position (keeps p monotone).
 
     The candidates are path_point(b, p, 1.0) for p_guess plus each of
-    n_scan even offsets in [0, window], filled column by column.
+    SCAN_POINTS even offsets in [0, window], filled column by column.
     """
-    candidates = p_guess + _scan_offsets(window, n_scan)
+    candidates = p_guess + _scan_offsets(window)
     phi, theta = path_angles(b, candidates)
     ct = np.cos(theta)
-    points = np.empty((n_scan, 3))
+    points = np.empty((SCAN_POINTS, 3))
     points[:, 0] = ct * np.cos(phi)
     points[:, 1] = ct * np.sin(phi)
     points[:, 2] = np.sin(theta)

@@ -9,8 +9,9 @@ State vector layout (n tether nodes):
 
 Inside ``Simulator.run`` the state is one Python list of floats:
 ``derivative`` and ``rk4_step`` take and return lists, so a step makes no
-NumPy call on the state.  ``run`` converts its starting array once, and
-``SimResult.final_state`` is an array again.
+NumPy call on the state; ``initial_state`` builds it in floats too.  ``run``
+converts its starting array once, and ``SimResult.final_state`` is an array
+again.  One BLAS product remains: the path scan in ``nearest_path_position``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .kite import (
     ForceTable, KiteProperties, coriolis_force, cross3, matvec6, net_force_moment,
     rotate,
 )
-from .paths import BasisParams, interior_angle, nearest_path_position, path_point, path_tangent
+from .paths import BasisParams, interior_angle, nearest_path_position, path_direction
 from .tether import TetherProperties, tether_forces
 from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
 from ..hydro import FlowEnv
@@ -55,14 +56,18 @@ def quat_derivative(q, omega_body) -> tuple[float, float, float, float]:
     )
 
 
-def quat_from_rot(rot: np.ndarray) -> np.ndarray:
-    w = 0.5 * math.sqrt(max(1.0 + rot[0, 0] + rot[1, 1] + rot[2, 2], 1e-12))
-    return np.array([
-        w,
-        (rot[2, 1] - rot[1, 2]) / (4.0 * w),
-        (rot[0, 2] - rot[2, 0]) / (4.0 * w),
-        (rot[1, 0] - rot[0, 1]) / (4.0 * w),
-    ])
+def quat_from_rot(rot) -> tuple[float, float, float, float]:
+    """Unit quaternion (w, x, y, z) of a rotation given as three rows."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    w = 0.5 * math.sqrt(max(1.0 + r00 + r11 + r22, 1e-12))
+    return (w, (r21 - r12) / (4.0 * w), (r02 - r20) / (4.0 * w),
+            (r10 - r01) / (4.0 * w))
+
+
+def _unit(v) -> tuple[float, float, float]:
+    x, y, z = v
+    norm = math.sqrt(x * x + y * y + z * z)
+    return (x / norm, y / norm, z / norm)
 
 
 @dataclass
@@ -151,33 +156,34 @@ class Simulator:
     def initial_state(self) -> np.ndarray:
         p0 = self.params.init_path_pos
         radius = self.tether.length * (1.0 + self.params.pre_strain)
-        attach_target = path_point(self.basis, p0, radius)
-        tangent = path_tangent(self.basis, p0, radius)
-        v_kite = self.params.init_speed * tangent
+
+        def point(p):
+            return [radius * c for c in path_direction(self.basis, p)]
+
+        attach_target = ax, ay, az = point(p0)
+        # unit tangent along increasing p, by central difference
+        x_b = tx, ty, tz = _unit([a - b for a, b in zip(point(p0 + 1e-6),
+                                                        point(p0 - 1e-6))])
+        v_kite = [self.params.init_speed * c for c in x_b]
 
         # suction side outward so wing lift loads the tether
-        radial = attach_target / np.linalg.norm(attach_target)
-        x_b = tangent
-        z_b = radial - float(radial @ x_b) * x_b
-        z_b /= np.linalg.norm(z_b)
-        y_b = np.cross(z_b, x_b)
-        rot = np.column_stack([x_b, y_b, z_b])
-        quat = quat_from_rot(rot)
+        dist = math.sqrt(ax * ax + ay * ay + az * az)
+        radial = rx, ry, rz = (ax / dist, ay / dist, az / dist)
+        along = rx * tx + ry * ty + rz * tz
+        z_b = _unit((rx - along * tx, ry - along * ty, rz - along * tz))
+        axes = (x_b, cross3(z_b, x_b), z_b)   # rot's columns, its transpose's rows
+        rot = tuple(zip(*axes))
 
-        position = attach_target - rot @ self.props.r_attach
-        omega_i = np.cross(radial, v_kite) / np.linalg.norm(attach_target)
-        nu = np.concatenate([
-            rot.T @ (v_kite - np.array([self.flow.speed, 0.0, 0.0])),
-            rot.T @ omega_i,
-        ])
-
-        fractions = (np.arange(1, self.n + 1) / (self.n + 1))[:, None]
-        node_pos = fractions * attach_target[None, :]
-        node_vel = fractions * v_kite[None, :]
-
-        return np.concatenate([
-            position, quat, nu, node_pos.ravel(), node_vel.ravel(),
-            [self.tether.length],
+        ox, oy, oz = rotate(rot, self.forces.r_attach)
+        omega_i = [c / dist for c in cross3(radial, v_kite)]
+        fractions = [i / (self.n + 1) for i in range(1, self.n + 1)]
+        return np.array([
+            ax - ox, ay - oy, az - oz, *quat_from_rot(rot),
+            *rotate(axes, (v_kite[0] - self.flow.speed, v_kite[1], v_kite[2])),
+            *rotate(axes, omega_i),
+            *(f * c for f in fractions for c in attach_target),
+            *(f * c for f in fractions for c in v_kite),
+            self.tether.length,
         ])
 
     # -- dynamics -----------------------------------------------------------
@@ -204,7 +210,7 @@ class Simulator:
         node_f, kite_f, _ = tether_forces(
             y[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest,
             self.tether, self.flow)
-        node_mass = self.tether.link_mass(rest)
+        node_mass = self.tether.link_constants(rest)[2]
 
         tau = net_force_moment(self.forces, rot, nu, kite_f, deflections)
         dnu = matvec6(self.minv_rows, [
@@ -247,9 +253,7 @@ class Simulator:
         dist = math.sqrt(x * x + yy * yy + z * z)
         if dist < rest or dist == 0.0:
             return 0.0
-        k = self.tether.link_stiffness(rest)
-        damp = 2.0 * self.tether.damping_ratio * math.sqrt(
-            k * self.tether.link_mass(rest))
+        k, damp, _ = self.tether.link_constants(rest)
         mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
         return max(mag, 0.0)
 

@@ -35,11 +35,13 @@ class TetherProperties:
     def section_area(self) -> float:
         return math.pi * self.radius**2
 
-    def link_stiffness(self, rest_length: float) -> float:
-        return self.youngs_modulus * self.section_area / rest_length
-
-    def link_mass(self, rest_length: float) -> float:
-        return self.density * self.section_area * rest_length
+    def link_constants(self, rest_length: float) -> tuple[float, float, float]:
+        """Stiffness, damping coefficient (damping_ratio of critical for the
+        link's own mass) and mass of one link of the given rest length."""
+        area = self.section_area
+        k = self.youngs_modulus * area / rest_length
+        mass = self.density * area * rest_length
+        return k, 2.0 * self.damping_ratio * math.sqrt(k * mass), mass
 
 
 def tether_forces(
@@ -62,12 +64,7 @@ def tether_forces(
     n = props.n_nodes
     chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
     chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
-    # link_stiffness and link_mass, with the section area taken once for
-    # them and for the buoyancy below
-    area = props.section_area
-    k = props.youngs_modulus * area / rest_length
-    damp = 2.0 * props.damping_ratio * math.sqrt(
-        k * (props.density * area * rest_length))
+    k, damp, _ = props.link_constants(rest_length)
 
     # pull of each link on its outer end, winch to kite.  The cable cannot
     # push: a slack link carries nothing and a taut one's damped pull
@@ -89,7 +86,8 @@ def tether_forces(
         pulls += (-mag * sx, -mag * sy, -mag * sz)
 
     # buoyancy net of weight, on each node's share of cable length
-    lift = (flow.density - props.density) * area * GRAVITY * rest_length
+    lift = ((flow.density - props.density) * props.section_area * GRAVITY
+            * rest_length)
     # cross-flow drag on the projected strip, tangential component dropped
     drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
     forces = []

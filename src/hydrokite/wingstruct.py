@@ -34,6 +34,7 @@ SPAR_STATIONS = {1: (0.25,), 2: (0.10, 0.40), 3: (0.15, 0.30, 0.60)}
 SPAR_WIDTH_MAX_PCT = 20.0   # % of chord
 SHELL_MAX_PCT = 10.0        # % of max section thickness
 TIP_DEFLECTION_FRACTION = 0.05  # of the half span
+SPAR_WIDTH_TOL = 1e-4          # fraction of chord; the spar-width resolution
 
 # fraction of the ideal crosswind tension a closed-loop lap sustains; sets
 # the rated load case of both the wing and the hull
@@ -271,13 +272,12 @@ def required_inertia(
     span: float,
     load: float,
     material: Material = Material(),
-    deflection_fraction: float = TIP_DEFLECTION_FRACTION,
 ) -> float:
     """Bending-inertia floor for the half wing treated as a cantilever.
 
     A point load at the half wing's area centroid (a = s/4 from the root)
     must deflect the tip of the s/2 cantilever by no more than
-    ``deflection_fraction`` of the half span:
+    ``TIP_DEFLECTION_FRACTION`` of the half span:
 
         delta_tip = F * a^2 * (3*Lc - a) / (6*E*I),  Lc = s/2.
     """
@@ -285,7 +285,7 @@ def required_inertia(
         raise ValueError("load must be non-negative")
     half = 0.5 * span
     a = 0.25 * span
-    delta_max = deflection_fraction * half
+    delta_max = TIP_DEFLECTION_FRACTION * half
     return load * a**2 * (3.0 * half - a) / (6.0 * material.youngs_modulus * delta_max)
 
 
@@ -319,7 +319,7 @@ class WingSizing:
     constraint_active: bool
 
 
-def _min_spar_width(integ, n_spars, shell_pct, i_req_hat, tol=1e-4):
+def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
     """Smallest spar width (fraction of chord) meeting the inertia floor.
 
     Returns None when even the widest admissible web falls short.  Inertia is
@@ -339,7 +339,7 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat, tol=1e-4):
         return None
     lo, hi = 0.0, w_hi
     for _ in range(60):
-        if hi - lo <= tol * 0.01:
+        if hi - lo <= SPAR_WIDTH_TOL * 0.01:
             break
         # regula falsi, kept off the bracket ends against stagnation; the
         # bracket holds f_hi >= 0 > f_lo, so the secant slope is positive
@@ -352,7 +352,7 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat, tol=1e-4):
             lo, f_lo = w, f
     # widths below the search resolution round up rather than down so the
     # returned layout always satisfies the floor
-    return max(hi, tol)
+    return max(hi, SPAR_WIDTH_TOL)
 
 
 def swdt_optimize(
@@ -360,7 +360,6 @@ def swdt_optimize(
     load: float,
     material: Material = Material(),
     foil: FourDigitFoil = FourDigitFoil(),
-    deflection_fraction: float = TIP_DEFLECTION_FRACTION,
     n_stations: int = 2000,
 ) -> WingSizing:
     """Minimum-mass wing structure subject to the tip-deflection inertia floor.
@@ -374,7 +373,7 @@ def swdt_optimize(
     """
     integ = _integrator(foil, n_stations)
     c = planform.chord
-    i_req = required_inertia(planform.span, load, material, deflection_fraction)
+    i_req = required_inertia(planform.span, load, material)
     i_req_hat = i_req / c**4
 
     best = None  # (area, n_spars, spar_pct, design, props)

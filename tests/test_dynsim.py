@@ -31,7 +31,6 @@ from hydrokite.dynsim import (
     net_force_moment,
     path_angles,
     path_point,
-    path_tangent,
     spool_phase,
     surface_force_moment,
     tether_forces,
@@ -39,7 +38,7 @@ from hydrokite.dynsim import (
 )
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
 from hydrokite.dynsim.paths import path_direction, sphere_point
-from hydrokite.dynsim.sim import quat_to_rot
+from hydrokite.dynsim.sim import quat_from_rot, quat_to_rot
 from hydrokite.errors import (
     ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
 )
@@ -108,16 +107,12 @@ def test_sphere_point_axes():
     assert np.allclose(sphere_point(0.3, math.pi / 2.0, 2.0), [0.0, 0.0, 2.0], atol=1e-15)
 
 
-def test_path_point_radius_and_tangent():
+def test_path_point_radius():
     b = BasisParams()
     rng = np.random.default_rng(20240818)
     for p in rng.uniform(0.0, 2.0 * math.pi, size=20):
         pt = path_point(b, p, 125.0)
         assert np.linalg.norm(pt) == pytest.approx(125.0, rel=1e-12)
-        tan = path_tangent(b, p, 125.0)
-        assert np.linalg.norm(tan) == pytest.approx(1.0, rel=1e-9)
-        # constant radius makes the tangent perpendicular to the radial
-        assert abs(tan @ pt) / 125.0 < 1e-6
 
 
 def test_spool_phase_quarters():
@@ -523,17 +518,59 @@ def test_stepper_is_deterministic_and_keeps_quat_norm():
 
 
 def test_initial_state_sits_on_path():
+    for p0 in (0.25 * math.pi, 2.0, 4.0):
+        sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams(),
+                        params=SimParams(init_path_pos=p0))
+        y = sim.initial_state()
+        attach = y[0:3] + rotation(y) @ sim.props.r_attach
+        radius = sim.tether.length * (1.0 + sim.params.pre_strain)
+        assert np.allclose(attach, path_point(sim.basis, p0, radius), atol=1e-9)
+        assert np.linalg.norm(y[3:7]) == pytest.approx(1.0, abs=1e-12)
+        # the body x axis is the unit path tangent along increasing p,
+        # which the constant radius makes perpendicular to the radial
+        x_b = rotation(y)[:, 0]
+        chord = (path_point(sim.basis, p0 + 1e-5, radius)
+                 - path_point(sim.basis, p0 - 1e-5, radius))
+        assert np.allclose(x_b, chord / np.linalg.norm(chord), atol=1e-8)
+        assert np.linalg.norm(x_b) == pytest.approx(1.0, abs=1e-12)
+        assert abs(x_b @ attach) / radius < 1e-9
+        n = sim.n
+        nodes = y[13:13 + 3 * n].reshape(n, 3)
+        for i, node in enumerate(nodes, start=1):
+            assert np.allclose(node, attach * i / (n + 1), atol=1e-9)
+
+
+def test_initial_state_makes_no_numpy_linear_algebra(monkeypatch):
+    # the release state is float math, like the step, so no BLAS kernel
+    # rounds it; NumPy only wraps the result
     sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
-    y = sim.initial_state()
-    attach = y[0:3] + rotation(y) @ sim.props.r_attach
-    radius = sim.tether.length * (1.0 + sim.params.pre_strain)
-    p0 = sim.params.init_path_pos
-    assert np.allclose(attach, path_point(sim.basis, p0, radius), atol=1e-9)
-    assert np.linalg.norm(y[3:7]) == pytest.approx(1.0, abs=1e-12)
-    n = sim.n
-    nodes = y[13:13 + 3 * n].reshape(n, 3)
-    for i, node in enumerate(nodes, start=1):
-        assert np.allclose(node, attach * i / (n + 1), atol=1e-9)
+    want = sim.initial_state()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("NumPy call in initial_state")
+
+    for module, name in ((np, "cross"), (np.linalg, "norm"),
+                         (np, "column_stack"), (np, "concatenate"),
+                         (np, "stack"), (np, "arange"), (np, "dot")):
+        monkeypatch.setattr(module, name, forbidden)
+    got = sim.initial_state()
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+
+
+def test_quat_from_rot_inverts_quat_to_rot():
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for q in rng.normal(size=(2000, 4)):
+        q = q / np.linalg.norm(q)
+        q = q if q[0] >= 0.0 else -q
+        if q[0] < 0.2:
+            continue
+        got = quat_from_rot(quat_to_rot(q.tolist()))
+        assert all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, q, rtol=0, atol=1e-14)
+        checked += 1
+    assert checked > 1000
 
 
 def test_run_guards_raise():
