@@ -101,24 +101,32 @@ def _scan_offsets(window: float) -> np.ndarray:
     return offsets
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_points(b: BasisParams, p_guess: float,
+                 window: float) -> tuple[list[float], np.ndarray]:
+    """The scan's candidate positions, as floats, and their unit directions
+    path_point(b, p, 1.0), as a read-only (SCAN_POINTS, 3) array."""
+    candidates = p_guess + _scan_offsets(window)
+    points = path_point(b, candidates, 1.0)
+    points.flags.writeable = False
+    return candidates.tolist(), points
+
+
 def nearest_path_position(b: BasisParams, direction, p_guess: float,
                           window: float) -> float:
     """Path position whose direction is closest to the kite's, searched in
     a forward window from the last known position (keeps p monotone).
 
     The candidates are path_point(b, p, 1.0) for p_guess plus each of
-    SCAN_POINTS even offsets in [0, window], filled column by column.
+    SCAN_POINTS even offsets in [0, window].  They are memoized on
+    (b, p_guess, window) in a 16-entry LRU, since a flight step repeats the
+    last step's p_guess until the kite passes the next candidate; a call
+    then only normalizes the direction and takes one argmax.
     """
-    candidates = p_guess + _scan_offsets(window)
-    phi, theta = path_angles(b, candidates)
-    ct = np.cos(theta)
-    points = np.empty((SCAN_POINTS, 3))
-    points[:, 0] = ct * np.cos(phi)
-    points[:, 1] = ct * np.sin(phi)
-    points[:, 2] = np.sin(theta)
-    direction = np.asarray(direction, dtype=float)
-    unit = direction / np.linalg.norm(direction)
-    return float(candidates[int(np.argmax(points @ unit))])
+    candidates, points = _scan_points(b, p_guess, window)
+    x, y, z = direction
+    norm = math.sqrt(x * x + y * y + z * z)
+    return candidates[int(np.argmax(points @ (x / norm, y / norm, z / norm)))]
 
 
 def interior_angle(b: BasisParams, p: float, position) -> float:

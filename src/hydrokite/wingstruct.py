@@ -18,6 +18,7 @@ floor derived from a cantilever tip-deflection limit on the half wing.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -120,6 +121,10 @@ class SectionProperties:
     y_neutral: float  # m, above the chord line
 
 
+# entries in each SectionIntegrator's memo of section properties
+SECTION_MEMO_SIZE = 256
+
+
 class SectionIntegrator:
     """Closed-form vertical-strip integrator for the shell + spar section.
 
@@ -144,6 +149,13 @@ class SectionIntegrator:
     the closed-strip sums over at most five merged index ranges plus the
     open-strip polynomials summed over the rest: a few bisections and a few
     dozen float operations per call, with no array work.
+
+    ``properties`` is memoized per integrator on the frozen design, in an
+    LRU of ``SECTION_MEMO_SIZE`` entries: the sizing searches revisit
+    layouts, and ``codesign.design_margins`` re-integrates the section that
+    ``evaluate_design`` just integrated.  Designs that compare equal share
+    an entry (spar width 0.0 and -0.0 give the same section).  The memo
+    lives on the instance, so it goes with the integrator.
     """
 
     def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = 2000):
@@ -184,9 +196,14 @@ class SectionIntegrator:
         prefix = np.zeros((len(coeffs), n_stations + 1))
         np.cumsum(coeffs, axis=1, out=prefix[:, 1:])
         self._prefix = prefix.tolist()
+        self._memo = functools.lru_cache(maxsize=SECTION_MEMO_SIZE)(self._section)
 
     def properties(self, design: WingStructureDesign) -> SectionProperties:
         """Unit-chord area, inertia about the neutral axis, and its height."""
+        return self._memo(design)
+
+    def _section(self, design: WingStructureDesign) -> SectionProperties:
+        """``properties`` without the memo."""
         t = design.shell_pct / 100.0 * self.t_max
         if t > 0.5 * self.t_max:
             raise GeometryError(

@@ -9,7 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from hydrokite import codesign
+from hydrokite import codesign, wingstruct
+from hydrokite.dynsim import BasisParams, sim
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -33,3 +34,22 @@ def test_tracer_installs_on_every_layer():
     finally:
         tracer.uninstall()
     assert codesign.evaluate_design is original
+
+
+def test_tracer_counts_memo_hits_as_calls():
+    tracing = load_tracing()
+    integ = wingstruct.SectionIntegrator(wingstruct.FourDigitFoil(), 400)
+    design = wingstruct.WingStructureDesign(2, 4.0, 3.0)
+    basis = BasisParams()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for _ in range(2):
+            integ.properties(design)
+            # looked up where the flight step looks it up
+            sim.nearest_path_position(basis, (100.0, 20.0, 60.0), 1.2, window=0.25)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()
+    assert calls["wingstruct.properties.calls"] == 2
+    assert calls["dynsim.paths.nearest_path_position.calls"] == 2

@@ -37,7 +37,7 @@ from hydrokite.dynsim import (
     winch_command,
 )
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
-from hydrokite.dynsim.paths import path_direction, sphere_point
+from hydrokite.dynsim.paths import _scan_points, path_direction, sphere_point
 from hydrokite.dynsim.sim import quat_from_rot, quat_to_rot
 from hydrokite.errors import (
     ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
@@ -157,6 +157,32 @@ def test_nearest_path_position_matches_reference_scan(window):
         interior += p_guess < got < p_guess + window
     # most draws pick a point inside the window, not one of its ends
     assert interior > 5_000
+
+
+def test_nearest_path_position_memo_gives_the_cold_result():
+    rng = np.random.default_rng(20261019)
+    draws = []
+    for _ in range(200):
+        b = BasisParams(*(np.array([0.3, 0.2, 0.0, 0.5])
+                          + rng.uniform(-0.05, 0.05, 4)))
+        p_guess = rng.uniform(0.0, 2.0 * math.pi)
+        target = p_guess + rng.uniform(0.0, 0.25)
+        direction = (path_point(b, target, 125.0)
+                     + rng.normal(scale=2.0, size=3)).tolist()
+        draws.append((b, direction, p_guess))
+    _scan_points.cache_clear()
+    cold = [nearest_path_position(b, d, p, window=0.25) for b, d, p in draws]
+    assert _scan_points.cache_info().hits == 0
+    warm = [nearest_path_position(b, d, p, window=0.25) for b, d, p in draws[-10:]]
+    assert _scan_points.cache_info().hits == 10
+    assert warm == cold[-10:]
+
+
+def test_scan_points_are_read_only():
+    _, points = _scan_points(BasisParams(), 1.2, 0.25)
+    assert points.shape == (61, 3)
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.0
 
 
 def test_nearest_path_position_recovers_exact_point():

@@ -12,7 +12,9 @@ core sends 3- and 6-element dot and matrix-vector products through
 OpenBLAS, whose FMA-chained kernels round differently from a plain sum.
 The release state and every RK4 step are float math; one NumPy product
 that goes through BLAS remains: each step's path-position scan takes the
-argmax of one matrix-vector product over its 61 candidate directions.
+argmax of one matrix-vector product over its 61 candidate directions, which
+are built once per scanned path position and memoized, so a repeated scan
+multiplies the very same array.
 
 The flight's bookkeeping is checked exactly: every traced power is the
 traced tension times the traced spool speed, and the final attitude
@@ -137,6 +139,14 @@ def test_golden_flight_bookkeeping(golden):
     assert len(res.power) > 0
     assert np.array_equal(res.power, res.tension * res.spool_speed)
     assert abs(np.linalg.norm(res.final_state[3:7]) - 1.0) < 1e-12
+
+
+def test_golden_flight_repeats_in_one_process(golden):
+    # the second flight scans with the path memo the first one filled
+    again = fly_golden()
+    assert np.array_equal(again.final_state, golden.final_state)
+    assert again.laps == golden.laps
+    assert np.array_equal(trace_table(again), trace_table(golden))
 
 
 if __name__ == "__main__":

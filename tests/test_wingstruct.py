@@ -8,7 +8,9 @@ method the closed form replaced, is the exact reference: the two must agree
 to 1e-12 of the all-solid section.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +142,41 @@ def test_section_matches_strip_sum_reference(n_stations):
         assert abs(got.inertia - inertia) <= 1e-12 * solid_inertia, design
     empty = integ.properties(WingStructureDesign(1, 0.0, 0.0))
     assert (empty.area, empty.inertia, empty.y_neutral) == (0.0, 0.0, 0.0)
+
+
+def test_section_memo_matches_the_uncached_section():
+    integ = SectionIntegrator(FourDigitFoil(), 400)
+    fresh = SectionIntegrator(FourDigitFoil(), 400)
+    rng = np.random.default_rng(20261019)
+    unique = reference_designs(20261019, 300)
+    # repeats near and far apart, so the memo both hits and evicts
+    designs = [unique[int(k)] for k in rng.integers(0, len(unique), 2000)]
+    for design in designs:
+        assert integ.properties(design) == fresh._section(design), design
+    info = integ._memo.cache_info()
+    assert info.maxsize == 256
+    assert info.hits > 0 and info.misses > len(unique)
+
+
+def test_section_memo_shares_signed_zero_widths():
+    integ = SectionIntegrator(FourDigitFoil(), 400)
+    plus, minus = (WingStructureDesign(2, w, 3.0) for w in (0.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert integ._section(plus) == integ._section(minus)
+    integ.properties(plus)
+    assert integ.properties(minus) is integ.properties(plus)
+    assert integ._memo.cache_info().currsize == 1
+
+
+def test_integrator_with_a_full_memo_is_collected():
+    integ = SectionIntegrator(FourDigitFoil(), 400)
+    for design in reference_designs(20261020, 300):
+        integ.properties(design)
+    assert integ._memo.cache_info().currsize == 256
+    ref = weakref.ref(integ)
+    del integ
+    gc.collect()
+    assert ref() is None
 
 
 def test_integrator_rejects_a_section_the_shell_closes_in_two_places():
