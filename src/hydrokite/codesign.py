@@ -45,6 +45,7 @@ DESIGN_HI = np.array([SPAN_RANGE[1], ASPECT_RANGE[1], N_SPARS_MAX,
                       SPAR_WIDTH_MAX_PCT, SHELL_MAX_PCT,
                       FUSE_DIAMETER_RANGE[1], FUSE_LENGTH_RANGE[1],
                       THICKNESS_MAX_PCT])
+_BOX_LO, _BOX_HI = DESIGN_LO.tolist(), DESIGN_HI.tolist()
 
 MARGIN_FLOOR = -1e-6
 
@@ -112,22 +113,31 @@ class KiteDesign:
 def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
     """Assemble a KiteDesign from the raw variable vector.
 
+    The vector becomes Python floats once, here: every component works on
+    those floats, and every field of the result is a ``float`` or ``int``.
+
     This is the design box's only check, and it is exact: every solver clips
-    or sizes its variables to the bounds themselves.  It runs before any
+    or sizes its variables to the bounds themselves.  It compares the floats
+    with float copies of ``DESIGN_LO``/``DESIGN_HI``, so a value on an edge
+    passes; a NaN entry fails neither comparison.  It runs before any
     component is built, so a vector outside the box raises this error and
     not a component's own limit.
     """
-    vec = np.asarray(list(u), dtype=float)
+    # a GA row converts whole; unpacking it first would make NumPy scalars
+    vec = np.asarray(u if isinstance(u, np.ndarray) else list(u), dtype=float)
     if vec.shape != (8,):
         raise ValueError("design vector must have eight entries")
-    if np.any(vec < DESIGN_LO) or np.any(vec > DESIGN_HI):
-        raise ValueError("design variables outside the admissible box")
-    s, ar, n_sp, t_sp, t_sw, d, length, t_sf = vec
+    vals = vec.tolist()
+    for v, lo, hi in zip(vals, _BOX_LO, _BOX_HI):
+        if v < lo or v > hi:
+            raise ValueError("design variables outside the admissible box")
+    s, ar, n_sp, t_sp, t_sw, d, length, t_sf = vals
+    n_spars = int(round(n_sp))
     planform = WingPlanform(s, ar)
-    wing = WingStructureDesign(int(round(n_sp)), t_sp, t_sw)
+    wing = WingStructureDesign(n_spars, t_sp, t_sw)
     hull = FuselageDesign(d, length, t_sf)
     return KiteDesign(
-        span=s, aspect_ratio=ar, n_spars=int(round(n_sp)),
+        span=s, aspect_ratio=ar, n_spars=n_spars,
         spar_width_pct=t_sp, shell_pct=t_sw,
         diameter=d, length=length, wall_pct=t_sf,
         m_wing=wing_mass(planform, wing, ctx.material, ctx.foil,
@@ -192,9 +202,9 @@ def margins_ok(margins: dict, floor: float = MARGIN_FLOOR) -> bool:
 
 # -- steady flight tool -----------------------------------------------------
 
-def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis_grid(lo: float, hi: float, step: float) -> list[float]:
     n = max(1, int(round((hi - lo) / step)))
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, n + 1).tolist()
 
 
 def sft_enumerate(p_req: float, ctx: DesignContext,
@@ -209,16 +219,16 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     if s_grid is None:
         s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
     ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1],
-                          ctx.grid.ar_scan + 1)
+                          ctx.grid.ar_scan + 1).tolist()
 
     roots = []
-    for s in s_grid:
-        vals = np.array([power_of(s, ar, ctx) - p_req for ar in ar_grid])
+    for s in np.asarray(s_grid, dtype=float).tolist():
+        vals = [power_of(s, ar, ctx) - p_req for ar in ar_grid]
         for i in range(len(ar_grid) - 1):
             lo, hi = ar_grid[i], ar_grid[i + 1]
             f_lo, f_hi = vals[i], vals[i + 1]
             if f_lo == 0.0:
-                roots.append((float(s), float(lo)))
+                roots.append((s, lo))
                 continue
             if f_lo * f_hi > 0.0:
                 continue
@@ -232,9 +242,9 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
                     hi = mid
                 else:
                     lo, f_lo = mid, f_mid
-            roots.append((float(s), float(0.5 * (lo + hi))))
+            roots.append((s, 0.5 * (lo + hi)))
         if vals[-1] == 0.0:
-            roots.append((float(s), float(ar_grid[-1])))
+            roots.append((s, ar_grid[-1]))
     if not roots:
         raise EmptySet(
             f"no geometry in the design box produces {p_req / 1e3:.1f} kW")
@@ -297,10 +307,11 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
     against the actual wing mass rather than after the mass minimization.
     """
     best = None
+    d_grid = _axis_grid(*FUSE_DIAMETER_RANGE, ctx.grid.d_step)
     for length in _axis_grid(*FUSE_LENGTH_RANGE, ctx.grid.l_step):
         floads = rated_fuselage_loads(
             planform, length, ctx.flow, ctx.foil_coeffs, ctx.rule)
-        for d in _axis_grid(*FUSE_DIAMETER_RANGE, ctx.grid.d_step):
+        for d in d_grid:
             try:
                 sizing = sfdt_optimize(d, length, floads, ctx.material)
             except Infeasible:

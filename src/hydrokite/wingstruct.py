@@ -410,8 +410,11 @@ def swdt_optimize(
             lo = max(0.0, center - half_width)
             hi = min(SHELL_MAX_PCT, center + half_width)
             best_cell = None
-            for sp in np.linspace(lo, hi, n_pts):
-                props, d = area_at(round(sp, 9))
+            grid = np.linspace(lo, hi, n_pts)
+            # each point is sized at its grid value rounded to 9 decimals by
+            # NumPy; the next stage centres on the unrounded grid value
+            for sp, sp_round in zip(grid.tolist(), np.round(grid, 9).tolist()):
+                props, d = area_at(sp_round)
                 if props is None:
                     continue
                 if best_cell is None or props.area < best_cell[0]:
@@ -456,13 +459,15 @@ def _shave(integ, design, i_req_hat, field):
     lo, hi = 0.0, getattr(design, field)
     if integ.properties(build(lo)).inertia >= i_req_hat:
         return build(lo)
+    i_hi = integ.properties(design).inertia
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if integ.properties(build(mid)).inertia >= i_req_hat:
-            hi = mid
+        i_mid = integ.properties(build(mid)).inertia
+        if i_mid >= i_req_hat:
+            hi, i_hi = mid, i_mid
         else:
             lo = mid
-        if integ.properties(build(hi)).inertia <= i_req_hat * 1.001:
+        if i_hi <= i_req_hat * 1.001:
             break
     return build(hi)
 

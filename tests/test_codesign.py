@@ -74,6 +74,31 @@ def test_design_box_is_exact():
         evaluate_design([8, 6, 2, 10, 3, 0.6, 8, 10 + 5e-10], ctx)
 
 
+def test_evaluate_design_rejects_misshapen_vectors():
+    ctx = fast_ctx()
+    u = mid_vector()
+    for bad in (u.reshape(8, 1), u.reshape(2, 4), u.tolist()[:7]):
+        with pytest.raises(ValueError, match="eight entries"):
+            evaluate_design(bad, ctx)
+    # any iterable of eight numbers still assembles the same design
+    assert evaluate_design(iter(u.tolist()), ctx) == evaluate_design(u, ctx)
+
+
+def test_design_search_hands_out_python_floats():
+    ctx = fast_ctx()
+    design = evaluate_design(mid_vector(), ctx)
+    for name in ("span", "aspect_ratio", "spar_width_pct", "shell_pct",
+                 "diameter", "length", "wall_pct", "m_wing", "m_fuse",
+                 "volume", "power"):
+        assert type(getattr(design, name)) is float, name
+    assert type(design.n_spars) is int
+    for s, ar in sft_enumerate(590e3, ctx):
+        assert type(s) is float and type(ar) is float
+    point = fully_nested(590e3, ctx)
+    for value in (point.m_wing, point.design.span, point.design.aspect_ratio):
+        assert type(value) is float
+
+
 def test_buoyancy_margin_uses_flow_density():
     ctx = fast_ctx(flow=FlowEnv(density=1025.0))
     design = evaluate_design(mid_vector(), ctx)

@@ -11,7 +11,7 @@ to 1e-12 of the all-solid section.
 import gc
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from hydrokite.wingstruct import (
     Material,
     SectionIntegrator,
     WingStructureDesign,
+    _shave,
     rated_wing_load,
     required_inertia,
     section_properties,
@@ -317,3 +318,52 @@ def test_high_aspect_ratio_planform_infeasible():
     with pytest.raises(Infeasible) as err:
         swdt_optimize(planform, load)
     assert "inertia_required_m4" in err.value.detail
+
+
+class CountingIntegrator(SectionIntegrator):
+    """Records every ``properties`` call, memo hits included."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def properties(self, design):
+        self.calls.append(design)
+        return super().properties(design)
+
+
+def reference_shave(integ, design, i_req_hat, field):
+    """The bisection that re-reads the inertia at ``hi`` on every step;
+    returns the shaved design and the number of steps taken."""
+    def build(v):
+        return replace(design, **{field: v})
+
+    lo, hi = 0.0, getattr(design, field)
+    if integ.properties(build(lo)).inertia >= i_req_hat:
+        return build(lo), 0
+    for step in range(1, 61):
+        mid = 0.5 * (lo + hi)
+        if integ.properties(build(mid)).inertia >= i_req_hat:
+            hi = mid
+        else:
+            lo = mid
+        if integ.properties(build(hi)).inertia <= i_req_hat * 1.001:
+            break
+    return build(hi), step
+
+
+@pytest.mark.parametrize("field", ["spar_width_pct", "shell_pct"])
+def test_shave_integrates_once_per_bisection_step(field):
+    integ = CountingIntegrator(FourDigitFoil(), 400)
+    reference = SectionIntegrator(FourDigitFoil(), 400)
+    design = WingStructureDesign(2, 12.0, 6.0)
+    # zeroing either field leaves about 60% of this inertia, so each floor
+    # needs a bisection
+    for frac in (0.7, 0.8, 0.95):
+        i_req_hat = frac * reference.properties(design).inertia
+        expected, steps = reference_shave(reference, design, i_req_hat, field)
+        assert steps >= 2
+        integ.calls.clear()
+        assert _shave(integ, design, i_req_hat, field) == expected
+        # the zero end, the starting value, then one midpoint per step
+        assert len(integ.calls) <= steps + 2
