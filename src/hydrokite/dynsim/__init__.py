@@ -10,7 +10,6 @@ from .kite import (
     build_kite,
     coriolis_force,
     net_force_moment,
-    surface_force_moment,
 )
 from .paths import (
     BasisParams,
@@ -29,5 +28,5 @@ __all__ = [
     "SurfaceDef", "SurfaceRow", "TetherProperties", "WinchParams",
     "build_kite", "coriolis_force", "interior_angle", "nearest_path_position",
     "net_force_moment", "path_angles", "path_point", "spool_phase",
-    "surface_force_moment", "tether_forces", "winch_command",
+    "tether_forces", "winch_command",
 ]

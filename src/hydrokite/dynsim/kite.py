@@ -6,12 +6,14 @@ nu = [v_body - R^T u_flow, omega] and read M nu_dot = tau(nu) - C(nu) nu
 with M the rigid-body-plus-added-mass matrix and C the standard skew
 Coriolis construction, which is energy-neutral by design.
 
-The per-step terms (coriolis_force, surface_force_moment,
-net_force_moment) work on plain floats: on 3- and 6-vectors NumPy's
-per-call overhead costs more than the arithmetic.  They read slices of
-the simulator state, which is one list of floats through every RK4 step
-of Simulator.run, and return tuples or lists of floats.  Rotations are
-three rows of floats, as quat_to_rot in sim.py returns them.
+The per-step terms (coriolis_force, net_force_moment) work on plain
+floats: on 3- and 6-vectors NumPy's per-call overhead costs more than
+the arithmetic.  They are written on scalars, and net_force_moment sums
+every surface's lift, drag and moment in one loop, with no call per
+surface.  They read slices of the simulator state, which is one list of
+floats through every RK4 step of Simulator.run, and return tuples of
+floats.  Rotations are three rows of floats, as quat_to_rot in sim.py
+returns them.
 """
 
 from __future__ import annotations
@@ -141,14 +143,24 @@ def coriolis_force(mass_rows, nu) -> tuple[float, ...]:
     With p = [p_lin, p_ang] and nu = [v, omega] this is
     [omega x p_lin, v x p_lin + omega x p_ang], the skew construction
     C = [[0, -S(p_lin)], [-S(p_lin), -S(p_ang)]] applied to nu, so
-    nu . C(nu) nu = 0 up to rounding.  mass_rows is M as six rows.
+    nu . C(nu) nu = 0 up to rounding.  mass_rows is M as six rows.  The
+    products and sums are matvec6's and cross3's, in their order; l and h
+    are the linear and angular momentum.
     """
-    p = matvec6(mass_rows, nu)
-    p_lin, p_ang = p[:3], p[3:]
-    v, omega = nu[:3], nu[3:]
-    lin, ang = cross3(v, p_lin), cross3(omega, p_ang)
-    return cross3(omega, p_lin) + (lin[0] + ang[0], lin[1] + ang[1],
-                                   lin[2] + ang[2])
+    u, v, w, p, q, r = nu
+    ((m00, m01, m02, m03, m04, m05), (m10, m11, m12, m13, m14, m15),
+     (m20, m21, m22, m23, m24, m25), (m30, m31, m32, m33, m34, m35),
+     (m40, m41, m42, m43, m44, m45), (m50, m51, m52, m53, m54, m55)) = mass_rows
+    lx = m00 * u + m01 * v + m02 * w + m03 * p + m04 * q + m05 * r
+    ly = m10 * u + m11 * v + m12 * w + m13 * p + m14 * q + m15 * r
+    lz = m20 * u + m21 * v + m22 * w + m23 * p + m24 * q + m25 * r
+    hx = m30 * u + m31 * v + m32 * w + m33 * p + m34 * q + m35 * r
+    hy = m40 * u + m41 * v + m42 * w + m43 * p + m44 * q + m45 * r
+    hz = m50 * u + m51 * v + m52 * w + m53 * p + m54 * q + m55 * r
+    return (q * lz - r * ly, r * lx - p * lz, p * ly - q * lx,
+            (v * lz - w * ly) + (q * hz - r * hy),
+            (w * lx - u * lz) + (r * hx - p * hz),
+            (u * ly - v * lx) + (p * hy - q * hx))
 
 
 class SurfaceRow(NamedTuple):
@@ -206,45 +218,6 @@ class ForceTable:
                   for s in props.surfaces))
 
 
-def surface_force_moment(row: SurfaceRow, nu, deflection: float
-                         ) -> tuple[Vec3, Vec3]:
-    """Quasi-steady lift and drag of one surface in body axes, and their
-    moment about the body origin."""
-    ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
-     lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, _, gain,
-     q_factor) = row
-    u, v, w, p, q, r = nu
-    vx = u + (q * cz - r * cy)
-    vy = v + (r * cx - p * cz)
-    vz = w + (p * cy - q * cx)
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if speed < 1e-9:
-        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
-    u_n = vx * nx + vy * ny + vz * nz
-    u_t = vx * tx + vy * ty + vz * tz
-    alpha = math.atan2(-u_n, u_t) + incidence
-
-    # hydro.lift_coeff and drag_coeff, with the row's precomputed slope and k
-    cl = lift_slope * alpha + cl_zero
-    cl += gain * deflection
-    cd = drag_factor * (cl - cl_min_drag) ** 2 + cd_zero
-
-    dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
-    lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
-    norm = math.sqrt(lx * lx + ly * ly + lz * lz)
-    q_s = q_factor * speed**2
-    if norm < 1e-9:
-        # flow along the span: no lift, drag only
-        q_d = q_s * cd
-        fx, fy, fz = q_d * dx, q_d * dy, q_d * dz
-    else:
-        fx = q_s * (cl * (lx / norm) + cd * dx)
-        fy = q_s * (cl * (ly / norm) + cd * dy)
-        fz = q_s * (cl * (lz / norm) + cd * dz)
-    return (fx, fy, fz), (cy * fz - cz * fy, cz * fx - cx * fz,
-                          cx * fy - cy * fx)
-
-
 def net_force_moment(
     table: ForceTable,
     rotation,
@@ -279,9 +252,44 @@ def net_force_moment(
     my = m_cg[1] + m_cb[1] + m_thr[1]
     mz = m_cg[2] + m_cb[2] + m_thr[2]
 
-    for row in table.surfaces:
-        (sfx, sfy, sfz), (smx, smy, smz) = surface_force_moment(
-            row, nu, deflections.get(row.control, 0.0))
+    # each surface's quasi-steady lift and drag in body axes, and their
+    # moment about the body origin
+    u, v, w, p, q, r = nu
+    for ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+         lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, control,
+         gain, q_factor) in table.surfaces:
+        vx = u + (q * cz - r * cy)
+        vy = v + (r * cx - p * cz)
+        vz = w + (p * cy - q * cx)
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+        if speed < 1e-9:
+            # no force or moment, still added: a -0.0 sum becomes 0.0
+            sfx = sfy = sfz = smx = smy = smz = 0.0
+        else:
+            u_n = vx * nx + vy * ny + vz * nz
+            u_t = vx * tx + vy * ty + vz * tz
+            alpha = math.atan2(-u_n, u_t) + incidence
+
+            # hydro.lift_coeff and drag_coeff, with the row's slope and k
+            cl = lift_slope * alpha + cl_zero
+            cl += gain * deflections.get(control, 0.0)
+            cd = drag_factor * (cl - cl_min_drag) ** 2 + cd_zero
+
+            dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
+            lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
+            norm = math.sqrt(lx * lx + ly * ly + lz * lz)
+            q_s = q_factor * speed**2
+            if norm < 1e-9:
+                # flow along the span: no lift, drag only
+                q_d = q_s * cd
+                sfx, sfy, sfz = q_d * dx, q_d * dy, q_d * dz
+            else:
+                sfx = q_s * (cl * (lx / norm) + cd * dx)
+                sfy = q_s * (cl * (ly / norm) + cd * dy)
+                sfz = q_s * (cl * (lz / norm) + cd * dz)
+            smx = cy * sfz - cz * sfy
+            smy = cz * sfx - cx * sfz
+            smz = cx * sfy - cy * sfx
         fx += sfx
         fy += sfy
         fz += sfz

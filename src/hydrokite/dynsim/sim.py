@@ -11,9 +11,12 @@ Inside ``Simulator.run`` the state is one Python list of floats:
 ``derivative`` and ``rk4_step`` take and return lists, so a step makes no
 NumPy call on the state; ``initial_state`` builds it in floats too.  ``run``
 converts its starting array once, and ``SimResult.final_state`` is an array
-again.  One BLAS product remains: the path scan in ``nearest_path_position``
-multiplies the kite's unit direction by its 61 candidate directions, which
-it builds once per path position and reuses while the position stands.
+again.  ``derivative`` sums three float kernels written on scalars:
+``tether_forces`` (one pass over the links, winch to kite),
+``net_force_moment`` and ``coriolis_force``.  One BLAS product remains:
+the path scan in ``nearest_path_position`` multiplies the kite's unit
+direction by its 61 candidate directions, which it builds once per path
+position and reuses while the position stands.
 """
 
 from __future__ import annotations

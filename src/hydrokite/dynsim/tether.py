@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kite import GRAVITY
 from ..hydro import FlowEnv
@@ -31,7 +32,7 @@ class TetherProperties:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    @cached_property
     def section_area(self) -> float:
         return math.pi * self.radius**2
 
@@ -61,51 +62,68 @@ def tether_forces(
     length (uniform spooling).  The node forces come back in the same flat
     layout.
     """
-    n = props.n_nodes
-    chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
-    chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
+    n3 = 3 * props.n_nodes
     k, damp, _ = props.link_constants(rest_length)
-
-    # pull of each link on its outer end, winch to kite.  The cable cannot
-    # push: a slack link carries nothing and a taut one's damped pull
-    # floors at zero; the distance is floored only where it divides, for
-    # a zero-length link
-    pulls = []
-    for i in range(0, 3 * n + 3, 3):
-        sx = chain_pos[i + 3] - chain_pos[i]
-        sy = chain_pos[i + 4] - chain_pos[i + 1]
-        sz = chain_pos[i + 5] - chain_pos[i + 2]
-        dist = math.sqrt(sx * sx + sy * sy + sz * sz)
-        mag = 0.0
-        if dist >= rest_length:
-            safe = max(dist, 1e-12)
-            stretch_rate = (sx * (chain_vel[i + 3] - chain_vel[i])
-                            + sy * (chain_vel[i + 4] - chain_vel[i + 1])
-                            + sz * (chain_vel[i + 5] - chain_vel[i + 2])) / safe
-            mag = max(k * (dist - rest_length) + damp * stretch_rate, 0.0) / safe
-        pulls += (-mag * sx, -mag * sy, -mag * sz)
-
     # buoyancy net of weight, on each node's share of cable length
     lift = ((flow.density - props.density) * props.section_area * GRAVITY
             * rest_length)
     # cross-flow drag on the projected strip, tangential component dropped
     drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
-    forces = []
-    for i in range(0, 3 * n, 3):
-        tx = chain_pos[i + 6] - chain_pos[i]
-        ty = chain_pos[i + 7] - chain_pos[i + 1]
-        tz = chain_pos[i + 8] - chain_pos[i + 2]
-        t_norm = max(math.sqrt(tx * tx + ty * ty + tz * tz), 1e-12)
-        tx, ty, tz = tx / t_norm, ty / t_norm, tz / t_norm
-        ax = flow.speed - chain_vel[i + 3]
-        ay = -chain_vel[i + 4]
-        az = -chain_vel[i + 5]
-        along = ax * tx + ay * ty + az * tz
-        nx, ny, nz = ax - along * tx, ay - along * ty, az - along * tz
-        drag_n = drag * math.sqrt(nx * nx + ny * ny + nz * nz)
-        forces += (pulls[i] - pulls[i + 3] + drag_n * nx,
-                   pulls[i + 1] - pulls[i + 4] + drag_n * ny,
-                   pulls[i + 2] - pulls[i + 5] + lift + drag_n * nz)
+    flow_speed = flow.speed
 
-    px, py, pz = pulls[0:3]
-    return forces, tuple(pulls[3 * n:]), math.sqrt(px * px + py * py + pz * pz)
+    # one pass, winch to kite.  Link i joins chain point a (the winch for
+    # i = 0) to chain point b (the attachment for the last link); once its
+    # pull is known, node a has both links and both neighbours, h behind
+    # and b ahead, and its force is finished.  The cable cannot push: a
+    # slack link carries nothing and a taut one's damped pull floors at
+    # zero; the distance is floored only where it divides, for a
+    # zero-length link.  Each floor is a comparison that gives what max()
+    # would, NaN and -0.0 included
+    forces = [0.0] * n3
+    hx = hy = hz = 0.0
+    ax = ay = az = au = av = aw = 0.0
+    px = py = pz = 0.0
+    for i in range(0, n3 + 3, 3):
+        if i < n3:
+            bx, by, bz = node_pos[i], node_pos[i + 1], node_pos[i + 2]
+            bu, bv, bw = node_vel[i], node_vel[i + 1], node_vel[i + 2]
+        else:
+            bx, by, bz = attach_pos
+            bu, bv, bw = attach_vel
+        sx = bx - ax
+        sy = by - ay
+        sz = bz - az
+        dist = math.sqrt(sx * sx + sy * sy + sz * sz)
+        mag = 0.0
+        if dist >= rest_length:
+            safe = 1e-12 if dist < 1e-12 else dist
+            stretch_rate = (sx * (bu - au) + sy * (bv - av)
+                            + sz * (bw - aw)) / safe
+            pull = k * (dist - rest_length) + damp * stretch_rate
+            mag = (0.0 if pull < 0.0 else pull) / safe
+        qx, qy, qz = -mag * sx, -mag * sy, -mag * sz
+
+        if i:
+            tx = bx - hx
+            ty = by - hy
+            tz = bz - hz
+            t_norm = math.sqrt(tx * tx + ty * ty + tz * tz)
+            if t_norm < 1e-12:
+                t_norm = 1e-12
+            tx, ty, tz = tx / t_norm, ty / t_norm, tz / t_norm
+            rx = flow_speed - au
+            ry = -av
+            rz = -aw
+            along = rx * tx + ry * ty + rz * tz
+            nx, ny, nz = rx - along * tx, ry - along * ty, rz - along * tz
+            drag_n = drag * math.sqrt(nx * nx + ny * ny + nz * nz)
+            forces[i - 3] = px - qx + drag_n * nx
+            forces[i - 2] = py - qy + drag_n * ny
+            forces[i - 1] = pz - qz + lift + drag_n * nz
+        else:
+            tension = math.sqrt(qx * qx + qy * qy + qz * qz)
+        hx, hy, hz = ax, ay, az
+        ax, ay, az, au, av, aw = bx, by, bz, bu, bv, bw
+        px, py, pz = qx, qy, qz
+
+    return forces, (px, py, pz), tension

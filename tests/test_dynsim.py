@@ -3,6 +3,8 @@ tether mechanics, controllers, and integrator order.
 
 The Coriolis term and the tether spring chain have exact analytic
 references; the integrator order is checked by Richardson step halving.
+The tether chain, the surface force sum and the Coriolis term must also
+equal, bit for bit, straightforward reference forms kept in this file.
 """
 
 import dataclasses
@@ -32,11 +34,11 @@ from hydrokite.dynsim import (
     path_angles,
     path_point,
     spool_phase,
-    surface_force_moment,
     tether_forces,
     winch_command,
 )
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
+from hydrokite.dynsim.kite import GRAVITY
 from hydrokite.dynsim.paths import _scan_points, path_direction, sphere_point
 from hydrokite.dynsim.sim import quat_from_rot, quat_to_rot
 from hydrokite.errors import (
@@ -69,6 +71,16 @@ def tau(props, rot, nu, deflections, flow=STILL_WATER):
     """Generalized force with no tether pull."""
     return np.array(net_force_moment(ForceTable.of(props, flow), rot, nu,
                                      (0.0, 0.0, 0.0), deflections))
+
+
+def surface_alone(row, nu):
+    """Force and moment of one surface row: net_force_moment with no
+    weight, buoyancy or tether force, at identity rotation."""
+    zero = (0.0, 0.0, 0.0)
+    table = ForceTable(0.0, 0.0, zero, zero, zero, (row,))
+    out = net_force_moment(table, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                   (0.0, 0.0, 1.0)), nu, zero, {})
+    return np.array(out[:3]), np.array(out[3:])
 
 
 def rotation(state):
@@ -258,8 +270,7 @@ def test_surface_force_hand_value():
     surf = SurfaceDef("s", np.zeros(3), np.array([0.0, 0.0, 1.0]),
                       np.array([0.0, 1.0, 0.0]), foil, 6.0, 1.0)
     nu = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    force, moment = surface_force_moment(SurfaceRow.of(surf, 2.0, 1000.0),
-                                         nu, 0.0)
+    force, moment = surface_alone(SurfaceRow.of(surf, 2.0, 1000.0), nu)
     q_s = 0.5 * 1000.0 * 2.0 * 16.0
     cl = 0.16
     cd = (1.0 / (math.pi * 0.92 * 6.0) + 0.03) * (0.16 - 0.02) ** 2 + 0.0065
@@ -267,6 +278,7 @@ def test_surface_force_hand_value():
     assert force[0] == pytest.approx(-q_s * cd, rel=1e-12)
     assert force[1] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(moment, 0.0)
+    assert np.allclose(moment, np.cross(surf.center, force))
 
 
 def test_surface_force_lift_drag_decomposition():
@@ -286,9 +298,7 @@ def test_surface_force_lift_drag_decomposition():
         nu = np.concatenate([rng.normal(scale=3.0, size=3), np.zeros(3)])
         v = nu[:3]
         speed = np.linalg.norm(v)
-        force, moment = surface_force_moment(SurfaceRow.of(surf, 2.5, 1000.0),
-                                             nu, 0.0)
-        force = np.array(force)
+        force, moment = surface_alone(SurfaceRow.of(surf, 2.5, 1000.0), nu)
         q_s = 0.5 * 1000.0 * 2.5 * 0.7 * speed**2
         u_n = float(v @ normal)
         u_t = float(v @ surf.chordwise)
@@ -457,6 +467,260 @@ def test_chain_mode_frequency():
         crossings.append(t0 - dt * track[i + 1] / (track[i + 1] - track[i]))
     omega_measured = math.pi * (len(crossings) - 1) / (crossings[-1] - crossings[0])
     assert omega_measured == pytest.approx(omega_exact, rel=5e-3)
+
+
+# -- the flight kernels against reference forms -----------------------------
+# The references are a two-pass tether chain (all link pulls, then all node
+# forces), a force sum that calls one function per surface, and a Coriolis
+# term built from a 6x6 matrix-vector product and cross products.  The
+# kernels do the same arithmetic in the same order, so they must give the
+# same floats, bit for bit.
+
+def reference_tether_forces(node_pos, node_vel, attach_pos, attach_vel,
+                            rest_length, props, flow):
+    n = props.n_nodes
+    chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
+    chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
+    k, damp, _ = props.link_constants(rest_length)
+    pulls = []
+    for i in range(0, 3 * n + 3, 3):
+        sx = chain_pos[i + 3] - chain_pos[i]
+        sy = chain_pos[i + 4] - chain_pos[i + 1]
+        sz = chain_pos[i + 5] - chain_pos[i + 2]
+        dist = math.sqrt(sx * sx + sy * sy + sz * sz)
+        mag = 0.0
+        if dist >= rest_length:
+            safe = max(dist, 1e-12)
+            stretch_rate = (sx * (chain_vel[i + 3] - chain_vel[i])
+                            + sy * (chain_vel[i + 4] - chain_vel[i + 1])
+                            + sz * (chain_vel[i + 5] - chain_vel[i + 2])) / safe
+            mag = max(k * (dist - rest_length) + damp * stretch_rate, 0.0) / safe
+        pulls += (-mag * sx, -mag * sy, -mag * sz)
+    lift = ((flow.density - props.density) * props.section_area * GRAVITY
+            * rest_length)
+    drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
+    forces = []
+    for i in range(0, 3 * n, 3):
+        tx = chain_pos[i + 6] - chain_pos[i]
+        ty = chain_pos[i + 7] - chain_pos[i + 1]
+        tz = chain_pos[i + 8] - chain_pos[i + 2]
+        t_norm = max(math.sqrt(tx * tx + ty * ty + tz * tz), 1e-12)
+        tx, ty, tz = tx / t_norm, ty / t_norm, tz / t_norm
+        ax = flow.speed - chain_vel[i + 3]
+        ay = -chain_vel[i + 4]
+        az = -chain_vel[i + 5]
+        along = ax * tx + ay * ty + az * tz
+        nx, ny, nz = ax - along * tx, ay - along * ty, az - along * tz
+        drag_n = drag * math.sqrt(nx * nx + ny * ny + nz * nz)
+        forces += (pulls[i] - pulls[i + 3] + drag_n * nx,
+                   pulls[i + 1] - pulls[i + 4] + drag_n * ny,
+                   pulls[i + 2] - pulls[i + 5] + lift + drag_n * nz)
+    px, py, pz = pulls[0:3]
+    return forces, tuple(pulls[3 * n:]), math.sqrt(px * px + py * py + pz * pz)
+
+
+def reference_cross3(a, b):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def reference_surface_force_moment(row, nu, deflection):
+    ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+     lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, _, gain,
+     q_factor) = row
+    u, v, w, p, q, r = nu
+    vx = u + (q * cz - r * cy)
+    vy = v + (r * cx - p * cz)
+    vz = w + (p * cy - q * cx)
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if speed < 1e-9:
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    u_n = vx * nx + vy * ny + vz * nz
+    u_t = vx * tx + vy * ty + vz * tz
+    alpha = math.atan2(-u_n, u_t) + incidence
+    cl = lift_slope * alpha + cl_zero
+    cl += gain * deflection
+    cd = drag_factor * (cl - cl_min_drag) ** 2 + cd_zero
+    dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
+    lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
+    norm = math.sqrt(lx * lx + ly * ly + lz * lz)
+    q_s = q_factor * speed**2
+    if norm < 1e-9:
+        q_d = q_s * cd
+        fx, fy, fz = q_d * dx, q_d * dy, q_d * dz
+    else:
+        fx = q_s * (cl * (lx / norm) + cd * dx)
+        fy = q_s * (cl * (ly / norm) + cd * dy)
+        fz = q_s * (cl * (lz / norm) + cd * dz)
+    return (fx, fy, fz), (cy * fz - cz * fy, cz * fx - cx * fz,
+                          cx * fy - cy * fx)
+
+
+def reference_net_force_moment(table, rotation, nu, tether_force, deflections):
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    w_b = -table.weight
+    b_b = table.buoyancy
+    weight = (r20 * w_b, r21 * w_b, r22 * w_b)
+    buoyancy = (r20 * b_b, r21 * b_b, r22 * b_b)
+    tx, ty, tz = tether_force
+    f_thr = (r00 * tx + r10 * ty + r20 * tz,
+             r01 * tx + r11 * ty + r21 * tz,
+             r02 * tx + r12 * ty + r22 * tz)
+    fx = weight[0] + buoyancy[0] + f_thr[0]
+    fy = weight[1] + buoyancy[1] + f_thr[1]
+    fz = weight[2] + buoyancy[2] + f_thr[2]
+    m_cg = reference_cross3(table.r_cg, weight)
+    m_cb = reference_cross3(table.r_cb, buoyancy)
+    m_thr = reference_cross3(table.r_attach, f_thr)
+    mx = m_cg[0] + m_cb[0] + m_thr[0]
+    my = m_cg[1] + m_cb[1] + m_thr[1]
+    mz = m_cg[2] + m_cb[2] + m_thr[2]
+    for row in table.surfaces:
+        (sfx, sfy, sfz), (smx, smy, smz) = reference_surface_force_moment(
+            row, nu, deflections.get(row.control, 0.0))
+        fx += sfx
+        fy += sfy
+        fz += sfz
+        mx += smx
+        my += smy
+        mz += smz
+    return (fx, fy, fz, mx, my, mz)
+
+
+def reference_coriolis_force(mass_rows, nu):
+    v0, v1, v2, v3, v4, v5 = nu
+    p = [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5
+         for m0, m1, m2, m3, m4, m5 in mass_rows]
+    p_lin, p_ang = p[:3], p[3:]
+    v, omega = nu[:3], nu[3:]
+    lin, ang = reference_cross3(v, p_lin), reference_cross3(omega, p_ang)
+    return reference_cross3(omega, p_lin) + (lin[0] + ang[0], lin[1] + ang[1],
+                                             lin[2] + ang[2])
+
+
+def bits(values):
+    """The floats' exact bit patterns: -0.0 differs from 0.0, NaN equals NaN."""
+    return [float(x).hex() for x in values]
+
+
+def random_chain(rng, case):
+    """A seeded tether state near a straight line, some links slack, some
+    taut, some shortening fast enough to floor their pull at zero."""
+    props = TetherProperties(n_nodes=int(rng.integers(1, 9)),
+                             radius=rng.uniform(0.02, 0.08),
+                             density=rng.uniform(950.0, 1050.0),
+                             damping_ratio=rng.uniform(0.0, 1.0))
+    flow = FlowEnv(speed=rng.uniform(0.0, 2.5), density=rng.uniform(990.0, 1030.0))
+    n = props.n_nodes
+    rest = rng.uniform(1.0, 30.0)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    links = axis + rng.normal(scale=0.05, size=(n + 1, 3))
+    links *= (rest * (1.0 + rng.uniform(-2e-4, 2e-4, size=(n + 1, 1)))
+              / np.linalg.norm(links, axis=1, keepdims=True))
+    chain = np.cumsum(links, axis=0)
+    vel = rng.normal(scale=0.5, size=(n + 1, 3))
+    if case == 0:
+        chain[0] = 0.0                    # node at the winch: zero-length link
+    elif case == 1 and n >= 2:
+        chain[1] = 0.0                    # node 0's neighbours coincide
+    elif case == 2 and n >= 3:
+        chain[2] = chain[0]               # node 1's neighbours coincide
+    elif case == 3:
+        rest = 1e-13                      # taut links shorter than the floor
+        chain[0] = (3e-13, 0.0, 0.0)
+    pos = chain.ravel().tolist()
+    flat_vel = vel.ravel().tolist()
+    return (pos[:3 * n], flat_vel[:3 * n], pos[3 * n:], flat_vel[3 * n:],
+            rest, props, flow)
+
+
+def test_tether_forces_matches_the_two_pass_reference():
+    rng = np.random.default_rng(20261019)
+    kinds = {"slack": 0, "taut": 0, "floored": 0}
+    for draw in range(200):
+        args = random_chain(rng, draw % 10)
+        forces, kite_force, tension = tether_forces(*args)
+        ref_forces, ref_kite, ref_tension = reference_tether_forces(*args)
+        assert forces == ref_forces
+        assert kite_force == ref_kite
+        assert tension == ref_tension
+        assert bits([*forces, *kite_force, tension]) == bits(
+            [*ref_forces, *ref_kite, ref_tension])
+        node_pos, node_vel, attach_pos, attach_vel, rest, props, _ = args
+        chain = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
+        speeds = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
+        k, damp, _ = props.link_constants(rest)
+        for i in range(0, len(chain) - 3, 3):
+            s = np.subtract(chain[i + 3:i + 6], chain[i:i + 3])
+            dist = float(np.linalg.norm(s))
+            if dist < rest:
+                kinds["slack"] += 1
+            else:
+                rate = s @ np.subtract(speeds[i + 3:i + 6], speeds[i:i + 3]) / dist
+                kinds["floored" if k * (dist - rest) + damp * rate < 0.0
+                      else "taut"] += 1
+    assert min(kinds.values()) > 50
+
+
+def test_tether_forces_floors_keep_nan_like_the_reference():
+    rng = np.random.default_rng(5)
+    for field in range(4):
+        args = list(random_chain(rng, 9))
+        args[field] = [math.nan, *args[field][1:]]
+        out = tether_forces(*args)
+        ref = reference_tether_forces(*args)
+        assert bits([*out[0], *out[1], out[2]]) == bits([*ref[0], *ref[1], ref[2]])
+
+
+def test_net_force_moment_matches_the_per_surface_reference():
+    rng = np.random.default_rng(20261020)
+    tables = [ForceTable.of(mid_size_kite(), FlowEnv()),
+              ForceTable.of(mid_size_kite(aileron_gain=0.7),
+                            FlowEnv(speed=1.0, density=1025.0))]
+    for draw in range(200):
+        table = tables[draw % 2]
+        q = rng.normal(size=4)
+        rot = quat_to_rot((q / np.linalg.norm(q)).tolist())
+        nu = rng.normal(scale=2.0, size=6).tolist()
+        if draw % 10 == 0:
+            nu = [0.0] * 6                # every surface in still water
+        elif draw % 10 == 1:
+            nu = [0.0, 3.0, 0.0, 0.0, 0.0, 0.0]   # flow along the wing span
+        tether = rng.normal(scale=1e4, size=3).tolist()
+        deflections = {"aileron": rng.uniform(-0.3, 0.3),
+                       "elevator": rng.uniform(-0.3, 0.3)}
+        if draw % 3:
+            deflections["rudder"] = rng.uniform(-0.3, 0.3)
+        out = net_force_moment(table, rot, nu, tether, deflections)
+        ref = reference_net_force_moment(table, rot, nu, tether, deflections)
+        assert out == ref
+        assert bits(out) == bits(ref)
+    # every sum starts at -0.0 and every surface is in still water: the
+    # surfaces' zeros are still added, so the sums come back +0.0
+    signed = dataclasses.replace(tables[0], weight=0.0, buoyancy=-0.0)
+    identity = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    args = (signed, identity, [0.0] * 6, (-0.0, -0.0, -0.0), {})
+    out = net_force_moment(*args)
+    assert bits(out[:3]) == ["0x0.0p+0"] * 3
+    assert bits(out) == bits(reference_net_force_moment(*args))
+
+
+def test_coriolis_force_matches_the_matvec_reference():
+    rng = np.random.default_rng(20261021)
+    kite_rows = Simulator(mid_size_kite(), TetherProperties(),
+                          BasisParams()).mass_rows
+    for draw in range(200):
+        rows = kite_rows
+        if draw % 2:
+            a = rng.normal(size=(6, 6))
+            rows = (a @ a.T + 6.0 * np.eye(6)).tolist()
+        nu = rng.normal(scale=3.0, size=6).tolist()
+        out = coriolis_force(rows, nu)
+        ref = reference_coriolis_force(rows, nu)
+        assert out == ref
+        assert bits(out) == bits(ref)
 
 
 # -- integration ------------------------------------------------------------
