@@ -88,6 +88,7 @@ class KiteDesign:
     length: float
     wall_pct: float
     m_wing: float
+    wing_inertia: float  # m^4, of the wing section
     m_fuse: float
     volume: float
     power: float
@@ -134,14 +135,16 @@ def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
     s, ar, n_sp, t_sp, t_sw, d, length, t_sf = vals
     n_spars = int(round(n_sp))
     planform = WingPlanform(s, ar)
-    wing = WingStructureDesign(n_spars, t_sp, t_sw)
+    section = section_properties(WingStructureDesign(n_spars, t_sp, t_sw),
+                                 planform.chord, ctx.foil,
+                                 n_stations=ctx.grid.n_stations)
     hull = FuselageDesign(d, length, t_sf)
     return KiteDesign(
         span=s, aspect_ratio=ar, n_spars=n_spars,
         spar_width_pct=t_sp, shell_pct=t_sw,
         diameter=d, length=length, wall_pct=t_sf,
-        m_wing=wing_mass(planform, wing, ctx.material, ctx.foil,
-                         n_stations=ctx.grid.n_stations),
+        m_wing=wing_mass(planform, section.area, ctx.material),
+        wing_inertia=section.inertia,
         m_fuse=fuse_mass(hull, ctx.material),
         volume=displaced_volume(planform, d, length, ctx.rule, ctx.foil),
         power=power_of(s, ar, ctx),
@@ -159,22 +162,19 @@ def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
     """Constraint margins for one design; all >= 0 means feasible.
 
     Margins are normalized (allowable/actual - 1 or fractional slack) so a
-    single floor applies across constraints.
+    single floor applies across constraints.  The wing's margin reads the
+    inertia ``evaluate_design`` recorded; ``audit_design`` checks it.
     """
     planform = WingPlanform(design.span, design.aspect_ratio)
     load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
     i_req = required_inertia(design.span, load, ctx.material)
-    section = section_properties(
-        WingStructureDesign(design.n_spars, design.spar_width_pct,
-                            design.shell_pct),
-        planform.chord, ctx.foil, n_stations=ctx.grid.n_stations)
     hull = FuselageDesign(design.diameter, design.length, design.wall_pct)
     floads = rated_fuselage_loads(
         planform, design.length, ctx.flow, ctx.foil_coeffs, ctx.rule)
     fm = constraint_margins(hull, floads, ctx.material)
     displaced = ctx.flow.density * design.volume
     return {
-        "wing_inertia": section.inertia / i_req - 1.0,
+        "wing_inertia": design.wing_inertia / i_req - 1.0,
         "fuse_shear": fm.shear,
         "fuse_hoop": fm.hoop,
         "fuse_buckling": fm.buckling,
@@ -185,11 +185,21 @@ def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
 def audit_design(design: KiteDesign, ctx: DesignContext,
                  p_req: Optional[float] = None) -> dict:
     """Independent feasibility audit; adds power-target consistency when
-    a required power is given."""
+    a required power is given.
+
+    The recorded power and wing inertia are recomputed from the layout.
+    The section is deterministic, so an honest inertia matches exactly.
+    """
     margins = design_margins(design, ctx)
     power = power_of(design.span, design.aspect_ratio, ctx)
     margins["power_recompute"] = (
         ctx.grid.power_tol - abs(power - design.power) / max(power, 1e-12))
+    inertia = section_properties(
+        WingStructureDesign(design.n_spars, design.spar_width_pct,
+                            design.shell_pct),
+        design.chord, ctx.foil, n_stations=ctx.grid.n_stations).inertia
+    margins["wing_recompute"] = (
+        -abs(inertia - design.wing_inertia) / max(inertia, 1e-12))
     if p_req is not None:
         margins["power_target"] = (
             ctx.grid.power_tol - abs(design.power - p_req) / p_req)
@@ -468,13 +478,10 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
     pop[:, 2] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1,
                                  size=cfg.population)
 
-    for generation in range(cfg.generations + 1):
-        scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
-        fitness = np.array([s[0] for s in scored])
-        if generation == cfg.generations:
-            break
-        order = np.argsort(-fitness, kind="stable")
-        elite = pop[order[:cfg.elite]]
+    scored = [_ga_fitness(u, w, p_min, ctx) for u in pop]
+    fitness = np.array([s[0] for s in scored])
+    for _ in range(cfg.generations):
+        elite = np.argsort(-fitness, kind="stable")[:cfg.elite]
         children = []
         while len(children) < cfg.population - cfg.elite:
             picks = rng.integers(0, cfg.population, size=(2, cfg.tournament))
@@ -494,7 +501,12 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
                 np.clip(child, lo, hi, out=child)
                 child[2] = float(int(round(child[2])))
                 children.append(child)
-        pop = np.vstack([elite, np.array(children[:cfg.population - cfg.elite])])
+        children = children[:cfg.population - cfg.elite]
+        pop = np.vstack([pop[elite], np.array(children)])
+        # the elite keep their scores; only the children are new
+        scored = ([scored[i] for i in elite]
+                  + [_ga_fitness(u, w, p_min, ctx) for u in children])
+        fitness = np.array([s[0] for s in scored])
 
     # elitism keeps the best genome ever scored in the last population
     best_fit, best_design = scored[int(np.argmax(fitness))]

@@ -18,7 +18,6 @@ floor derived from a cantilever tip-deflection limit on the half wing.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -121,10 +120,6 @@ class SectionProperties:
     y_neutral: float  # m, above the chord line
 
 
-# entries in each SectionIntegrator's memo of section properties
-SECTION_MEMO_SIZE = 256
-
-
 class SectionIntegrator:
     """Closed-form vertical-strip integrator for the shell + spar section.
 
@@ -149,13 +144,6 @@ class SectionIntegrator:
     the closed-strip sums over at most five merged index ranges plus the
     open-strip polynomials summed over the rest: a few bisections and a few
     dozen float operations per call, with no array work.
-
-    ``properties`` is memoized per integrator on the frozen design, in an
-    LRU of ``SECTION_MEMO_SIZE`` entries: the sizing searches revisit
-    layouts, and ``codesign.design_margins`` re-integrates the section that
-    ``evaluate_design`` just integrated.  Designs that compare equal share
-    an entry (spar width 0.0 and -0.0 give the same section).  The memo
-    lives on the instance, so it goes with the integrator.
     """
 
     def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = 2000):
@@ -196,14 +184,9 @@ class SectionIntegrator:
         prefix = np.zeros((len(coeffs), n_stations + 1))
         np.cumsum(coeffs, axis=1, out=prefix[:, 1:])
         self._prefix = prefix.tolist()
-        self._memo = functools.lru_cache(maxsize=SECTION_MEMO_SIZE)(self._section)
 
     def properties(self, design: WingStructureDesign) -> SectionProperties:
         """Unit-chord area, inertia about the neutral axis, and its height."""
-        return self._memo(design)
-
-    def _section(self, design: WingStructureDesign) -> SectionProperties:
-        """``properties`` without the memo."""
         t = design.shell_pct / 100.0 * self.t_max
         if t > 0.5 * self.t_max:
             raise GeometryError(
@@ -273,16 +256,10 @@ def section_properties(
     )
 
 
-def wing_mass(
-    planform: WingPlanform,
-    design: WingStructureDesign,
-    material: Material = Material(),
-    foil: FourDigitFoil = FourDigitFoil(),
-    n_stations: int = 2000,
-) -> float:
-    """Wing structural mass in kg: density * span * section area."""
-    props = section_properties(design, planform.chord, foil, n_stations=n_stations)
-    return material.density * planform.span * props.area
+def wing_mass(planform: WingPlanform, area: float,
+              material: Material = Material()) -> float:
+    """Wing structural mass in kg: density * span * section area (m^2)."""
+    return material.density * planform.span * area
 
 
 def required_inertia(
@@ -337,24 +314,24 @@ class WingSizing:
 
 
 def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
-    """Smallest spar width (fraction of chord) meeting the inertia floor.
+    """Narrowest spar web meeting the inertia floor, as (design, unit props).
 
     Returns None when even the widest admissible web falls short.  Inertia is
     non-decreasing in web width, so a bracketing root solve applies.
     """
-    w_hi = SPAR_WIDTH_MAX_PCT / 100.0
-
-    def shortfall(w):
+    def size(w):
         d = WingStructureDesign(n_spars, w * 100.0, shell_pct)
-        return integ.properties(d).inertia - i_req_hat
+        return d, integ.properties(d)
 
-    f_lo = shortfall(0.0)
+    narrow = size(0.0)
+    f_lo = narrow[1].inertia - i_req_hat
     if f_lo >= 0.0:
-        return 0.0
-    f_hi = shortfall(w_hi)
+        return narrow
+    lo, hi = 0.0, SPAR_WIDTH_MAX_PCT / 100.0
+    wide = size(hi)
+    f_hi = wide[1].inertia - i_req_hat
     if f_hi < 0.0:
         return None
-    lo, hi = 0.0, w_hi
     for _ in range(60):
         if hi - lo <= SPAR_WIDTH_TOL * 0.01:
             break
@@ -362,14 +339,15 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
         # bracket holds f_hi >= 0 > f_lo, so the secant slope is positive
         w = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
         w = min(max(w, lo + 0.1 * (hi - lo)), hi - 0.1 * (hi - lo))
-        f = shortfall(w)
+        cell = size(w)
+        f = cell[1].inertia - i_req_hat
         if f >= 0.0:
-            hi, f_hi = w, f
+            hi, f_hi, wide = w, f, cell
         else:
             lo, f_lo = w, f
     # widths below the search resolution round up rather than down so the
     # returned layout always satisfies the floor
-    return max(hi, SPAR_WIDTH_TOL)
+    return size(SPAR_WIDTH_TOL) if hi < SPAR_WIDTH_TOL else wide
 
 
 def swdt_optimize(
@@ -381,10 +359,13 @@ def swdt_optimize(
 ) -> WingSizing:
     """Minimum-mass wing structure subject to the tip-deflection inertia floor.
 
-    Searches spar count in {1, 2, 3} and the two continuous thicknesses.  For
-    each spar count, a shell-thickness sweep with an inner bisection on spar
+    Searches spar count in {1, 2, 3} and the two continuous thicknesses.
+    Inertia rises with both thicknesses, so a spar count whose widest web in
+    its thickest shell misses the floor is skipped after that one section.
+    For the others, a shell-thickness sweep with an inner bisection on spar
     width traces the active-constraint boundary; the sweep winner is refined
-    locally.  Ties break toward fewer spars, then narrower ones.
+    locally.  More spars win only with at least 0.01% less area, so ties
+    break toward fewer spars.
 
     Raises Infeasible when no admissible layout reaches the inertia floor.
     """
@@ -393,46 +374,30 @@ def swdt_optimize(
     i_req = required_inertia(planform.span, load, material)
     i_req_hat = i_req / c**4
 
-    best = None  # (area, n_spars, spar_pct, design, props)
+    best = None  # (design, unit props)
     for n_spars in sorted(SPAR_STATIONS):
-        def area_at(shell_pct, _n=n_spars):
-            w = _min_spar_width(integ, _n, shell_pct, i_req_hat)
-            if w is None:
-                return None, None
-            d = WingStructureDesign(_n, w * 100.0, shell_pct)
-            return integ.properties(d), d
-
+        corner = WingStructureDesign(n_spars, SPAR_WIDTH_MAX_PCT, SHELL_MAX_PCT)
+        if integ.properties(corner).inertia < i_req_hat:
+            continue
         # staged shell sweeps; the grids are shared across spar counts so
-        # branches that collapse to the same shell-only layout tie exactly
-        props_b = d_b = None
+        # branches that collapse to the same shell-only layout tie exactly.
+        # The corner passes, so the thickest shell of every stage does too.
         center, half_width = 0.5 * SHELL_MAX_PCT, 0.5 * SHELL_MAX_PCT
         for n_pts in (41, 41, 21):
             lo = max(0.0, center - half_width)
             hi = min(SHELL_MAX_PCT, center + half_width)
-            best_cell = None
+            cell = None  # (unrounded shell, design, unit props)
             grid = np.linspace(lo, hi, n_pts)
             # each point is sized at its grid value rounded to 9 decimals by
             # NumPy; the next stage centres on the unrounded grid value
             for sp, sp_round in zip(grid.tolist(), np.round(grid, 9).tolist()):
-                props, d = area_at(sp_round)
-                if props is None:
-                    continue
-                if best_cell is None or props.area < best_cell[0]:
-                    best_cell = (props.area, sp, props, d)
-            if best_cell is None:
-                break
-            _, center, props_b, d_b = best_cell
+                sized = _min_spar_width(integ, n_spars, sp_round, i_req_hat)
+                if sized is not None and (cell is None or sized[1].area < cell[2].area):
+                    cell = (sp, *sized)
+            center = cell[0]
             half_width = (hi - lo) / (n_pts - 1)
-        if props_b is None:
-            continue
-
-        cand = (props_b.area, n_spars, d_b.spar_width_pct, d_b, props_b)
-        if best is None or cand[0] < best[0] * (1.0 - 1e-4):
-            best = cand
-        elif cand[0] <= best[0] * (1.0 + 1e-4):
-            # tie within search resolution: prefer fewer spars, then narrower
-            if (cand[1], cand[2]) < (best[1], best[2]):
-                best = cand
+        if best is None or cell[2].area < best[1].area * (1.0 - 1e-4):
+            best = cell[1:]
 
     if best is None:
         raise Infeasible(
@@ -440,47 +405,45 @@ def swdt_optimize(
             detail={"inertia_required_m4": i_req},
         )
 
-    _, n_spars, _, design, props = best
     # polish the controlling variable so the floor is met with <= 0.1% excess
-    design, props = _tighten(integ, design, i_req_hat)
+    design, props = _tighten(integ, *best, i_req_hat)
     area = props.area * c**2
     inertia = props.inertia * c**4
-    mass = material.density * planform.span * area
     active = i_req > 0.0 and inertia <= 1.02 * i_req
-    return WingSizing(design, mass, inertia, i_req, area, active)
+    return WingSizing(design, wing_mass(planform, area, material), inertia,
+                      i_req, area, active)
 
 
 def _shave(integ, design, i_req_hat, field):
     """Bisect one thickness field down until inertia sits within 0.1% of
-    the floor."""
-    def build(v):
-        return replace(design, **{field: v})
+    the floor; returns the (design, unit props) it stops at."""
+    def size(v):
+        d = replace(design, **{field: v})
+        return d, integ.properties(d)
 
+    zero = size(0.0)
+    if zero[1].inertia >= i_req_hat:
+        return zero
     lo, hi = 0.0, getattr(design, field)
-    if integ.properties(build(lo)).inertia >= i_req_hat:
-        return build(lo)
-    i_hi = integ.properties(design).inertia
+    top = design, integ.properties(design)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        i_mid = integ.properties(build(mid)).inertia
-        if i_mid >= i_req_hat:
-            hi, i_hi = mid, i_mid
+        cell = size(mid)
+        if cell[1].inertia >= i_req_hat:
+            hi, top = mid, cell
         else:
             lo = mid
-        if i_hi <= i_req_hat * 1.001:
+        if top[1].inertia <= i_req_hat * 1.001:
             break
-    return build(hi)
+    return top
 
 
-def _tighten(integ, design, i_req_hat):
+def _tighten(integ, design, props, i_req_hat):
     """Remove excess inertia so the deflection constraint ends up active."""
-    props = integ.properties(design)
     if i_req_hat <= 0.0 or props.inertia <= i_req_hat * 1.001:
         return design, props
     if design.spar_width_pct > 0.0:
-        design = _shave(integ, design, i_req_hat, "spar_width_pct")
-        props = integ.properties(design)
+        design, props = _shave(integ, design, i_req_hat, "spar_width_pct")
     if props.inertia > i_req_hat * 1.001 and design.shell_pct > 0.0:
-        design = _shave(integ, design, i_req_hat, "shell_pct")
-        props = integ.properties(design)
+        design, props = _shave(integ, design, i_req_hat, "shell_pct")
     return design, props

@@ -1,12 +1,13 @@
 """Design-search tests: root enumeration, nesting dominance, GA, hull geometry."""
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
+from hydrokite import codesign
 from hydrokite.codesign import (
     DESIGN_HI, DESIGN_LO, DesignContext, DualPoint, GAConfig, KiteDesign,
     ParetoPoint, SearchGrid, _nelder_mead, audit_design, design_margins, design_record,
@@ -17,6 +18,7 @@ from hydrokite.codesign import (
 from hydrokite.effmap import EffSurface
 from hydrokite.errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
 from hydrokite.hydro import FlowEnv, WingPlanform, loyd_power
+from hydrokite.wingstruct import WingStructureDesign, section_properties
 
 
 def flat_surface(eta=1.0):
@@ -304,6 +306,23 @@ def test_ga_winner_is_feasible_and_above_floor():
     assert point.objective == pytest.approx(expect, rel=1e-12)
 
 
+def test_ga_scores_each_new_genome_once(monkeypatch):
+    ctx = fast_ctx()
+    cfg = ga_cfg()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return score(*args)
+
+    score = codesign._ga_fitness
+    monkeypatch.setattr(codesign, "_ga_fitness", counted)
+    simultaneous_ga(1.0, 350e3, ctx, cfg)
+    # the elite carry their scores into the next generation
+    assert len(calls) == (cfg.population
+                          + (cfg.population - cfg.elite) * cfg.generations)
+
+
 def test_ga_is_deterministic_per_seed():
     ctx = fast_ctx()
     a = simultaneous_ga(1.0, 350e3, ctx, ga_cfg(seed=11))
@@ -419,10 +438,29 @@ def test_audit_flags_a_lying_power_field():
 
 
 def design_field_dict(d):
-    return {k: getattr(d, k) for k in (
-        "span", "aspect_ratio", "n_spars", "spar_width_pct", "shell_pct",
-        "diameter", "length", "wall_pct", "m_wing", "m_fuse", "volume",
-        "power")}
+    return {f.name: getattr(d, f.name) for f in fields(d)}
+
+
+def test_audit_flags_a_lying_wing_inertia():
+    ctx = fast_ctx()
+    honest = evaluate_design(mid_vector(), ctx)
+    assert "wing_inertia" in design_field_dict(honest)
+    margins = audit_design(honest, ctx)
+    assert margins["wing_recompute"] >= 0.0 and margins_ok(margins)
+    liar = KiteDesign(**{**design_field_dict(honest),
+                         "wing_inertia": honest.wing_inertia * 1.05})
+    margins = audit_design(liar, ctx)
+    assert margins["wing_recompute"] < 0.0 and not margins_ok(margins)
+
+
+def test_evaluate_design_records_the_section_inertia():
+    ctx = fast_ctx()
+    design = evaluate_design(mid_vector(), ctx)
+    layout = WingStructureDesign(design.n_spars, design.spar_width_pct,
+                                 design.shell_pct)
+    section = section_properties(layout, design.chord, ctx.foil,
+                                 n_stations=ctx.grid.n_stations)
+    assert design.wing_inertia == section.inertia
 
 
 def test_audit_flags_an_undersized_wall():
