@@ -58,6 +58,12 @@ class DesignRecord:
         return FuselageDesign(self.diameter, self.length, self.wall_pct)
 
 
+def _number(name: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"design {name!r}: {key} must be a number")
+    return float(value)
+
+
 def _parse_record(name: str, data: dict) -> DesignRecord:
     if not isinstance(data, dict):
         raise ConfigError(f"design {name!r} must be a mapping")
@@ -69,15 +75,15 @@ def _parse_record(name: str, data: dict) -> DesignRecord:
     for key in _FLOAT_KEYS:
         if key not in data:
             raise ConfigError(f"design {name!r} is missing {key!r}")
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"design {name!r}: {key} must be a number")
-        kwargs[key] = float(value)
+        kwargs[key] = _number(name, key, data[key])
     for key in _OPTIONAL_FLOAT_KEYS:
         if data.get(key) is not None:
-            kwargs[key] = float(data[key])
-    if data.get("n_spars") is not None:
-        kwargs["n_spars"] = int(data["n_spars"])
+            kwargs[key] = _number(name, key, data[key])
+    n_spars = data.get("n_spars")
+    if n_spars is not None:
+        if isinstance(n_spars, bool) or not isinstance(n_spars, int):
+            raise ConfigError(f"design {name!r}: n_spars must be an integer")
+        kwargs["n_spars"] = n_spars
     kwargs["note"] = str(data.get("note", ""))
     return DesignRecord(**kwargs)
 

@@ -62,17 +62,19 @@ def default_config() -> SuiteConfig:
     return SuiteConfig()
 
 
-def _coerce(section: str, name: str, ftype: Any, raw: Any) -> Any:
+def _coerce(section: str, name: str, ftype: str, raw: Any) -> Any:
+    # every config dataclass is defined under postponed annotations, so
+    # fields() gives each type as its source string
     where = f"{section}.{name}"
-    if ftype is bool or ftype == "bool":
+    if ftype == "bool":
         if not isinstance(raw, bool):
             raise ConfigError(f"{where} must be true or false")
         return raw
-    if ftype is int or ftype == "int":
+    if ftype == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{where} must be an integer")
         return raw
-    if ftype is float or ftype == "float":
+    if ftype == "float":
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{where} must be a number")
         return float(raw)

@@ -5,18 +5,18 @@ from .control import FlightController, FlightGains, WinchParams, winch_command
 from .kite import (
     ForceTable,
     KiteProperties,
-    SurfaceDef,
     SurfaceRow,
     build_kite,
     coriolis_force,
     net_force_moment,
+    surface,
 )
 from .paths import (
     BasisParams,
     interior_angle,
     nearest_path_position,
     path_angles,
-    path_point,
+    path_direction,
     spool_phase,
 )
 from .sim import LapMetrics, SimParams, SimResult, Simulator
@@ -25,8 +25,8 @@ from .tether import TetherProperties, tether_forces
 __all__ = [
     "BasisParams", "FlightController", "FlightGains", "ForceTable",
     "KiteProperties", "LapMetrics", "SimParams", "SimResult", "Simulator",
-    "SurfaceDef", "SurfaceRow", "TetherProperties", "WinchParams",
-    "build_kite", "coriolis_force", "interior_angle", "nearest_path_position",
-    "net_force_moment", "path_angles", "path_point", "spool_phase",
-    "tether_forces", "winch_command",
+    "SurfaceRow", "TetherProperties", "WinchParams", "build_kite",
+    "coriolis_force", "interior_angle", "nearest_path_position",
+    "net_force_moment", "path_angles", "path_direction", "spool_phase",
+    "surface", "tether_forces", "winch_command",
 ]

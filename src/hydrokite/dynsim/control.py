@@ -71,7 +71,7 @@ class FlightController:
     """Stateful PI cascade; one update per control step (zero-order hold).
 
     aileron_gain is the kite's aileron effectiveness in dCL per rad, the
-    magnitude of its aileron surfaces' deflection_gain.
+    magnitude of its aileron surfaces' gain.
     """
 
     def __init__(self, gains: FlightGains, basis: BasisParams, dt: float,

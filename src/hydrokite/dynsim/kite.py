@@ -14,12 +14,17 @@ surface.  They read slices of the simulator state, which is one list of
 floats through every RK4 step of Simulator.run, and return tuples of
 floats.  Rotations are three rows of floats, as quat_to_rot in sim.py
 returns them.
+
+Each surface is described once, as the SurfaceRow the force sum reads:
+surface() takes its geometry, foil and aspect ratio and derives the
+chordwise axis, lift slope and drag factor.  Only the flow-dependent
+1/2 rho S_ref is left to ForceTable, built from the kite and a flow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -75,36 +80,6 @@ def matvec6(rows, v) -> list[float]:
             for m0, m1, m2, m3, m4, m5 in rows]
 
 
-@dataclass(frozen=True)
-class SurfaceDef:
-    """One quasi-steady lifting surface.
-
-    normal is the suction-side unit vector, spanwise the positive-span
-    direction; chordwise follows as spanwise x normal.  Coefficients come
-    from the surface's own foil at its own aspect ratio and are scaled by
-    the area fraction of the kite reference area.  deflection_gain is
-    signed per surface: the starboard aileron's gain is the port one's
-    negated, so one aileron command deflects the pair antisymmetrically.
-    """
-
-    name: str
-    center: np.ndarray
-    normal: np.ndarray
-    spanwise: np.ndarray
-    foil: FoilCoeffs
-    aspect_ratio: float
-    area_fraction: float
-    incidence: float = 0.0
-    control: str = ""            # "aileron" | "elevator" | "rudder" | ""
-    deflection_gain: float = 0.0  # dCL per rad of deflection
-    chordwise: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.chordwise is None:
-            object.__setattr__(self, "chordwise",
-                               np.array(cross3(self.spanwise, self.normal)))
-
-
 @dataclass
 class KiteProperties:
     """Everything the integrator needs to know about the assembled kite."""
@@ -116,7 +91,7 @@ class KiteProperties:
     r_cb: np.ndarray
     r_attach: np.ndarray           # tether attachment
     added_mass: np.ndarray         # 6 diagonal entries
-    surfaces: list[SurfaceDef]
+    surfaces: list[SurfaceRow]
     ref_area: float
     planform: WingPlanform
     structural_mass: float = 0.0
@@ -164,8 +139,19 @@ def coriolis_force(mass_rows, nu) -> tuple[float, ...]:
 
 
 class SurfaceRow(NamedTuple):
-    """One surface in plain floats, for the per-step force sum."""
+    """One quasi-steady lifting surface in plain floats, as the per-step
+    force sum reads it; surface() builds it from a foil.
 
+    normal is the suction-side unit vector, spanwise the positive-span
+    direction and chordwise spanwise x normal.  The lift slope and drag
+    factor are the surface's own foil's at its own aspect ratio, and the
+    forces scale with its fraction of the kite reference area.  gain is
+    the deflection gain in dCL per rad and is signed per surface: the
+    starboard aileron's is the port one's negated, so one aileron command
+    deflects the pair antisymmetrically.
+    """
+
+    name: str
     center: Vec3
     normal: Vec3
     chordwise: Vec3
@@ -176,20 +162,23 @@ class SurfaceRow(NamedTuple):
     drag_factor: float    # induced plus viscous k of the parabolic polar
     cl_min_drag: float
     cd_zero: float
-    control: str
-    gain: float           # deflection_gain
-    q_factor: float       # 1/2 rho S area_fraction: force per CL per speed^2
+    control: str          # "aileron" | "elevator" | "rudder" | ""
+    gain: float
+    area_fraction: float
 
-    @classmethod
-    def of(cls, surface: SurfaceDef, ref_area: float, density: float) -> "SurfaceRow":
-        foil, ar = surface.foil, surface.aspect_ratio
-        return cls(
-            tuple(surface.center.tolist()), tuple(surface.normal.tolist()),
-            tuple(surface.chordwise.tolist()), tuple(surface.spanwise.tolist()),
-            surface.incidence, foil.lift_slope(ar), foil.cl_zero,
-            foil.drag_factor(ar), foil.cl_min_drag, foil.cd_zero,
-            surface.control, surface.deflection_gain,
-            0.5 * density * ref_area * surface.area_fraction)
+
+def surface(name: str, center, normal, spanwise, foil: FoilCoeffs,
+            aspect_ratio: float, area_fraction: float, incidence: float = 0.0,
+            control: str = "", gain: float = 0.0) -> SurfaceRow:
+    """The SurfaceRow of a surface with the given foil and aspect ratio;
+    center, normal and spanwise are body-axis 3-sequences."""
+    normal = tuple(map(float, normal))
+    spanwise = tuple(map(float, spanwise))
+    return SurfaceRow(
+        name, tuple(map(float, center)), normal, cross3(spanwise, normal),
+        spanwise, incidence, foil.lift_slope(aspect_ratio), foil.cl_zero,
+        foil.drag_factor(aspect_ratio), foil.cl_min_drag, foil.cd_zero,
+        control, gain, area_fraction)
 
 
 @dataclass(frozen=True)
@@ -198,6 +187,8 @@ class ForceTable:
 
     Built once per simulator from KiteProperties and FlowEnv; the body
     vectors are in body axes, the weight and buoyancy are magnitudes.
+    q_ref is 1/2 rho S_ref: a surface's force per CL per speed^2 is q_ref
+    times its area fraction.
     """
 
     weight: float
@@ -205,6 +196,7 @@ class ForceTable:
     r_cg: Vec3
     r_cb: Vec3
     r_attach: Vec3
+    q_ref: float
     surfaces: tuple[SurfaceRow, ...]
 
     @classmethod
@@ -214,8 +206,7 @@ class ForceTable:
             flow.density * props.volume * GRAVITY,
             tuple(props.r_cg.tolist()), tuple(props.r_cb.tolist()),
             tuple(props.r_attach.tolist()),
-            tuple(SurfaceRow.of(s, props.ref_area, flow.density)
-                  for s in props.surfaces))
+            0.5 * flow.density * props.ref_area, tuple(props.surfaces))
 
 
 def net_force_moment(
@@ -255,9 +246,10 @@ def net_force_moment(
     # each surface's quasi-steady lift and drag in body axes, and their
     # moment about the body origin
     u, v, w, p, q, r = nu
-    for ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+    q_ref = table.q_ref
+    for (_, (cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
          lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, control,
-         gain, q_factor) in table.surfaces:
+         gain, area_fraction) in table.surfaces:
         vx = u + (q * cz - r * cy)
         vy = v + (r * cx - p * cz)
         vz = w + (p * cy - q * cx)
@@ -278,7 +270,7 @@ def net_force_moment(
             dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
             lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
             norm = math.sqrt(lx * lx + ly * ly + lz * lz)
-            q_s = q_factor * speed**2
+            q_s = q_ref * area_fraction * speed**2
             if norm < 1e-9:
                 # flow along the span: no lift, drag only
                 q_d = q_s * cd
@@ -372,34 +364,24 @@ def build_kite(
         plate_v * x_tail**2 + hull_cross * length**2 / 12.0,
     ])
 
-    ex = np.array([1.0, 0.0, 0.0])
-    ey = np.array([0.0, 1.0, 0.0])
-    ez = np.array([0.0, 0.0, 1.0])
+    ey, ez = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     surfaces = [
-        SurfaceDef("port_wing", np.array([-0.25 * c, 0.25 * s, 0.0]),
-                   ez, ey, foil_coeffs, planform.aspect_ratio, 0.5,
-                   incidence=WING_INCIDENCE,
-                   control="aileron", deflection_gain=aileron_gain),
-        SurfaceDef("starboard_wing", np.array([-0.25 * c, -0.25 * s, 0.0]),
-                   ez, ey, foil_coeffs, planform.aspect_ratio, 0.5,
-                   incidence=WING_INCIDENCE,
-                   control="aileron", deflection_gain=-aileron_gain),
-        SurfaceDef("hstab", np.array([x_tail, 0.0, z_hull]),
-                   ez, ey, foil_coeffs, hstab.aspect_ratio,
-                   rule.hstab_area_fraction,
-                   control="elevator", deflection_gain=ELEVATOR_GAIN),
-        SurfaceDef("vstab", np.array([x_tail, 0.0, z_vstab]),
-                   -ey, ez, FoilCoeffs(gamma=foil_coeffs.gamma,
-                                       e_lift=foil_coeffs.e_lift,
-                                       e_drag=foil_coeffs.e_drag,
-                                       cl_zero=0.0, cl_min_drag=0.0,
-                                       k_visc=foil_coeffs.k_visc,
-                                       cd_zero=foil_coeffs.cd_zero),
-                   vstab.aspect_ratio, rule.vstab_area_fraction,
-                   control="rudder", deflection_gain=RUDDER_GAIN),
-        SurfaceDef("fuselage", np.array([x_hull_mid, 0.0, z_hull]),
-                   ez, ey, FUSELAGE_FOIL, d / length,
-                   (math.pi * d**2 / 4.0) / s_ref),
+        surface("port_wing", (-0.25 * c, 0.25 * s, 0.0), ez, ey, foil_coeffs,
+                planform.aspect_ratio, 0.5, incidence=WING_INCIDENCE,
+                control="aileron", gain=aileron_gain),
+        surface("starboard_wing", (-0.25 * c, -0.25 * s, 0.0), ez, ey,
+                foil_coeffs, planform.aspect_ratio, 0.5,
+                incidence=WING_INCIDENCE, control="aileron", gain=-aileron_gain),
+        surface("hstab", (x_tail, 0.0, z_hull), ez, ey, foil_coeffs,
+                hstab.aspect_ratio, rule.hstab_area_fraction,
+                control="elevator", gain=ELEVATOR_GAIN),
+        # the fin's suction side is starboard (-y, with signed zeros)
+        surface("vstab", (x_tail, 0.0, z_vstab), (-0.0, -1.0, -0.0), ez,
+                replace(foil_coeffs, cl_zero=0.0, cl_min_drag=0.0),
+                vstab.aspect_ratio, rule.vstab_area_fraction,
+                control="rudder", gain=RUDDER_GAIN),
+        surface("fuselage", (x_hull_mid, 0.0, z_hull), ez, ey, FUSELAGE_FOIL,
+                d / length, (math.pi * d**2 / 4.0) / s_ref),
     ]
 
     return KiteProperties(

@@ -41,35 +41,19 @@ class BasisParams:
         return cls(b1, b2, b3, b4)
 
 
-def path_angles(b: BasisParams, p):
-    """(azimuth, elevation) at path position p; p may be an array."""
+def path_angles(b: BasisParams, p: float) -> tuple[float, float]:
+    """(azimuth, elevation) at path position p."""
     q = (b.b1 / b.b2) ** 2
-    if isinstance(p, float):
-        s, c = math.sin(p), math.cos(p)
-    else:
-        s, c = np.sin(p), np.cos(p)
+    s, c = math.sin(p), math.cos(p)
     denom = 1.0 + q * (c * c)
     phi = q * s * c / denom + b.b3
     theta = b.b1 * s / denom + b.b4
     return phi, theta
 
 
-def sphere_point(phi, theta, radius):
-    """Inertial position for spherical angles at the given radius."""
-    ct = np.cos(theta)
-    return radius * np.stack(
-        [ct * np.cos(phi), ct * np.sin(phi), np.sin(theta) * np.ones_like(ct)],
-        axis=-1)
-
-
-def path_point(b: BasisParams, p, radius) -> np.ndarray:
-    phi, theta = path_angles(b, p)
-    return sphere_point(phi, theta, radius)
-
-
 def path_direction(b: BasisParams, p: float) -> tuple[float, float, float]:
-    """path_point(b, p, 1.0) for a scalar p, as floats from math calls,
-    which beat NumPy's per-call overhead on scalars."""
+    """Inertial unit vector from the winch to the path point at p; the
+    point itself at tether radius r is r times this."""
     phi, theta = path_angles(b, p)
     ct = math.cos(theta)
     return (ct * math.cos(phi), ct * math.sin(phi), math.sin(theta))
@@ -90,40 +74,35 @@ def spool_phase(p: float) -> str:
     return "out"
 
 
-# candidate path positions per nearest_path_position scan
+# nearest_path_position's candidates: SCAN_POINTS even offsets spanning
+# SCAN_WINDOW rad ahead of the last known path position
 SCAN_POINTS = 61
-
-
-@functools.lru_cache(maxsize=8)
-def _scan_offsets(window: float) -> np.ndarray:
-    offsets = np.linspace(0.0, window, SCAN_POINTS)
-    offsets.flags.writeable = False
-    return offsets
+SCAN_WINDOW = 0.25
+_SCAN_OFFSETS = np.linspace(0.0, SCAN_WINDOW, SCAN_POINTS).tolist()
 
 
 @functools.lru_cache(maxsize=16)
-def _scan_points(b: BasisParams, p_guess: float,
-                 window: float) -> tuple[list[float], np.ndarray]:
-    """The scan's candidate positions, as floats, and their unit directions
-    path_point(b, p, 1.0), as a read-only (SCAN_POINTS, 3) array."""
-    candidates = p_guess + _scan_offsets(window)
-    points = path_point(b, candidates, 1.0)
+def _scan_points(b: BasisParams,
+                 p_guess: float) -> tuple[list[float], np.ndarray]:
+    """The scan's candidate positions and their path_direction, the latter
+    as a read-only (SCAN_POINTS, 3) array."""
+    candidates = [p_guess + offset for offset in _SCAN_OFFSETS]
+    points = np.array([path_direction(b, p) for p in candidates])
     points.flags.writeable = False
-    return candidates.tolist(), points
+    return candidates, points
 
 
-def nearest_path_position(b: BasisParams, direction, p_guess: float,
-                          window: float) -> float:
+def nearest_path_position(b: BasisParams, direction, p_guess: float) -> float:
     """Path position whose direction is closest to the kite's, searched in
     a forward window from the last known position (keeps p monotone).
 
-    The candidates are path_point(b, p, 1.0) for p_guess plus each of
-    SCAN_POINTS even offsets in [0, window].  They are memoized on
-    (b, p_guess, window) in a 16-entry LRU, since a flight step repeats the
-    last step's p_guess until the kite passes the next candidate; a call
-    then only normalizes the direction and takes one argmax.
+    The candidates are path_direction(b, p) for p_guess plus each of
+    SCAN_POINTS even offsets in [0, SCAN_WINDOW].  They are memoized on
+    (b, p_guess) in a 16-entry LRU, since a flight step repeats the last
+    step's p_guess until the kite passes the next candidate; a call then
+    only normalizes the direction and takes one argmax.
     """
-    candidates, points = _scan_points(b, p_guess, window)
+    candidates, points = _scan_points(b, p_guess)
     x, y, z = direction
     norm = math.sqrt(x * x + y * y + z * z)
     return candidates[int(np.argmax(points @ (x / norm, y / norm, z / norm)))]

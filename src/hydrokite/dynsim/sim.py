@@ -15,8 +15,9 @@ again.  ``derivative`` sums three float kernels written on scalars:
 ``tether_forces`` (one pass over the links, winch to kite),
 ``net_force_moment`` and ``coriolis_force``.  One BLAS product remains:
 the path scan in ``nearest_path_position`` multiplies the kite's unit
-direction by its 61 candidate directions, which it builds once per path
-position and reuses while the position stands.
+direction by its 61 candidate directions.  Those are ``path_direction``,
+the path's one formula, at 61 fixed offsets ahead of the last path
+position, built in floats once per position and reused while it stands.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
 from ..hydro import FlowEnv
 
 TWO_PI = 2.0 * math.pi
+
+# W per rad of interior angle in LapMetrics.objective
+OBJECTIVE_WEIGHT = 1.0e3
 
 
 def quat_to_rot(q) -> tuple[tuple[float, float, float], ...]:
@@ -82,11 +86,16 @@ class SimParams:
     init_speed: float = 3.5
     init_path_pos: float = 0.25 * math.pi   # start of a spool-in quarter
     pre_strain: float = 6e-5
-    objective_weight: float = 1.0e3   # J penalty in W per rad of interior angle
     abort_angle: float = 1.0          # rad of interior angle before PathLost
     grace_time: float = 20.0          # no abort during the initial transient
     blowup_speed: float = 60.0
     trace_stride: int = 5             # record every k-th step
+
+    def __post_init__(self):
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
+        if self.trace_stride < 1:
+            raise ValueError("trace_stride must be at least 1")
 
 
 @dataclass
@@ -148,7 +157,7 @@ class Simulator:
         self.minv_rows = tuple(map(tuple, np.linalg.inv(mass_matrix).tolist()))
         self.forces = ForceTable.of(props, flow)
         # the aileron pair's gains differ only in sign
-        aileron_gain = next((abs(s.deflection_gain) for s in props.surfaces
+        aileron_gain = next((abs(s.gain) for s in props.surfaces
                              if s.control == "aileron"), 0.0)
         if aileron_gain == 0.0:
             raise ConfigError("the kite has no aileron surface with a nonzero "
@@ -303,7 +312,7 @@ class Simulator:
                     f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
 
             p_prev = p_total
-            p_new = nearest_path_position(self.basis, pos, p_mod, window=0.25)
+            p_new = nearest_path_position(self.basis, pos, p_mod)
             p_total += p_new - p_mod
             angle = interior_angle(self.basis, p_total % TWO_PI, pos)
             if angle > params.abort_angle and t > params.grace_time:
@@ -343,12 +352,11 @@ class Simulator:
         power = arr[:, 1]
         angle = arr[:, 2]
         tension = arr[:, 3]
-        k_w = self.params.objective_weight
         return LapMetrics(
             index=index, t_start=t_start, t_end=t_end,
             power_avg=float(np.mean(power)),
             power_peak=float(np.max(power)),
-            objective=float(np.mean(power - k_w * angle)),
+            objective=float(np.mean(power - OBJECTIVE_WEIGHT * angle)),
             angle_mean=float(np.mean(angle)),
             angle_max=float(np.max(angle)),
             tension_mean=float(np.mean(tension)),

@@ -47,7 +47,7 @@ def test_tracer_counts_memo_hits_as_calls():
         for _ in range(2):
             integ.properties(design)
             # looked up where the flight step looks it up
-            sim.nearest_path_position(basis, (100.0, 20.0, 60.0), 1.2, window=0.25)
+            sim.nearest_path_position(basis, (100.0, 20.0, 60.0), 1.2)
     finally:
         tracer.uninstall()
     calls = tracer.summary()

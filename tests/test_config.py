@@ -143,6 +143,9 @@ def test_override_rejections():
         "simulation.nosuch=1",
         "bounds.span=[7, 10]",
         "simulation.max_time=banana",
+        "simulation.dt=0",              # rejected by SimParams itself
+        "simulation.dt=-0.002",
+        "simulation.trace_stride=0",
         "tether.radius=-1",             # rejected by the section's own check
         "ilc.learning_gain=-0.5",
         "foil.cd_zero=0.0",             # no drag floor: glide ratio unbounded
@@ -154,6 +157,10 @@ def test_override_rejections():
     for item in bad:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, [item])
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        parse_config("simulation:\n  dt: 0.0\n")
+    with pytest.raises(ConfigError, match="trace_stride must be at least 1"):
+        parse_config("simulation:\n  trace_stride: 0\n")
 
 
 def test_save_and_load_round_trip(tmp_path):
@@ -262,7 +269,7 @@ def test_catalog_rejections(tmp_path):
         p.write_text(textwrap.dedent(text))
         return load_designs(str(p))
 
-    ok = load_text("""
+    record = textwrap.dedent("""\
         tiny:
           span: 7.5
           aspect_ratio: 5.0
@@ -273,6 +280,7 @@ def test_catalog_rejections(tmp_path):
           m_fuse: 200.0
           ratio_mass: 500.0
     """)
+    ok = load_text(record)
     assert isinstance(ok["tiny"], DesignRecord)
     assert ok["tiny"].power_rated is None
 
@@ -303,6 +311,16 @@ def test_catalog_rejections(tmp_path):
               m_fuse: 200.0
               ratio_mass: 500.0
         """)
+    # the optional keys are checked like the required ones
+    assert load_text(record + "  n_spars: 2\n")["tiny"].n_spars == 2
+    for line, message in (("n_spars: 2.7", "n_spars must be an integer"),
+                          ("n_spars: true", "n_spars must be an integer"),
+                          ("n_spars: x", "n_spars must be an integer"),
+                          ("shell_pct: true", "shell_pct must be a number"),
+                          ("shell_pct: abc", "shell_pct must be a number"),
+                          ("power_rated: [1]", "power_rated must be a number")):
+        with pytest.raises(ConfigError, match=f"design 'tiny': {message}"):
+            load_text(record + f"  {line}\n")
     with pytest.raises(ConfigError, match="does not exist"):
         load_designs(str(tmp_path / "absent.yaml"))
     with pytest.raises(ConfigError, match="map names"):

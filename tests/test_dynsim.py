@@ -22,8 +22,6 @@ from hydrokite.dynsim import (
     KiteProperties,
     SimParams,
     Simulator,
-    SurfaceDef,
-    SurfaceRow,
     TetherProperties,
     WinchParams,
     build_kite,
@@ -32,14 +30,15 @@ from hydrokite.dynsim import (
     nearest_path_position,
     net_force_moment,
     path_angles,
-    path_point,
+    path_direction,
     spool_phase,
+    surface,
     tether_forces,
     winch_command,
 )
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
 from hydrokite.dynsim.kite import GRAVITY
-from hydrokite.dynsim.paths import _scan_points, path_direction, sphere_point
+from hydrokite.dynsim.paths import _scan_points
 from hydrokite.dynsim.sim import quat_from_rot, quat_to_rot
 from hydrokite.errors import (
     ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
@@ -73,11 +72,11 @@ def tau(props, rot, nu, deflections, flow=STILL_WATER):
                                      (0.0, 0.0, 0.0), deflections))
 
 
-def surface_alone(row, nu):
+def surface_alone(row, q_ref, nu):
     """Force and moment of one surface row: net_force_moment with no
     weight, buoyancy or tether force, at identity rotation."""
     zero = (0.0, 0.0, 0.0)
-    table = ForceTable(0.0, 0.0, zero, zero, zero, (row,))
+    table = ForceTable(0.0, 0.0, zero, zero, zero, q_ref, (row,))
     out = net_force_moment(table, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                    (0.0, 0.0, 1.0)), nu, zero, {})
     return np.array(out[:3]), np.array(out[3:])
@@ -92,6 +91,20 @@ def skew(v):
 
 
 # -- path geometry ----------------------------------------------------------
+
+def reference_path_point(b, p, radius):
+    """The lemniscate in NumPy, vectorized over p: inertial points at the
+    given radius, the reference for path_direction and the path scan."""
+    q = (b.b1 / b.b2) ** 2
+    s, c = np.sin(p), np.cos(p)
+    denom = 1.0 + q * (c * c)
+    phi = q * s * c / denom + b.b3
+    theta = b.b1 * s / denom + b.b4
+    ct = np.cos(theta)
+    return radius * np.stack(
+        [ct * np.cos(phi), ct * np.sin(phi), np.sin(theta) * np.ones_like(ct)],
+        axis=-1)
+
 
 def test_path_angles_trivial_points():
     b = BasisParams(b1=0.3, b2=0.2, b3=0.1, b4=0.5)
@@ -113,17 +126,22 @@ def test_path_angles_quarter_point():
     assert theta == pytest.approx(0.3 * math.sqrt(2.0) / 2.0 / denom + 0.5, rel=1e-12)
 
 
-def test_sphere_point_axes():
-    assert np.allclose(sphere_point(0.0, 0.0, 2.0), [2.0, 0.0, 0.0])
-    assert np.allclose(sphere_point(math.pi / 2.0, 0.0, 2.0), [0.0, 2.0, 0.0], atol=1e-15)
-    assert np.allclose(sphere_point(0.3, math.pi / 2.0, 2.0), [0.0, 0.0, 2.0], atol=1e-15)
+def test_path_direction_axes():
+    # b1 = 0 collapses the figure-8 to the point (azimuth b3, elevation b4)
+    def direction(azimuth, elevation):
+        return path_direction(BasisParams(0.0, 0.2, azimuth, elevation), 0.7)
+
+    assert np.allclose(direction(0.0, 0.0), [1.0, 0.0, 0.0])
+    assert np.allclose(direction(math.pi / 2.0, 0.0), [0.0, 1.0, 0.0], atol=1e-15)
+    assert np.allclose(direction(0.3, math.pi / 2.0), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_path_point_radius():
+    # the path point at tether radius r is r times path_direction
     b = BasisParams()
     rng = np.random.default_rng(20240818)
     for p in rng.uniform(0.0, 2.0 * math.pi, size=20):
-        pt = path_point(b, p, 125.0)
+        pt = 125.0 * np.array(path_direction(b, p))
         assert np.linalg.norm(pt) == pytest.approx(125.0, rel=1e-12)
 
 
@@ -143,16 +161,16 @@ def test_spool_phase_quarters():
 
 
 def reference_nearest_path_position(b, direction, p_guess, window, n_scan=61):
-    """Reference scan: linspace candidates, path_point at radius 1, a
-    matrix-vector product and its argmax."""
+    """Reference scan: linspace candidates, the NumPy lemniscate at radius
+    1, a matrix-vector product and its argmax."""
     candidates = p_guess + np.linspace(0.0, window, n_scan)
     unit = direction / np.linalg.norm(direction)
-    dots = path_point(b, candidates, 1.0) @ unit
+    dots = reference_path_point(b, candidates, 1.0) @ unit
     return float(candidates[int(np.argmax(dots))])
 
 
-@pytest.mark.parametrize("window", [0.25, 0.6])
-def test_nearest_path_position_matches_reference_scan(window):
+def test_nearest_path_position_matches_reference_scan():
+    window = 0.25
     rng = np.random.default_rng(20261018)
     interior = 0
     for _ in range(10_000):
@@ -161,10 +179,11 @@ def test_nearest_path_position_matches_reference_scan(window):
         p_guess = rng.uniform(0.0, 2.0 * math.pi)
         # a few metres off the path, somewhere around the window
         target = p_guess + rng.uniform(-0.1, window + 0.1)
-        direction = path_point(b, target, 125.0) + rng.normal(scale=2.0, size=3)
+        direction = (reference_path_point(b, target, 125.0)
+                     + rng.normal(scale=2.0, size=3))
         want = reference_nearest_path_position(b, direction, p_guess, window)
         # run hands over the kite position as a list
-        got = nearest_path_position(b, direction.tolist(), p_guess, window=window)
+        got = nearest_path_position(b, direction.tolist(), p_guess)
         assert got == want
         interior += p_guess < got < p_guess + window
     # most draws pick a point inside the window, not one of its ends
@@ -179,19 +198,19 @@ def test_nearest_path_position_memo_gives_the_cold_result():
                           + rng.uniform(-0.05, 0.05, 4)))
         p_guess = rng.uniform(0.0, 2.0 * math.pi)
         target = p_guess + rng.uniform(0.0, 0.25)
-        direction = (path_point(b, target, 125.0)
+        direction = (reference_path_point(b, target, 125.0)
                      + rng.normal(scale=2.0, size=3)).tolist()
         draws.append((b, direction, p_guess))
     _scan_points.cache_clear()
-    cold = [nearest_path_position(b, d, p, window=0.25) for b, d, p in draws]
+    cold = [nearest_path_position(b, d, p) for b, d, p in draws]
     assert _scan_points.cache_info().hits == 0
-    warm = [nearest_path_position(b, d, p, window=0.25) for b, d, p in draws[-10:]]
+    warm = [nearest_path_position(b, d, p) for b, d, p in draws[-10:]]
     assert _scan_points.cache_info().hits == 10
     assert warm == cold[-10:]
 
 
 def test_scan_points_are_read_only():
-    _, points = _scan_points(BasisParams(), 1.2, 0.25)
+    _, points = _scan_points(BasisParams(), 1.2)
     assert points.shape == (61, 3)
     with pytest.raises(ValueError):
         points[0, 0] = 0.0
@@ -199,8 +218,8 @@ def test_scan_points_are_read_only():
 
 def test_nearest_path_position_recovers_exact_point():
     b = BasisParams()
-    pos = path_point(b, 1.3, 125.0)
-    p = nearest_path_position(b, pos, 1.2, window=0.25)
+    pos = reference_path_point(b, 1.3, 125.0)
+    p = nearest_path_position(b, pos, 1.2)
     assert p == pytest.approx(1.3, abs=3e-3)
     assert interior_angle(b, p, pos) < 1e-4
     # off-path position has a positive interior angle
@@ -267,10 +286,10 @@ def test_neutral_body_has_zero_generalized_force():
 
 def test_surface_force_hand_value():
     foil = FoilCoeffs()
-    surf = SurfaceDef("s", np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                      np.array([0.0, 1.0, 0.0]), foil, 6.0, 1.0)
+    surf = surface("s", (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0),
+                   foil, 6.0, 1.0)
     nu = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    force, moment = surface_alone(SurfaceRow.of(surf, 2.0, 1000.0), nu)
+    force, moment = surface_alone(surf, 0.5 * 1000.0 * 2.0, nu)
     q_s = 0.5 * 1000.0 * 2.0 * 16.0
     cl = 0.16
     cd = (1.0 / (math.pi * 0.92 * 6.0) + 0.03) * (0.16 - 0.02) ** 2 + 0.0065
@@ -294,11 +313,11 @@ def test_surface_force_lift_drag_decomposition():
             continue
         span /= np.linalg.norm(span)
         center = rng.normal(size=3)
-        surf = SurfaceDef("s", center, normal, span, foil, 8.0, 0.7)
+        surf = surface("s", center, normal, span, foil, 8.0, 0.7)
         nu = np.concatenate([rng.normal(scale=3.0, size=3), np.zeros(3)])
         v = nu[:3]
         speed = np.linalg.norm(v)
-        force, moment = surface_alone(SurfaceRow.of(surf, 2.5, 1000.0), nu)
+        force, moment = surface_alone(surf, 0.5 * 1000.0 * 2.5, nu)
         q_s = 0.5 * 1000.0 * 2.5 * 0.7 * speed**2
         u_n = float(v @ normal)
         u_t = float(v @ surf.chordwise)
@@ -338,7 +357,7 @@ def test_aileron_rolls_antisymmetrically():
 def test_aileron_sign_belongs_to_the_surface_not_its_name():
     props = mid_size_kite()
     renamed = dataclasses.replace(props, surfaces=[
-        dataclasses.replace(s, name=f"surface_{i}")
+        s._replace(name=f"surface_{i}")
         for i, s in enumerate(props.surfaces)])
     nu = np.array([3.0, 0.2, -0.1, 0.05, -0.02, 0.03])
     rot = np.eye(3)
@@ -525,10 +544,10 @@ def reference_cross3(a, b):
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def reference_surface_force_moment(row, nu, deflection):
-    ((cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+def reference_surface_force_moment(row, q_ref, nu, deflection):
+    (_, (cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
      lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, _, gain,
-     q_factor) = row
+     area_fraction) = row
     u, v, w, p, q, r = nu
     vx = u + (q * cz - r * cy)
     vy = v + (r * cx - p * cz)
@@ -545,7 +564,7 @@ def reference_surface_force_moment(row, nu, deflection):
     dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
     lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
     norm = math.sqrt(lx * lx + ly * ly + lz * lz)
-    q_s = q_factor * speed**2
+    q_s = q_ref * area_fraction * speed**2
     if norm < 1e-9:
         q_d = q_s * cd
         fx, fy, fz = q_d * dx, q_d * dy, q_d * dz
@@ -578,7 +597,7 @@ def reference_net_force_moment(table, rotation, nu, tether_force, deflections):
     mz = m_cg[2] + m_cb[2] + m_thr[2]
     for row in table.surfaces:
         (sfx, sfy, sfz), (smx, smy, smz) = reference_surface_force_moment(
-            row, nu, deflections.get(row.control, 0.0))
+            row, table.q_ref, nu, deflections.get(row.control, 0.0))
         fx += sfx
         fy += sfy
         fz += sfz
@@ -814,13 +833,14 @@ def test_initial_state_sits_on_path():
         y = sim.initial_state()
         attach = y[0:3] + rotation(y) @ sim.props.r_attach
         radius = sim.tether.length * (1.0 + sim.params.pre_strain)
-        assert np.allclose(attach, path_point(sim.basis, p0, radius), atol=1e-9)
+        assert np.allclose(attach, reference_path_point(sim.basis, p0, radius),
+                           atol=1e-9)
         assert np.linalg.norm(y[3:7]) == pytest.approx(1.0, abs=1e-12)
         # the body x axis is the unit path tangent along increasing p,
         # which the constant radius makes perpendicular to the radial
         x_b = rotation(y)[:, 0]
-        chord = (path_point(sim.basis, p0 + 1e-5, radius)
-                 - path_point(sim.basis, p0 - 1e-5, radius))
+        chord = (reference_path_point(sim.basis, p0 + 1e-5, radius)
+                 - reference_path_point(sim.basis, p0 - 1e-5, radius))
         assert np.allclose(x_b, chord / np.linalg.norm(chord), atol=1e-8)
         assert np.linalg.norm(x_b) == pytest.approx(1.0, abs=1e-12)
         assert abs(x_b @ attach) / radius < 1e-9
@@ -930,7 +950,8 @@ def test_velocity_angle_axes():
 def test_path_direction_is_the_unit_path_point():
     basis = BasisParams()
     for p in np.linspace(0.0, 2.0 * math.pi, 13):
-        assert np.array_equal(path_direction(basis, p), path_point(basis, p, 1.0))
+        assert np.array_equal(path_direction(basis, p),
+                              reference_path_point(basis, p, 1.0))
 
 
 def carrot_chase(basis, gains, position, p_now):
@@ -945,7 +966,7 @@ def test_controller_zero_error_zero_output():
     basis = BasisParams()
     gains = FlightGains()
     ctl = FlightController(gains, basis, dt=2e-3, aileron_gain=1.5)
-    position = path_point(basis, 0.3, 125.0)
+    position = reference_path_point(basis, 0.3, 125.0)
     chase_t, radial, east, north = carrot_chase(basis, gains, position, 0.3)
     aileron, rudder = ctl.update(position, chase_t, east, 0.3)
     assert abs(aileron) < 1e-12
@@ -955,7 +976,7 @@ def test_controller_zero_error_zero_output():
 def test_controller_sign_and_saturation():
     basis = BasisParams()
     gains = FlightGains()
-    position = path_point(basis, 0.3, 125.0)
+    position = reference_path_point(basis, 0.3, 125.0)
     chase_t, radial, east, north = carrot_chase(basis, gains, position, 0.3)
     e_hat = chase_t / np.linalg.norm(chase_t)
     perp = np.cross(radial, e_hat)
@@ -985,7 +1006,7 @@ def test_controller_sign_and_saturation():
 
 def test_controller_takes_aileron_gain_from_kite():
     basis = BasisParams()
-    position = path_point(basis, 0.3, 125.0)
+    position = reference_path_point(basis, 0.3, 125.0)
     chase_t, radial, east, _ = carrot_chase(basis, FlightGains(), position, 0.3)
     e_hat = chase_t / np.linalg.norm(chase_t)
     velocity = math.cos(0.02) * e_hat + math.sin(0.02) * np.cross(radial, e_hat)
