@@ -144,6 +144,12 @@ class SectionIntegrator:
     the closed-strip sums over at most five merged index ranges plus the
     open-strip polynomials summed over the rest: a few bisections and a few
     dozen float operations per call, with no array work.
+
+    Because a web closes whole stations, area and inertia are step functions
+    of web width: every width whose webs close the same ranges
+    (``web_cells``) gives the same section.  The sizing searches key the
+    sections they have integrated by those ranges and call ``properties``
+    once per cell.
     """
 
     def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = 2000):
@@ -185,6 +191,18 @@ class SectionIntegrator:
         np.cumsum(coeffs, axis=1, out=prefix[:, 1:])
         self._prefix = prefix.tolist()
 
+    def web_cells(self, n_spars: int, spar_width_pct: float) -> tuple:
+        """The station index range [start, stop) each web closes, in
+        ``SPAR_STATIONS`` order.
+
+        A section is a function of the shell thickness and these ranges
+        alone, so two web widths with the same ranges give the same section.
+        """
+        half = 0.5 * (spar_width_pct / 100.0)
+        return tuple([(bisect_left(self._x, station - half),
+                       bisect_right(self._x, station + half))
+                      for station in SPAR_STATIONS[n_spars]])
+
     def properties(self, design: WingStructureDesign) -> SectionProperties:
         """Unit-chord area, inertia about the neutral axis, and its height."""
         t = design.shell_pct / 100.0 * self.t_max
@@ -193,16 +211,10 @@ class SectionIntegrator:
                 "shell offset exceeds the section half-thickness; "
                 "the inner surface self-intersects"
             )
-        width = design.spar_width_pct / 100.0
-        if t == 0.0 and width == 0.0:
-            return SectionProperties(0.0, 0.0, 0.0)
-
         n = len(self._x)
         closed = [(0, bisect_right(self._tau_rise, t)),
-                  (len(self._tau_rise) + bisect_left(self._neg_tau_fall, -t), n)]
-        for station in SPAR_STATIONS[design.n_spars]:
-            closed.append((bisect_left(self._x, station - 0.5 * width),
-                           bisect_right(self._x, station + 0.5 * width)))
+                  (len(self._tau_rise) + bisect_left(self._neg_tau_fall, -t), n),
+                  *self.web_cells(design.n_spars, design.spar_width_pct)]
         merged = []
         end = 0
         for start, stop in sorted(closed):
@@ -317,19 +329,29 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
     """Narrowest spar web meeting the inertia floor, as (design, unit props).
 
     Returns None when even the widest admissible web falls short.  Inertia is
-    non-decreasing in web width, so a bracketing root solve applies.
+    non-decreasing in web width, so a bracketing root solve applies.  It is
+    also a step function of width, so once the bracket sits on one step the
+    iterations land in station cells the solve has already integrated; each
+    cell's section is integrated once and reused.
     """
-    def size(w):
-        d = WingStructureDesign(n_spars, w * 100.0, shell_pct)
-        return d, integ.properties(d)
+    sections = {}  # web cells -> unit props, at this shell
 
-    narrow = size(0.0)
-    f_lo = narrow[1].inertia - i_req_hat
+    def section(w):
+        cells = integ.web_cells(n_spars, w * 100.0)
+        props = sections.get(cells)
+        if props is None:
+            props = sections[cells] = integ.properties(
+                WingStructureDesign(n_spars, w * 100.0, shell_pct))
+        return props
+
+    def layout(w):
+        return WingStructureDesign(n_spars, w * 100.0, shell_pct), section(w)
+
+    f_lo = section(0.0).inertia - i_req_hat
     if f_lo >= 0.0:
-        return narrow
+        return layout(0.0)
     lo, hi = 0.0, SPAR_WIDTH_MAX_PCT / 100.0
-    wide = size(hi)
-    f_hi = wide[1].inertia - i_req_hat
+    f_hi = section(hi).inertia - i_req_hat
     if f_hi < 0.0:
         return None
     for _ in range(60):
@@ -339,15 +361,14 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
         # bracket holds f_hi >= 0 > f_lo, so the secant slope is positive
         w = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
         w = min(max(w, lo + 0.1 * (hi - lo)), hi - 0.1 * (hi - lo))
-        cell = size(w)
-        f = cell[1].inertia - i_req_hat
+        f = section(w).inertia - i_req_hat
         if f >= 0.0:
-            hi, f_hi, wide = w, f, cell
+            hi, f_hi = w, f
         else:
             lo, f_lo = w, f
     # widths below the search resolution round up rather than down so the
     # returned layout always satisfies the floor
-    return size(SPAR_WIDTH_TOL) if hi < SPAR_WIDTH_TOL else wide
+    return layout(SPAR_WIDTH_TOL if hi < SPAR_WIDTH_TOL else hi)
 
 
 def swdt_optimize(
@@ -382,7 +403,10 @@ def swdt_optimize(
         # staged shell sweeps; the grids are shared across spar counts so
         # branches that collapse to the same shell-only layout tie exactly.
         # The corner passes, so the thickest shell of every stage does too.
+        # A stage's grid shares its centre and ends with the stage before,
+        # so each shell is sized once per spar count.
         center, half_width = 0.5 * SHELL_MAX_PCT, 0.5 * SHELL_MAX_PCT
+        sized_at = {}  # rounded shell -> _min_spar_width result
         for n_pts in (41, 41, 21):
             lo = max(0.0, center - half_width)
             hi = min(SHELL_MAX_PCT, center + half_width)
@@ -391,7 +415,9 @@ def swdt_optimize(
             # each point is sized at its grid value rounded to 9 decimals by
             # NumPy; the next stage centres on the unrounded grid value
             for sp, sp_round in zip(grid.tolist(), np.round(grid, 9).tolist()):
-                sized = _min_spar_width(integ, n_spars, sp_round, i_req_hat)
+                if sp_round not in sized_at:
+                    sized_at[sp_round] = _min_spar_width(integ, n_spars, sp_round, i_req_hat)
+                sized = sized_at[sp_round]
                 if sized is not None and (cell is None or sized[1].area < cell[2].area):
                     cell = (sp, *sized)
             center = cell[0]
@@ -416,16 +442,27 @@ def swdt_optimize(
 
 def _shave(integ, design, i_req_hat, field):
     """Bisect one thickness field down until inertia sits within 0.1% of
-    the floor; returns the (design, unit props) it stops at."""
+    the floor; returns the (design, unit props) it stops at.
+
+    On spar width the section is a step function (see ``SectionIntegrator``),
+    so the bisection integrates each station cell it visits once."""
+    sections = {}  # web cells -> unit props, when bisecting spar width
+
     def size(v):
         d = replace(design, **{field: v})
-        return d, integ.properties(d)
+        if field == "shell_pct":
+            return d, integ.properties(d)
+        cells = integ.web_cells(d.n_spars, d.spar_width_pct)
+        props = sections.get(cells)
+        if props is None:
+            props = sections[cells] = integ.properties(d)
+        return d, props
 
     zero = size(0.0)
     if zero[1].inertia >= i_req_hat:
         return zero
     lo, hi = 0.0, getattr(design, field)
-    top = design, integ.properties(design)
+    top = size(hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         cell = size(mid)

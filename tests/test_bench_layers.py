@@ -11,6 +11,7 @@ from pathlib import Path
 
 from hydrokite import codesign, wingstruct
 from hydrokite.dynsim import BasisParams, sim
+from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -53,3 +54,34 @@ def test_tracer_counts_memo_hits_as_calls():
     calls = tracer.summary()
     assert calls["wingstruct.properties.calls"] == 2
     assert calls["dynsim.paths.nearest_path_position.calls"] == 2
+
+
+class CountingIntegrator(wingstruct.SectionIntegrator):
+    """Counts the sections it integrates."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.integrations = 0
+
+    def properties(self, design):
+        self.integrations += 1
+        return super().properties(design)
+
+
+def test_tracer_sees_every_section_the_sizing_search_integrates(monkeypatch):
+    # ``bench/run.py`` fails a run whose traced layers saw no call, so the
+    # sizing search must integrate through the traced method
+    tracing = load_tracing()
+    foil = wingstruct.FourDigitFoil()
+    integ = CountingIntegrator(foil, 2000)
+    monkeypatch.setitem(wingstruct._DEFAULT_INTEGRATOR, (foil, 2000), integ)
+    planform = WingPlanform(span=8.51, aspect_ratio=6.0)
+    load = wingstruct.rated_wing_load(planform, FlowEnv(), FoilCoeffs())
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wingstruct.swdt_optimize(planform, load)
+    finally:
+        tracer.uninstall()
+    assert integ.integrations > 100
+    assert tracer.summary()["wingstruct.properties.calls"] == integ.integrations

@@ -450,28 +450,62 @@ def reference_swdt_optimize(integ, planform, load, material=Material()):
     return WingSizing(design, mass, inertia, i_req, area, active)
 
 
-def test_sizing_matches_the_reference_search():
-    integ = SectionIntegrator(FourDigitFoil(), 400)
-    rng = np.random.default_rng(20261019)
+def assert_sizing_matches_the_reference(n_stations, seed, n_planforms, scales,
+                                        ar_max=12.0):
+    """Every ``WingSizing`` field equals the reference search's exactly;
+    returns how many (planform, load) cases were infeasible."""
+    integ = SectionIntegrator(FourDigitFoil(), n_stations)
+    rng = np.random.default_rng(seed)
     n_infeasible = 0
-    for _ in range(50):
+    for _ in range(n_planforms):
         planform = WingPlanform(span=float(rng.uniform(7.0, 10.0)),
-                                aspect_ratio=float(rng.uniform(4.0, 12.0)))
+                                aspect_ratio=float(rng.uniform(4.0, ar_max)))
         rated = rated_wing_load(planform, FlowEnv(), FoilCoeffs())
-        for scale in (0.0, 0.3, 1.0, 2.0):
+        for scale in scales:
             load = scale * rated
             try:
                 expected = reference_swdt_optimize(integ, planform, load)
             except Infeasible as exc:
                 with pytest.raises(Infeasible) as err:
-                    swdt_optimize(planform, load, n_stations=400)
+                    swdt_optimize(planform, load, n_stations=n_stations)
                 assert str(err.value) == str(exc)
                 assert err.value.detail == exc.detail
                 n_infeasible += 1
                 continue
-            got = swdt_optimize(planform, load, n_stations=400)
+            got = swdt_optimize(planform, load, n_stations=n_stations)
             for f in fields(WingSizing):
                 assert getattr(got, f.name) == getattr(expected, f.name), (
                     planform, scale, f.name)
+    return n_infeasible
+
+
+def test_sizing_matches_the_reference_search():
+    n_infeasible = assert_sizing_matches_the_reference(
+        400, 20261019, 50, (0.0, 0.3, 1.0, 2.0))
     # both outcomes are exercised
     assert 0 < n_infeasible < 200
+
+
+def test_sizing_matches_the_reference_search_at_the_default_grid():
+    # the station cells the search reuses are those of the 2000-station grid
+    # every design workload sizes on; above aspect ratio 9 most of these
+    # loads are infeasible, which costs one section per spar count
+    n_infeasible = assert_sizing_matches_the_reference(
+        2000, 20261020, 6, (0.3, 1.0, 2.0), ar_max=9.0)
+    assert 0 < n_infeasible < 18
+
+
+def test_sizing_integrates_each_section_once(monkeypatch):
+    integ = CountingIntegrator(FourDigitFoil(), 2000)
+    monkeypatch.setitem(wingstruct._DEFAULT_INTEGRATOR, (FourDigitFoil(), 2000), integ)
+    sizing = swdt_optimize(MID_PLANFORM, rated_wing_load(MID_PLANFORM, FlowEnv(), FoilCoeffs()))
+    assert sizing.constraint_active
+    keys = [(d.shell_pct, integ.web_cells(d.n_spars, d.spar_width_pct))
+            for d in integ.calls]
+    # the thinner shells need a web, so root solves on spar width ran
+    assert sum(0.0 < d.spar_width_pct < SPAR_WIDTH_MAX_PCT for d in integ.calls) > 100
+    # neither a root solve nor a later sweep stage integrates a section twice;
+    # here the thickest shell needs no web and the sweep's winner needs no
+    # shave, so the feasibility corner and ``_tighten``, which integrate the
+    # layouts they are handed, add no repeat either
+    assert len(set(keys)) == len(keys)
