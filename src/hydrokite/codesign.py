@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -280,32 +280,39 @@ def sfot(p_req: float, surrogate: str, ctx: DesignContext) -> tuple[float, float
 @dataclass(frozen=True)
 class ParetoPoint:
     p_req: float
-    m_wing: float
     design: KiteDesign
     strategy: str
+    power_tol: float
     diagnostics: dict = field(default_factory=dict, compare=False)
-    power_tol: float = 1e-3
 
     def __post_init__(self):
         if abs(self.design.power - self.p_req) > self.power_tol * self.p_req:
             raise ValueError("design power misses the target beyond tolerance")
+
+    @property
+    def m_wing(self) -> float:
+        return self.design.m_wing
+
+
+def dual_merit(weight: float, design: KiteDesign) -> float:
+    """The dual problem's objective, w*ln(P) - ln(m_wing)."""
+    return weight * math.log(design.power) - math.log(design.m_wing)
 
 
 @dataclass(frozen=True)
 class DualPoint:
     weight: float
     p_min: float
-    objective: float
     design: KiteDesign
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.design.power < self.p_min * (1.0 - 1e-9):
             raise ValueError("design power below the dual-problem floor")
-        expect = (self.weight * math.log(self.design.power)
-                  - math.log(self.design.m_wing))
-        if abs(self.objective - expect) > 1e-9 * max(1.0, abs(expect)):
-            raise ValueError("objective inconsistent with the design")
+
+    @property
+    def objective(self) -> float:
+        return dual_merit(self.weight, self.design)
 
 
 def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
@@ -358,9 +365,9 @@ def nested_sequential(p_req: float, surrogate: str,
             detail={"span": s, "aspect_ratio": ar, "m_wing": wing.mass})
     design = _assemble(s, ar, wing, hull, ctx)
     return ParetoPoint(
-        p_req=p_req, m_wing=wing.mass, design=design,
+        p_req=p_req, design=design,
         strategy=f"nested_sequential[{surrogate}]",
-        diagnostics={"surrogate": surrogate}, power_tol=ctx.grid.power_tol)
+        power_tol=ctx.grid.power_tol, diagnostics={"surrogate": surrogate})
 
 
 def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
@@ -392,13 +399,13 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
             f"no feasible structure anywhere on the {p_req / 1e3:.1f} kW contour",
             detail={"candidates": len(candidates),
                     "struct_infeasible": n_struct_infeasible})
-    m_wing, _, s, ar, wing, hull = best
+    _, _, s, ar, wing, hull = best
     design = _assemble(s, ar, wing, hull, ctx)
     return ParetoPoint(
-        p_req=p_req, m_wing=m_wing, design=design, strategy="fully_nested",
+        p_req=p_req, design=design, strategy="fully_nested",
+        power_tol=ctx.grid.power_tol,
         diagnostics={"candidates": len(candidates),
-                     "struct_infeasible": n_struct_infeasible},
-        power_tol=ctx.grid.power_tol)
+                     "struct_infeasible": n_struct_infeasible})
 
 
 # -- simultaneous (dual objective) ------------------------------------------
@@ -459,7 +466,7 @@ def _ga_fitness(u, w, p_min, ctx):
     violation = shortfall + sum(max(0.0, -m) for m in margins.values())
     if violation > 0.0:
         return DEATH * (1.0 + violation), None
-    return (w * math.log(design.power) - math.log(design.m_wing)), design
+    return dual_merit(w, design), design
 
 
 def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
@@ -509,22 +516,22 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
         fitness = np.array([s[0] for s in scored])
 
     # elitism keeps the best genome ever scored in the last population
-    best_fit, best_design = scored[int(np.argmax(fitness))]
+    _, best_design = scored[int(np.argmax(fitness))]
     if best_design is None:
         raise NoFeasibleIndividual(
             f"GA found no feasible design for w={w:g}, "
             f"P_min={p_min / 1e3:.1f} kW")
 
     if cfg.polish:
-        best_fit, best_design = _polish(best_fit, best_design, w, p_min, ctx)
+        best_design = _polish(best_design, w, p_min, ctx)
 
     return DualPoint(
-        weight=w, p_min=p_min, objective=best_fit, design=best_design,
+        weight=w, p_min=p_min, design=best_design,
         diagnostics={"generations": cfg.generations,
                      "population": cfg.population})
 
 
-def _polish(fit0, design0, w, p_min, ctx):
+def _polish(design0, w, p_min, ctx):
     """Nelder-Mead over the seven continuous variables, spar count fixed.
 
     A deterministic local refinement of the GA winner; it is kept only
@@ -532,23 +539,19 @@ def _polish(fit0, design0, w, p_min, ctx):
     """
     idx = [0, 1, 3, 4, 5, 6, 7]
     n_sp = design0.n_spars
-    x0 = design0.as_vector()[idx]
 
-    def neg(x):
+    def score(x):
         u = np.empty(8)
         u[idx] = np.clip(x, DESIGN_LO[idx], DESIGN_HI[idx])
         u[2] = n_sp
-        fit, design = _ga_fitness(u, w, p_min, ctx)
-        return -fit
+        return _ga_fitness(u, w, p_min, ctx)
 
-    x = _nelder_mead(neg, x0, maxiter=400, xatol=1e-5, fatol=1e-9)
-    u = np.empty(8)
-    u[idx] = np.clip(x, DESIGN_LO[idx], DESIGN_HI[idx])
-    u[2] = n_sp
-    fit, design = _ga_fitness(u, w, p_min, ctx)
-    if design is not None and fit > fit0:
-        return float(fit), design
-    return fit0, design0
+    x = _nelder_mead(lambda x: -score(x)[0], design0.as_vector()[idx],
+                     maxiter=400, xatol=1e-5, fatol=1e-9)
+    fit, design = score(x)
+    if design is not None and fit > dual_merit(w, design0):
+        return design
+    return design0
 
 
 def _nelder_mead(fun, x0, maxiter, xatol, fatol):
@@ -680,23 +683,9 @@ def pareto_log_cloud(points: Iterable[ParetoPoint]) -> np.ndarray:
 # -- record formatting ------------------------------------------------------
 
 def design_record(design: KiteDesign, ctx: Optional[DesignContext] = None) -> dict:
-    record = {
-        "span": design.span,
-        "aspect_ratio": design.aspect_ratio,
-        "n_spars": design.n_spars,
-        "spar_width_pct": design.spar_width_pct,
-        "shell_pct": design.shell_pct,
-        "diameter": design.diameter,
-        "length": design.length,
-        "wall_pct": design.wall_pct,
-        "chord": design.chord,
-        "planform_area": design.planform_area,
-        "m_wing": design.m_wing,
-        "m_fuse": design.m_fuse,
-        "m_kite": design.m_kite,
-        "volume": design.volume,
-        "power": design.power,
-    }
+    """Every field of the design plus its derived chord, area and kite mass."""
+    record = {**asdict(design), "chord": design.chord,
+              "planform_area": design.planform_area, "m_kite": design.m_kite}
     if ctx is not None:
         record["margins"] = design_margins(design, ctx)
     return record

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import math
 
 from .hydro import WingPlanform
-from .wingstruct import FourDigitFoil
+from .wingstruct import NACA_THICKNESS, FourDigitFoil
 
 FUSE_DIAMETER_RANGE = (0.4, 0.8)
 FUSE_LENGTH_RANGE = (6.0, 10.0)
@@ -55,8 +55,8 @@ def _stab_planform(planform: WingPlanform, area_fraction: float) -> WingPlanform
 def foil_outline_area(foil: FourDigitFoil = FourDigitFoil()) -> float:
     """Enclosed area of the unit-chord section (camber does not change it)."""
     # closed-form integral of 2*y_t over [0, 1]
-    bracket = (0.2969 * 2.0 / 3.0 - 0.1260 / 2.0 - 0.3516 / 3.0
-               + 0.2843 / 4.0 - 0.1036 / 5.0)
+    a0, a1, a2, a3, a4 = NACA_THICKNESS
+    bracket = a0 * 2.0 / 3.0 - a1 / 2.0 - a2 / 3.0 + a3 / 4.0 - a4 / 5.0
     return 10.0 * foil.thickness * bracket
 
 

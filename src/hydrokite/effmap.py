@@ -33,30 +33,22 @@ ETA_CAP = 1.0
 
 @dataclass(frozen=True)
 class EffSample:
-    """One simulated geometry: efficiency plus the powers that define it."""
+    """One simulated geometry: the powers that define its efficiency."""
 
     span: float
     aspect_ratio: float
-    eta: float
     power_peak: float    # converged peak from the lap optimizer, W
     power_ideal: float   # crosswind ideal at the same geometry, W
-    eta_cap: float = ETA_CAP
 
     def __post_init__(self):
         if self.power_ideal <= 0.0:
             raise ValueError("ideal power must be positive")
-        ratio = self.power_peak / self.power_ideal
-        if abs(self.eta - ratio) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError("eta must equal power_peak / power_ideal")
-        if not 0.0 < self.eta <= self.eta_cap + 1e-12:
-            raise ValueError(
-                f"eta {self.eta:.4g} outside (0, {self.eta_cap:g}]")
+        if not 0.0 < self.eta <= ETA_CAP + 1e-12:
+            raise ValueError(f"eta {self.eta:.4g} outside (0, {ETA_CAP:g}]")
 
-    @classmethod
-    def from_powers(cls, span, aspect_ratio, power_peak, power_ideal,
-                    eta_cap=ETA_CAP) -> "EffSample":
-        return cls(span, aspect_ratio, power_peak / power_ideal,
-                   power_peak, power_ideal, eta_cap)
+    @property
+    def eta(self) -> float:
+        return self.power_peak / self.power_ideal
 
 
 def monomial_exponents(degree: int) -> list[tuple[int, int]]:
@@ -112,9 +104,7 @@ class EffSurface:
         return min(max(val, self.eta_floor), self.eta_cap)
 
 
-def fit_surface(samples: Iterable[EffSample], degree: int = 2,
-                eta_floor: float = ETA_FLOOR,
-                eta_cap: float = ETA_CAP) -> EffSurface:
+def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:
     """Least-squares polynomial fit of eta over (s, AR)."""
     samples = list(samples)
     n_terms = len(monomial_exponents(degree))
@@ -135,8 +125,6 @@ def fit_surface(samples: Iterable[EffSample], degree: int = 2,
         coeffs=coeffs,
         domain=(min(spans), max(spans), min(aspects), max(aspects)),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-        eta_floor=eta_floor,
-        eta_cap=eta_cap,
     )
 
 
@@ -221,14 +209,20 @@ def save_samples(samples: Iterable[EffSample], path) -> None:
         handle.write(samples_text(samples))
 
 
-def load_samples(path, eta_cap: float = ETA_CAP) -> list[EffSample]:
+def load_samples(path) -> list[EffSample]:
+    """Samples from a file; its eta column must equal P_star / P_ideal."""
     samples = []
     with open(path) as handle:
         for line in handle.read().splitlines()[1:]:
             if not line.strip():
                 continue
             s, ar, eta, p_star, p_ideal = (float(x) for x in line.split("\t"))
-            samples.append(EffSample(s, ar, eta, p_star, p_ideal, eta_cap))
+            sample = EffSample(s, ar, p_star, p_ideal)
+            if abs(eta - sample.eta) > 1e-9 * max(1.0, abs(sample.eta)):
+                raise ConfigError(
+                    f"eta {eta!r} at ({s:g}, {ar:g}) is not "
+                    f"P_star / P_ideal = {sample.eta!r}")
+            samples.append(sample)
     return samples
 
 
@@ -244,7 +238,6 @@ def generate_samples(
     material: Material = Material(),
     tether: Optional[TetherProperties] = None,
     point_fn: Optional[Callable[[float, float], tuple[float, float]]] = None,
-    eta_cap: float = ETA_CAP,
     **sim_kwargs,
 ) -> list[EffSample]:
     """Score a grid of wing geometries.
@@ -269,8 +262,7 @@ def generate_samples(
                     span, aspect, ilc_cfg or ILCConfig(), rule, flow,
                     foil_coeffs, foil, material,
                     tether or TetherProperties(), **sim_kwargs)
-            samples.append(
-                EffSample.from_powers(span, aspect, p_star, p_ideal, eta_cap))
+            samples.append(EffSample(span, aspect, p_star, p_ideal))
         except (NumericBlowup, PathLost, EmptyLap, Infeasible) as exc:
             warnings.warn(
                 f"skipping geometry ({span:g}, {aspect:g}): {exc}",

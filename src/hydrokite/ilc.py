@@ -67,7 +67,7 @@ class RLSModel:
     cov: np.ndarray
 
     @classmethod
-    def fresh(cls, init_cov: float = 1e4) -> "RLSModel":
+    def fresh(cls, init_cov: float) -> "RLSModel":
         return cls(theta=np.zeros(N_FEATURES),
                    cov=init_cov * np.eye(N_FEATURES))
 

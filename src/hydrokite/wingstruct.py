@@ -50,6 +50,11 @@ class Material:
     yield_stress: float = 2.70e8   # Pa
 
 
+# NACA four-digit thickness polynomial, closed trailing edge:
+# y_t / (5 t) = a0 sqrt(x) - a1 x - a2 x^2 + a3 x^3 - a4 x^4
+NACA_THICKNESS = (0.2969, 0.1260, 0.3516, 0.2843, 0.1036)
+
+
 @dataclass(frozen=True)
 class FourDigitFoil:
     """NACA four-digit outline with a closed trailing edge.
@@ -65,13 +70,9 @@ class FourDigitFoil:
     def half_thickness(self, x):
         """Thickness distribution y_t(x) per unit chord (closed-TE polynomial)."""
         x = np.asarray(x, dtype=float)
+        a0, a1, a2, a3, a4 = NACA_THICKNESS
         return 5.0 * self.thickness * (
-            0.2969 * np.sqrt(x)
-            - 0.1260 * x
-            - 0.3516 * x**2
-            + 0.2843 * x**3
-            - 0.1036 * x**4
-        )
+            a0 * np.sqrt(x) - a1 * x - a2 * x**2 + a3 * x**3 - a4 * x**4)
 
     def camber_line(self, x):
         """Mean camber line y_c(x) per unit chord."""

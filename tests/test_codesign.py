@@ -323,6 +323,23 @@ def test_ga_scores_each_new_genome_once(monkeypatch):
                           + (cfg.population - cfg.elite) * cfg.generations)
 
 
+@pytest.mark.parametrize("polish", [False, True])
+def test_dual_point_objective_is_the_ga_score(monkeypatch, polish):
+    ctx = fast_ctx()
+    scored = []
+
+    def recorded(*args):
+        scored.append(score(*args))
+        return scored[-1]
+
+    score = codesign._ga_fitness
+    monkeypatch.setattr(codesign, "_ga_fitness", recorded)
+    point = simultaneous_ga(16.0, 350e3, ctx, ga_cfg(polish=polish))
+    fits = [fit for fit, design in scored if design is point.design]
+    assert len(fits) == 1
+    assert point.objective.hex() == fits[0].hex()
+
+
 def test_ga_is_deterministic_per_seed():
     ctx = fast_ctx()
     a = simultaneous_ga(1.0, 350e3, ctx, ga_cfg(seed=11))
@@ -486,22 +503,18 @@ def test_pareto_point_rejects_power_mismatch():
     ctx = fast_ctx()
     design = evaluate_design(mid_vector(), ctx)
     with pytest.raises(ValueError):
-        ParetoPoint(p_req=design.power * 2.0, m_wing=design.m_wing,
-                    design=design, strategy="manual")
+        ParetoPoint(p_req=design.power * 2.0, design=design,
+                    strategy="manual", power_tol=ctx.grid.power_tol)
 
 
 def test_dual_point_rejects_inconsistent_objective():
     ctx = fast_ctx()
     design = evaluate_design(mid_vector(), ctx)
     good = math.log(design.power) - math.log(design.m_wing)
-    DualPoint(weight=1.0, p_min=design.power / 2.0, objective=good,
-              design=design)
+    point = DualPoint(weight=1.0, p_min=design.power / 2.0, design=design)
+    assert point.objective == good
     with pytest.raises(ValueError):
-        DualPoint(weight=1.0, p_min=design.power / 2.0, objective=good + 0.1,
-                  design=design)
-    with pytest.raises(ValueError):
-        DualPoint(weight=1.0, p_min=design.power * 2.0, objective=good,
-                  design=design)
+        DualPoint(weight=1.0, p_min=design.power * 2.0, design=design)
 
 
 # -- hull geometry ----------------------------------------------------------
@@ -552,6 +565,15 @@ def test_front_text_round_trips_exactly():
     cloud = pareto_log_cloud(points)
     assert cloud.shape == (len(points), 2)
     assert np.all(np.isfinite(cloud))
+
+
+def test_design_record_carries_every_design_field():
+    design = evaluate_design(mid_vector(), fast_ctx())
+    record = design_record(design)
+    for f in fields(KiteDesign):
+        assert record[f.name] == getattr(design, f.name)
+    for name in ("chord", "planform_area", "m_kite"):
+        assert record[name] == getattr(design, name)
 
 
 def test_design_record_carries_margins():

@@ -23,7 +23,7 @@ def bowl_samples(n=30, seed=1):
         s = rng.uniform(7.0, 10.0)
         ar = rng.uniform(4.0, 12.0)
         eta = bowl_eta(s, ar)
-        out.append(EffSample(s, ar, eta, eta * 1e5, 1e5))
+        out.append(EffSample(s, ar, eta * 1e5, 1e5))
     return out
 
 
@@ -33,15 +33,11 @@ def test_monomial_order_is_graded_lex():
 
 
 def test_sample_validates_ratio_and_range():
-    EffSample(8.0, 6.0, 0.5, 5e4, 1e5)
+    assert EffSample(8.0, 6.0, 5e4, 1e5).eta == 0.5
     with pytest.raises(ValueError):
-        EffSample(8.0, 6.0, 0.6, 5e4, 1e5)       # eta != ratio
+        EffSample(8.0, 6.0, 1.2e5, 1e5)     # above cap
     with pytest.raises(ValueError):
-        EffSample(8.0, 6.0, 1.2, 1.2e5, 1e5)     # above cap
-    with pytest.raises(ValueError):
-        EffSample(8.0, 6.0, 0.5, 5e4, -1e5)
-    relaxed = EffSample(8.0, 6.0, 1.2, 1.2e5, 1e5, eta_cap=1.5)
-    assert relaxed.eta == pytest.approx(1.2)
+        EffSample(8.0, 6.0, 5e4, -1e5)
 
 
 def test_fit_recovers_exact_quadratic():
@@ -52,7 +48,7 @@ def test_fit_recovers_exact_quadratic():
 
 
 def test_fit_constant_samples_gives_constant_surface():
-    samples = [EffSample(s, ar, 0.8, 8e4, 1e5)
+    samples = [EffSample(s, ar, 8e4, 1e5)
                for s in (7.0, 8.0, 9.0, 10.0) for ar in (4.0, 8.0, 12.0)]
     surface = fit_surface(samples)
     assert surface.residual_rms < 1e-12
@@ -66,7 +62,7 @@ def test_fit_noisy_quadratic_residual_in_band():
         s = rng.uniform(7.0, 10.0)
         ar = rng.uniform(4.0, 12.0)
         eta = bowl_eta(s, ar) + rng.normal(0.0, 0.01)
-        samples.append(EffSample(s, ar, eta, eta * 1e5, 1e5))
+        samples.append(EffSample(s, ar, eta * 1e5, 1e5))
     surface = fit_surface(samples)
     assert 0.005 <= surface.residual_rms <= 0.02
 
@@ -75,7 +71,7 @@ def test_fit_rejects_too_few_or_collinear_samples():
     with pytest.raises(RankDeficient):
         fit_surface(bowl_samples(n=5))
     # constant AR collapses three of the six columns
-    flat = [EffSample(s, 6.0, 0.8, 8e4, 1e5)
+    flat = [EffSample(s, 6.0, 8e4, 1e5)
             for s in np.linspace(7.0, 10.0, 12)]
     with pytest.raises(RankDeficient):
         fit_surface(flat)
@@ -96,7 +92,7 @@ def test_eval_never_exceeds_cap():
     for s in np.linspace(7.0, 10.0, 6):
         for ar in np.linspace(4.0, 12.0, 6):
             eta = min(1.0, 0.995 + rng.normal(0.0, 0.004))
-            samples.append(EffSample(s, ar, eta, eta * 1e5, 1e5))
+            samples.append(EffSample(s, ar, eta * 1e5, 1e5))
     surface = fit_surface(samples)
     raw = design_matrix([8.5], [8.0], 2)[0] @ surface.coeffs
     grid = [surface.eval(s, ar) for s in np.linspace(7, 10, 21)
@@ -114,7 +110,7 @@ def cubic_samples(n=40, seed=5):
         ar = rng.uniform(4.0, 12.0)
         eta = (bowl_eta(s, ar) + 0.002 * (s - 8.5) ** 3
                - 0.0002 * (ar - 7.0) ** 3)
-        out.append(EffSample(s, ar, eta, eta * 1e5, 1e5))
+        out.append(EffSample(s, ar, eta * 1e5, 1e5))
     return out
 
 
@@ -189,6 +185,17 @@ def test_samples_file_round_trip(tmp_path):
     assert len(back) == len(samples)
     for a, b in zip(samples, back):
         assert (a.span, a.aspect_ratio, a.eta) == (b.span, b.aspect_ratio, b.eta)
+
+
+def test_load_samples_rejects_an_inconsistent_eta_column(tmp_path):
+    path = tmp_path / "samples.txt"
+    save_samples(bowl_samples(n=3, seed=4), path)
+    lines = path.read_text().splitlines()
+    s, ar, eta, p_star, p_ideal = lines[2].split("\t")
+    lines[2] = "\t".join((s, ar, repr(float(eta) + 0.1), p_star, p_ideal))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="P_star / P_ideal"):
+        load_samples(path)
 
 
 def test_generate_samples_stub_eta_one():

@@ -99,7 +99,7 @@ def test_rls_covariance_stays_positive_definite():
 
 def test_ilc_update_fixed_point_at_zero_gradient():
     cfg = ILCConfig(perturb_amplitude=0.0)
-    model = RLSModel.fresh()
+    model = RLSModel.fresh(cfg.init_cov)
     b = np.array([0.3, 0.2, 0.0, 0.5])
     assert np.array_equal(ilc_update(model, b, cfg, k=7), b)
 
