@@ -61,6 +61,13 @@ class SearchGrid:
     n_stations: int = 2000           # section integration resolution
     power_tol: float = 1e-3          # relative power equality tolerance
 
+    def __post_init__(self):
+        for name in ("s_step", "d_step", "l_step", "power_tol"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if self.ar_scan < 1 or self.n_stations < 2:
+            raise ConfigError("ar_scan must be at least 1 and n_stations at least 2")
+
 
 @dataclass
 class DesignContext:
@@ -430,6 +437,8 @@ class GAConfig:
             raise ConfigError(
                 f"elite must satisfy 1 <= elite < population; got "
                 f"elite={self.elite}, population={self.population}")
+        if self.tournament < 1:
+            raise ConfigError("tournament must be at least 1")
 
 
 DEATH = -1e18

@@ -87,8 +87,6 @@ class EffSurface:
     coeffs: np.ndarray
     domain: tuple[float, float, float, float]   # s_lo, s_hi, ar_lo, ar_hi
     residual_rms: float
-    eta_floor: float = ETA_FLOOR
-    eta_cap: float = ETA_CAP
 
     def eval(self, span: float, aspect_ratio: float) -> float:
         """Clamped polynomial evaluation; out-of-domain queries warn."""
@@ -101,7 +99,7 @@ class EffSurface:
             s = min(max(s, s_lo), s_hi)
             a = min(max(a, a_lo), a_hi)
         val = float(np.dot(monomials(s, a, self.degree), self.coeffs))
-        return min(max(val, self.eta_floor), self.eta_cap)
+        return min(max(val, ETA_FLOOR), ETA_CAP)
 
 
 def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:
@@ -136,8 +134,6 @@ def surface_text(surface: EffSurface) -> str:
         "# coefficients in graded-lex monomial order: 1, s, AR, s^2, s*AR, AR^2, ...",
         f"degree {surface.degree}",
         "domain " + " ".join(f"{x:.17g}" for x in surface.domain),
-        f"eta_floor {surface.eta_floor:.17g}",
-        f"eta_cap {surface.eta_cap:.17g}",
         f"residual_rms {surface.residual_rms:.17g}",
     ]
     lines += [f"coeff {c:.17g}" for c in surface.coeffs]
@@ -160,8 +156,10 @@ def parse_surface(text: str) -> EffSurface:
             key, *vals = line.split()
             if key == "coeff":
                 coeffs.append(float(vals[0]))
-            else:
+            elif key in ("degree", "domain", "residual_rms"):
                 fields[key] = vals
+            else:
+                raise ConfigError(f"unknown efficiency surface key {key!r}")
         degree = int(fields["degree"][0])
         domain = tuple(float(x) for x in fields["domain"])
         surface = EffSurface(
@@ -169,8 +167,6 @@ def parse_surface(text: str) -> EffSurface:
             coeffs=np.array(coeffs),
             domain=domain,
             residual_rms=float(fields["residual_rms"][0]),
-            eta_floor=float(fields["eta_floor"][0]),
-            eta_cap=float(fields["eta_cap"][0]),
         )
     except (KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed efficiency surface document: {exc}")
@@ -213,15 +209,18 @@ def load_samples(path) -> list[EffSample]:
     """Samples from a file; its eta column must equal P_star / P_ideal."""
     samples = []
     with open(path) as handle:
-        for line in handle.read().splitlines()[1:]:
+        for number, line in enumerate(handle.read().splitlines()[1:], start=2):
             if not line.strip():
                 continue
-            s, ar, eta, p_star, p_ideal = (float(x) for x in line.split("\t"))
-            sample = EffSample(s, ar, p_star, p_ideal)
+            try:
+                s, ar, eta, p_star, p_ideal = (float(x) for x in line.split("\t"))
+                sample = EffSample(s, ar, p_star, p_ideal)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {number}: {exc}") from exc
             if abs(eta - sample.eta) > 1e-9 * max(1.0, abs(sample.eta)):
                 raise ConfigError(
-                    f"eta {eta!r} at ({s:g}, {ar:g}) is not "
-                    f"P_star / P_ideal = {sample.eta!r}")
+                    f"{path} line {number}: eta {eta!r} at ({s:g}, {ar:g}) "
+                    f"is not P_star / P_ideal = {sample.eta!r}")
             samples.append(sample)
     return samples
 

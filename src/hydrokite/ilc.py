@@ -107,6 +107,10 @@ class ILCConfig:
             raise ConfigError("learning gain must be >= 0")
         if self.perturb_amplitude < 0.0:
             raise ConfigError("perturbation amplitude must be >= 0")
+        if self.perturb_decay <= 0.0:
+            raise ConfigError("perturbation decay must be positive")
+        if self.max_laps < 1:
+            raise ConfigError("max_laps must be at least 1")
 
 
 def perturbation(cfg: ILCConfig, k: int) -> np.ndarray:

@@ -323,7 +323,11 @@ class WingSizing:
     inertia: float       # m^4
     inertia_required: float  # m^4
     section_area: float  # m^2
-    constraint_active: bool
+
+    @property
+    def constraint_active(self) -> bool:
+        """The section sits on the deflection floor, within 2%."""
+        return self.inertia_required > 0.0 and self.inertia <= 1.02 * self.inertia_required
 
 
 def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
@@ -432,56 +436,34 @@ def swdt_optimize(
             detail={"inertia_required_m4": i_req},
         )
 
-    # polish the controlling variable so the floor is met with <= 0.1% excess
+    # polish the shell so the floor is met with <= 0.1% excess
     design, props = _tighten(integ, *best, i_req_hat)
     area = props.area * c**2
-    inertia = props.inertia * c**4
-    active = i_req > 0.0 and inertia <= 1.02 * i_req
-    return WingSizing(design, wing_mass(planform, area, material), inertia,
-                      i_req, area, active)
-
-
-def _shave(integ, design, i_req_hat, field):
-    """Bisect one thickness field down until inertia sits within 0.1% of
-    the floor; returns the (design, unit props) it stops at.
-
-    On spar width the section is a step function (see ``SectionIntegrator``),
-    so the bisection integrates each station cell it visits once."""
-    sections = {}  # web cells -> unit props, when bisecting spar width
-
-    def size(v):
-        d = replace(design, **{field: v})
-        if field == "shell_pct":
-            return d, integ.properties(d)
-        cells = integ.web_cells(d.n_spars, d.spar_width_pct)
-        props = sections.get(cells)
-        if props is None:
-            props = sections[cells] = integ.properties(d)
-        return d, props
-
-    zero = size(0.0)
-    if zero[1].inertia >= i_req_hat:
-        return zero
-    lo, hi = 0.0, getattr(design, field)
-    top = size(hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cell = size(mid)
-        if cell[1].inertia >= i_req_hat:
-            hi, top = mid, cell
-        else:
-            lo = mid
-        if top[1].inertia <= i_req_hat * 1.001:
-            break
-    return top
+    return WingSizing(design, wing_mass(planform, area, material),
+                      props.inertia * c**4, i_req, area)
 
 
 def _tighten(integ, design, props, i_req_hat):
-    """Remove excess inertia so the deflection constraint ends up active."""
-    if i_req_hat <= 0.0 or props.inertia <= i_req_hat * 1.001:
+    """Bisect the shell of the sweep winner, handed on with its section,
+    down until inertia sits within 0.1% of the floor; returns the (design,
+    unit props) it stops at.  The sweep keeps a shell whose next-thinner
+    neighbour fails at the same web cell, so a winner with a web overshoots
+    by at most one shell step and in practice arrives inside the band."""
+    if i_req_hat <= 0.0 or props.inertia <= i_req_hat * 1.001 or design.shell_pct == 0.0:
         return design, props
-    if design.spar_width_pct > 0.0:
-        design, props = _shave(integ, design, i_req_hat, "spar_width_pct")
-    if props.inertia > i_req_hat * 1.001 and design.shell_pct > 0.0:
-        design, props = _shave(integ, design, i_req_hat, "shell_pct")
+    zero = replace(design, shell_pct=0.0)
+    zero_props = integ.properties(zero)
+    if zero_props.inertia >= i_req_hat:
+        return zero, zero_props
+    lo, hi = 0.0, design.shell_pct
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        cut = replace(design, shell_pct=mid)
+        cut_props = integ.properties(cut)
+        if cut_props.inertia >= i_req_hat:
+            hi, design, props = mid, cut, cut_props
+        else:
+            lo = mid
+        if props.inertia <= i_req_hat * 1.001:
+            break
     return design, props

@@ -153,6 +153,15 @@ def test_override_rejections():
         "foil.k_visc=-0.01",
         "ga.elite=200",                 # no room left for children
         "ga.elite=0",                   # the GA reads its winner off the elite
+        "ga.tournament=0",              # a tournament needs an entrant
+        "grids.s_step=0",               # each step divides an axis
+        "grids.d_step=-0.02",
+        "grids.l_step=0",
+        "grids.ar_scan=0",              # no aspect-ratio interval to scan
+        "grids.n_stations=1",           # one station has no chord to span
+        "grids.power_tol=0",            # no design hits a power exactly
+        "ilc.max_laps=0",               # the search returns its best lap
+        "ilc.perturb_decay=0",          # divides the lap count
     ]
     for item in bad:
         with pytest.raises(ConfigError):

@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+from hydrokite import effmap
 from hydrokite.effmap import (
     EffSample, default_surface, design_matrix, fit_surface,
     generate_samples, load_samples, load_surface, monomial_exponents,
@@ -115,20 +114,21 @@ def cubic_samples(n=40, seed=5):
 
 
 @pytest.mark.parametrize("degree", ["bundled", 1, 3])
-def test_eval_matches_the_design_matrix_bitwise(degree):
+def test_eval_matches_the_design_matrix_bitwise(degree, monkeypatch):
     if degree == "bundled":
         surface = default_surface()
     else:
         surface = fit_surface(cubic_samples(), degree=degree)
     # no clamp, so every raw value is compared
-    raw = dataclasses.replace(surface, eta_floor=-np.inf, eta_cap=np.inf)
+    monkeypatch.setattr(effmap, "ETA_FLOOR", -np.inf)
+    monkeypatch.setattr(effmap, "ETA_CAP", np.inf)
     s_lo, s_hi, a_lo, a_hi = surface.domain
     rng = np.random.default_rng(20261018)
     spans = rng.uniform(s_lo, s_hi, 10_000).tolist()
     aspects = rng.uniform(a_lo, a_hi, 10_000).tolist()
     want = [float(design_matrix([s], [a], surface.degree)[0] @ surface.coeffs)
             for s, a in zip(spans, aspects)]
-    assert [raw.eval(s, a) for s, a in zip(spans, aspects)] == want
+    assert [surface.eval(s, a) for s, a in zip(spans, aspects)] == want
 
 
 def test_surface_round_trip_is_identity():
@@ -163,6 +163,9 @@ def test_parse_surface_rejects_malformed_documents():
     lines = good.strip().split("\n")
     with pytest.raises(ConfigError):
         parse_surface("\n".join(lines[:-1]))
+    # a misspelt key is not skipped
+    with pytest.raises(ConfigError, match="eta_flor"):
+        parse_surface(good + "eta_flor 0.5\n")
 
 
 def test_default_surface_loads_and_is_sane():
@@ -195,6 +198,21 @@ def test_load_samples_rejects_an_inconsistent_eta_column(tmp_path):
     lines[2] = "\t".join((s, ar, repr(float(eta) + 0.1), p_star, p_ideal))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="P_star / P_ideal"):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param("8\t6\t0.5\t5e4", id="four-columns"),
+    pytest.param("8\t6\t0.5\t5e4\t1e5\t0", id="six-columns"),
+    pytest.param("8\t6\thalf\t5e4\t1e5", id="not-a-number"),
+    pytest.param("8\t6\t1.2\t1.2e5\t1e5", id="eta-above-cap"),
+    pytest.param("8\t6\t-0.5\t5e4\t-1e5", id="ideal-not-positive"),
+])
+def test_load_samples_rejects_a_malformed_row(tmp_path, row):
+    path = tmp_path / "samples.txt"
+    save_samples(bowl_samples(n=2, seed=4), path)
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ConfigError, match="line 4"):
         load_samples(path)
 
 

@@ -26,7 +26,7 @@ from hydrokite.wingstruct import (
     SectionIntegrator,
     WingSizing,
     WingStructureDesign,
-    _shave,
+    _tighten,
     rated_wing_load,
     required_inertia,
     section_properties,
@@ -320,23 +320,25 @@ def reference_shave(integ, design, i_req_hat, field):
     return build(hi), step
 
 
-@pytest.mark.parametrize("field", ["spar_width_pct", "shell_pct"])
-def test_shave_integrates_once_per_bisection_step(field):
+def test_tighten_integrates_once_per_bisection_step():
     integ = CountingIntegrator(FourDigitFoil(), 400)
     reference = SectionIntegrator(FourDigitFoil(), 400)
     design = WingStructureDesign(2, 12.0, 6.0)
-    # zeroing either field leaves about 60% of this inertia, so each floor
+    props = reference.properties(design)
+    # a bare-web section leaves about 60% of this inertia, so each floor
     # needs a bisection
     for frac in (0.7, 0.8, 0.95):
-        i_req_hat = frac * reference.properties(design).inertia
-        expected, steps = reference_shave(reference, design, i_req_hat, field)
+        i_req_hat = frac * props.inertia
+        expected, steps = reference_shave(reference, design, i_req_hat, "shell_pct")
         assert steps >= 2
         integ.calls.clear()
-        shaved, props = _shave(integ, design, i_req_hat, field)
+        shaved, shaved_props = _tighten(integ, design, props, i_req_hat)
         assert shaved == expected
-        # the zero end, the starting value, then one midpoint per step
-        assert len(integ.calls) <= steps + 2
-        assert props == reference.properties(shaved)
+        # the bare-web end, then one midpoint per step; the section it is
+        # handed is not integrated again
+        assert len(integ.calls) <= steps + 1
+        assert design not in integ.calls
+        assert shaved_props == reference.properties(shaved)
 
 
 def test_a_rejected_planform_costs_one_integration_per_spar_count(monkeypatch):
@@ -446,8 +448,19 @@ def reference_swdt_optimize(integ, planform, load, material=Material()):
     area = props.area * c**2
     inertia = props.inertia * c**4
     mass = material.density * planform.span * area
-    active = i_req > 0.0 and inertia <= 1.02 * i_req
-    return WingSizing(design, mass, inertia, i_req, area, active)
+    return WingSizing(design, mass, inertia, i_req, area)
+
+
+def reference_draws(seed, n_planforms, scales, ar_max=12.0):
+    """(planform, load) cases: seeded planforms, each at multiples of its
+    rated load."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_planforms):
+        planform = WingPlanform(span=float(rng.uniform(7.0, 10.0)),
+                                aspect_ratio=float(rng.uniform(4.0, ar_max)))
+        rated = rated_wing_load(planform, FlowEnv(), FoilCoeffs())
+        for scale in scales:
+            yield planform, scale * rated
 
 
 def assert_sizing_matches_the_reference(n_stations, seed, n_planforms, scales,
@@ -455,27 +468,21 @@ def assert_sizing_matches_the_reference(n_stations, seed, n_planforms, scales,
     """Every ``WingSizing`` field equals the reference search's exactly;
     returns how many (planform, load) cases were infeasible."""
     integ = SectionIntegrator(FourDigitFoil(), n_stations)
-    rng = np.random.default_rng(seed)
     n_infeasible = 0
-    for _ in range(n_planforms):
-        planform = WingPlanform(span=float(rng.uniform(7.0, 10.0)),
-                                aspect_ratio=float(rng.uniform(4.0, ar_max)))
-        rated = rated_wing_load(planform, FlowEnv(), FoilCoeffs())
-        for scale in scales:
-            load = scale * rated
-            try:
-                expected = reference_swdt_optimize(integ, planform, load)
-            except Infeasible as exc:
-                with pytest.raises(Infeasible) as err:
-                    swdt_optimize(planform, load, n_stations=n_stations)
-                assert str(err.value) == str(exc)
-                assert err.value.detail == exc.detail
-                n_infeasible += 1
-                continue
-            got = swdt_optimize(planform, load, n_stations=n_stations)
-            for f in fields(WingSizing):
-                assert getattr(got, f.name) == getattr(expected, f.name), (
-                    planform, scale, f.name)
+    for planform, load in reference_draws(seed, n_planforms, scales, ar_max):
+        try:
+            expected = reference_swdt_optimize(integ, planform, load)
+        except Infeasible as exc:
+            with pytest.raises(Infeasible) as err:
+                swdt_optimize(planform, load, n_stations=n_stations)
+            assert str(err.value) == str(exc)
+            assert err.value.detail == exc.detail
+            n_infeasible += 1
+            continue
+        got = swdt_optimize(planform, load, n_stations=n_stations)
+        for f in fields(WingSizing):
+            assert getattr(got, f.name) == getattr(expected, f.name), (
+                planform, load, f.name)
     return n_infeasible
 
 
@@ -495,6 +502,29 @@ def test_sizing_matches_the_reference_search_at_the_default_grid():
     assert 0 < n_infeasible < 18
 
 
+def test_a_web_controlled_winner_reaches_the_polish_within_its_band(monkeypatch):
+    # the reference's spar-width shave is never needed: the sweep keeps the
+    # shell whose next-thinner neighbour fails at the same web cell, so a
+    # winner with a web overshoots the floor by less than one shell step
+    inputs = []
+
+    def recording(integ, design, props, i_req_hat):
+        inputs.append((design, props.inertia, i_req_hat))
+        return _tighten(integ, design, props, i_req_hat)
+
+    monkeypatch.setattr(wingstruct, "_tighten", recording)
+    for planform, load in reference_draws(20261019, 50, (0.0, 0.3, 1.0, 2.0)):
+        try:
+            swdt_optimize(planform, load, n_stations=400)
+        except Infeasible:
+            pass
+    webbed = [(i, floor) for d, i, floor in inputs if d.spar_width_pct > 0.0]
+    assert all(i <= floor * 1.001 for i, floor in webbed)
+    shaved = [d for d, i, floor in inputs if i > floor * 1.001]
+    # both kinds of winner occur, so the bound above is not vacuous
+    assert (len(webbed), len(shaved)) == (22, 5)
+
+
 def test_sizing_integrates_each_section_once(monkeypatch):
     integ = CountingIntegrator(FourDigitFoil(), 2000)
     monkeypatch.setitem(wingstruct._DEFAULT_INTEGRATOR, (FourDigitFoil(), 2000), integ)
@@ -505,7 +535,6 @@ def test_sizing_integrates_each_section_once(monkeypatch):
     # the thinner shells need a web, so root solves on spar width ran
     assert sum(0.0 < d.spar_width_pct < SPAR_WIDTH_MAX_PCT for d in integ.calls) > 100
     # neither a root solve nor a later sweep stage integrates a section twice;
-    # here the thickest shell needs no web and the sweep's winner needs no
-    # shave, so the feasibility corner and ``_tighten``, which integrate the
-    # layouts they are handed, add no repeat either
+    # here the thickest shell needs no web, so the feasibility corner adds no
+    # repeat either, and ``_tighten`` reuses the winner's section it is handed
     assert len(set(keys)) == len(keys)
