@@ -323,6 +323,104 @@ def test_ga_scores_each_new_genome_once(monkeypatch):
                           + (cfg.population - cfg.elite) * cfg.generations)
 
 
+def reference_sbx_pair(p1, p2, eta, rng):
+    u = rng.uniform(size=p1.shape)
+    beta = np.where(u <= 0.5,
+                    (2.0 * u) ** (1.0 / (eta + 1.0)),
+                    (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return c1, c2
+
+
+def reference_poly_mutate(x, lo, hi, eta, prob, rng):
+    u = rng.uniform(size=x.shape)
+    do = rng.uniform(size=x.shape) < prob
+    delta = np.where(u < 0.5,
+                     (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0,
+                     1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0)))
+    return np.where(do, x + delta * (hi - lo), x)
+
+
+def reference_simultaneous_ga(w, p_min, ctx, cfg):
+    """simultaneous_ga without polish, breeding one pair at a time: each
+    pair draws its tournament, crossover and mutation numbers and is bred
+    before the next pair draws."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = DESIGN_LO.copy(), DESIGN_HI.copy()
+    sample_lo = lo.copy()
+    sample_lo[3] = max(sample_lo[3], 1e-3)
+    sample_lo[4] = max(sample_lo[4], 1e-3)
+    pop = rng.uniform(sample_lo, hi, size=(cfg.population, 8))
+    pop[:, 2] = rng.integers(codesign.N_SPARS_MIN, codesign.N_SPARS_MAX + 1,
+                             size=cfg.population)
+    scored = [codesign._ga_fitness(u, w, p_min, ctx) for u in pop]
+    fitness = np.array([s[0] for s in scored])
+    for _ in range(cfg.generations):
+        elite = np.argsort(-fitness, kind="stable")[:cfg.elite]
+        children = []
+        while len(children) < cfg.population - cfg.elite:
+            picks = rng.integers(0, cfg.population, size=(2, cfg.tournament))
+            p1 = pop[picks[0][np.argmax(fitness[picks[0]])]]
+            p2 = pop[picks[1][np.argmax(fitness[picks[1]])]]
+            if rng.uniform() < cfg.crossover_prob:
+                c1, c2 = reference_sbx_pair(p1, p2, cfg.sbx_eta, rng)
+                n_sp = (p1[2], p2[2]) if rng.uniform() < 0.5 else (p2[2], p1[2])
+                c1[2], c2[2] = n_sp
+            else:
+                c1, c2 = p1.copy(), p2.copy()
+            for child in (c1, c2):
+                child[:] = reference_poly_mutate(
+                    child, lo, hi, cfg.mutation_eta, cfg.mutation_prob, rng)
+                if rng.uniform() < cfg.mutation_prob:
+                    child[2] = rng.integers(codesign.N_SPARS_MIN,
+                                            codesign.N_SPARS_MAX + 1)
+                np.clip(child, lo, hi, out=child)
+                child[2] = float(int(round(child[2])))
+                children.append(child)
+        children = children[:cfg.population - cfg.elite]
+        pop = np.vstack([pop[elite], np.array(children)])
+        scored = ([scored[i] for i in elite]
+                  + [codesign._ga_fitness(u, w, p_min, ctx) for u in children])
+        fitness = np.array([s[0] for s in scored])
+    _, best_design = scored[int(np.argmax(fitness))]
+    if best_design is None:
+        raise NoFeasibleIndividual("no feasible design")
+    return DualPoint(weight=w, p_min=p_min, design=best_design)
+
+
+@pytest.mark.parametrize("tournament", [1, 3])
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("mutation_prob", [0.0, 0.125, 1.0])
+def test_ga_breeds_the_pairwise_reference_children(
+        monkeypatch, tournament, crossover_prob, mutation_prob):
+    # population - elite is odd: the last pair's second child is bred and
+    # then dropped, so its draws still advance the stream
+    ctx = fast_ctx()
+    genomes = []
+
+    def recorded(*args):
+        genomes.append(args[0].tolist())
+        return score(*args)
+
+    score = codesign._ga_fitness
+    monkeypatch.setattr(codesign, "_ga_fitness", recorded)
+    for seed in (0, 1, 2):
+        cfg = ga_cfg(population=21, elite=4, generations=4, seed=seed,
+                     tournament=tournament, crossover_prob=crossover_prob,
+                     mutation_prob=mutation_prob)
+        expected = reference_simultaneous_ga(16.0, 350e3, ctx, cfg)
+        expected_genomes, genomes[:] = genomes[:], []
+        got = simultaneous_ga(16.0, 350e3, ctx, cfg)
+        # every genome scored, in order, not only the winner
+        assert genomes == expected_genomes, seed
+        assert len(genomes) == cfg.population + 17 * cfg.generations
+        for f in fields(KiteDesign):
+            assert (getattr(got.design, f.name)
+                    == getattr(expected.design, f.name)), (seed, f.name)
+        genomes.clear()
+
+
 @pytest.mark.parametrize("polish", [False, True])
 def test_dual_point_objective_is_the_ga_score(monkeypatch, polish):
     ctx = fast_ctx()
