@@ -439,13 +439,27 @@ class GAConfig:
                 f"elite={self.elite}, population={self.population}")
         if self.tournament < 1:
             raise ConfigError("tournament must be at least 1")
+        if self.generations < 0:
+            raise ConfigError(
+                f"generations must be at least 0; got {self.generations}")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(
+                    f"{name} must lie in [0, 1]; got {getattr(self, name)!r}")
+        # the operators raise 2u to the power 1/(eta + 1)
+        for name in ("sbx_eta", "mutation_eta"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and at least 0; "
+                    f"got {getattr(self, name)!r}")
 
 
 DEATH = -1e18
 
 
-def _sbx_pair(p1, p2, eta, rng):
-    u = rng.uniform(size=p1.shape)
+def _sbx(p1, p2, u, eta):
+    """Deb & Agrawal's simulated binary crossover of parent rows p1 and p2,
+    given a uniform draw u per gene."""
     beta = np.where(u <= 0.5,
                     (2.0 * u) ** (1.0 / (eta + 1.0)),
                     (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
@@ -454,13 +468,62 @@ def _sbx_pair(p1, p2, eta, rng):
     return c1, c2
 
 
-def _poly_mutate(x, lo, hi, eta, prob, rng):
-    u = rng.uniform(size=x.shape)
-    do = rng.uniform(size=x.shape) < prob
+def _poly_mutate(x, lo, hi, eta, u, do):
+    """Deb & Agrawal's polynomial mutation of the genes where do is set,
+    given a uniform draw u per gene."""
     delta = np.where(u < 0.5,
                      (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0,
                      1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0)))
     return np.where(do, x + delta * (hi - lo), x)
+
+
+def _breed(pop, fitness, n_children, lo, hi, cfg, rng):
+    """One generation's children, bred in pairs and clipped to the box.
+
+    The per-pair loop makes only the random draws.  Runs of consecutive
+    double draws are merged into one call, and ``rng.random`` stands in
+    for ``rng.uniform()``, whose draw is 0 + 1*x of the same double;
+    neither moves the stream.  Integer draws stay one call each, since
+    each call buffers its own 32-bit halves.  The arithmetic stays in
+    NumPy: its array power rounds differently from Python's float power,
+    and the same array expressions are what keep each child's bits.
+    """
+    n_pairs = (n_children + 1) // 2
+    picks = np.empty((n_pairs, 2, cfg.tournament), dtype=np.int64)
+    cross = np.zeros(n_pairs, dtype=bool)
+    # per pair: SBX's u for each gene, then the spar-count swap draw
+    sbx_draws = np.zeros((n_pairs, 9))
+    # per child: mutation u for each gene, the gene mask draws, then the
+    # spar-mutation draw
+    mut_draws = np.empty((n_pairs, 2, 17))
+    spar_draws = np.zeros((n_pairs, 2))
+    for k in range(n_pairs):
+        picks[k] = rng.integers(0, cfg.population, size=(2, cfg.tournament))
+        if rng.random() < cfg.crossover_prob:
+            cross[k] = True
+            rng.random(out=sbx_draws[k])
+        for j in (0, 1):
+            if rng.random(out=mut_draws[k, j])[16] < cfg.mutation_prob:
+                spar_draws[k, j] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1)
+
+    # each tournament's first fittest pick
+    won = np.take_along_axis(
+        picks, fitness[picks].argmax(axis=2)[..., None], axis=2)[..., 0]
+    parents = pop[won]
+    p1, p2 = parents[:, 0], parents[:, 1]
+    c1, c2 = _sbx(p1, p2, sbx_draws[:, :8], cfg.sbx_eta)
+    swap = sbx_draws[:, 8] < 0.5
+    c1[:, 2] = np.where(swap, p1[:, 2], p2[:, 2])
+    c2[:, 2] = np.where(swap, p2[:, 2], p1[:, 2])
+    kids = np.where(cross[:, None, None], np.stack([c1, c2], axis=1), parents)
+    kids = _poly_mutate(kids, lo, hi, cfg.mutation_eta, mut_draws[..., :8],
+                        mut_draws[..., 8:16] < cfg.mutation_prob)
+    kids[..., 2] = np.where(mut_draws[..., 16] < cfg.mutation_prob,
+                            spar_draws, kids[..., 2])
+    np.clip(kids, lo, hi, out=kids)
+    kids[..., 2] = np.rint(kids[..., 2])
+    # an odd count drops the last pair's second child, drawn all the same
+    return kids.reshape(-1, 8)[:n_children]
 
 
 def _ga_fitness(u, w, p_min, ctx):
@@ -480,7 +543,20 @@ def _ga_fitness(u, w, p_min, ctx):
 
 def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
                     cfg: GAConfig = GAConfig()) -> DualPoint:
-    """Seeded GA over all eight variables maximizing w*ln(P) - ln(m_wing)."""
+    """Seeded GA over all eight variables maximizing w*ln(P) - ln(m_wing).
+
+    Each generation keeps its ``elite`` fittest genomes and breeds the rest
+    in pairs: tournament selection, Deb & Agrawal's SBX with the parents'
+    spar counts swapped or kept, then polynomial mutation, a redrawn spar
+    count, clipping to the design box and a rounded spar count.  Breeding
+    runs in two phases (``_breed``).  The pairs first draw their random
+    numbers one pair after another, keeping the order, call shapes and
+    branches of a loop that breeds one pair at a time; then one NumPy
+    pass breeds every pair from those draws.  When population - elite is
+    odd, the last pair's second child is drawn and bred like the others
+    and then dropped.  Each child is then scored by ``_ga_fitness``, one
+    call per child in order; the elite keep their scores.
+    """
     if w <= 0.0:
         raise ConfigError("objective weight must be positive")
     rng = np.random.default_rng(cfg.seed)
@@ -498,27 +574,9 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
     fitness = np.array([s[0] for s in scored])
     for _ in range(cfg.generations):
         elite = np.argsort(-fitness, kind="stable")[:cfg.elite]
-        children = []
-        while len(children) < cfg.population - cfg.elite:
-            picks = rng.integers(0, cfg.population, size=(2, cfg.tournament))
-            p1 = pop[picks[0][np.argmax(fitness[picks[0]])]]
-            p2 = pop[picks[1][np.argmax(fitness[picks[1]])]]
-            if rng.uniform() < cfg.crossover_prob:
-                c1, c2 = _sbx_pair(p1, p2, cfg.sbx_eta, rng)
-                n_sp = (p1[2], p2[2]) if rng.uniform() < 0.5 else (p2[2], p1[2])
-                c1[2], c2[2] = n_sp
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            for child in (c1, c2):
-                child[:] = _poly_mutate(child, lo, hi, cfg.mutation_eta,
-                                        cfg.mutation_prob, rng)
-                if rng.uniform() < cfg.mutation_prob:
-                    child[2] = rng.integers(N_SPARS_MIN, N_SPARS_MAX + 1)
-                np.clip(child, lo, hi, out=child)
-                child[2] = float(int(round(child[2])))
-                children.append(child)
-        children = children[:cfg.population - cfg.elite]
-        pop = np.vstack([pop[elite], np.array(children)])
+        children = _breed(pop, fitness, cfg.population - cfg.elite,
+                          lo, hi, cfg, rng)
+        pop = np.vstack([pop[elite], children])
         # the elite keep their scores; only the children are new
         scored = ([scored[i] for i in elite]
                   + [_ga_fitness(u, w, p_min, ctx) for u in children])
@@ -548,10 +606,11 @@ def _polish(design0, w, p_min, ctx):
     """
     idx = [0, 1, 3, 4, 5, 6, 7]
     n_sp = design0.n_spars
+    lo, hi = DESIGN_LO[idx], DESIGN_HI[idx]
 
     def score(x):
         u = np.empty(8)
-        u[idx] = np.clip(x, DESIGN_LO[idx], DESIGN_HI[idx])
+        u[idx] = np.clip(x, lo, hi)
         u[2] = n_sp
         return _ga_fitness(u, w, p_min, ctx)
 

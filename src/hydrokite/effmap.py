@@ -191,8 +191,11 @@ def default_surface() -> EffSurface:
     return parse_surface(text)
 
 
+SAMPLES_HEADER = "s\tAR\teta\tP_star\tP_ideal"
+
+
 def samples_text(samples: Iterable[EffSample]) -> str:
-    lines = ["s\tAR\teta\tP_star\tP_ideal"]
+    lines = [SAMPLES_HEADER]
     for p in samples:
         lines.append("\t".join(f"{x:.17g}" for x in
                                (p.span, p.aspect_ratio, p.eta,
@@ -206,10 +209,16 @@ def save_samples(samples: Iterable[EffSample], path) -> None:
 
 
 def load_samples(path) -> list[EffSample]:
-    """Samples from a file; its eta column must equal P_star / P_ideal."""
+    """Samples from a file written by ``save_samples``: its first line is
+    the header and its eta column must equal P_star / P_ideal."""
     samples = []
     with open(path) as handle:
-        for number, line in enumerate(handle.read().splitlines()[1:], start=2):
+        lines = handle.read().splitlines()
+        if not lines or lines[0] != SAMPLES_HEADER:
+            raise ConfigError(
+                f"{path} line 1: expected the header {SAMPLES_HEADER!r}, "
+                f"got {lines[0] if lines else ''!r}")
+        for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:

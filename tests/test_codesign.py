@@ -414,7 +414,8 @@ def test_ga_breeds_the_pairwise_reference_children(
         got = simultaneous_ga(16.0, 350e3, ctx, cfg)
         # every genome scored, in order, not only the winner
         assert genomes == expected_genomes, seed
-        assert len(genomes) == cfg.population + 17 * cfg.generations
+        assert len(genomes) == (cfg.population
+                                + (cfg.population - cfg.elite) * cfg.generations)
         for f in fields(KiteDesign):
             assert (getattr(got.design, f.name)
                     == getattr(expected.design, f.name)), (seed, f.name)
@@ -519,6 +520,32 @@ def test_ga_config_requires_elitism():
         with pytest.raises(ConfigError):
             ga_cfg(elite=elite)
     assert ga_cfg(elite=39).elite == 39
+
+
+@pytest.mark.parametrize("name", ["crossover_prob", "mutation_prob"])
+def test_ga_config_rejects_a_probability_outside_the_unit_interval(name):
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(ConfigError, match=name):
+            ga_cfg(**{name: bad})
+    for good in (0.0, 1.0):
+        assert getattr(ga_cfg(**{name: good}), name) == good
+
+
+@pytest.mark.parametrize("name", ["sbx_eta", "mutation_eta"])
+def test_ga_config_rejects_a_negative_or_infinite_eta(name):
+    # -1 made the operators' exponent 1/(eta + 1) divide by zero mid-run
+    for bad in (-1.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=name):
+            ga_cfg(**{name: bad})
+    assert getattr(ga_cfg(**{name: 0.0}), name) == 0.0
+
+
+def test_ga_config_rejects_negative_generations():
+    with pytest.raises(ConfigError, match="generations"):
+        ga_cfg(generations=-1)
+    # no generations: the winner comes from the scored initial population
+    point = simultaneous_ga(16.0, 350e3, fast_ctx(), ga_cfg(generations=0))
+    assert point.design.power >= 350e3
 
 
 def test_ga_rejects_nonpositive_weight():

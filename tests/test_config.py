@@ -154,6 +154,9 @@ def test_override_rejections():
         "ga.elite=200",                 # no room left for children
         "ga.elite=0",                   # the GA reads its winner off the elite
         "ga.tournament=0",              # a tournament needs an entrant
+        "ga.generations=-1",
+        "ga.crossover_prob=1.5",        # a probability
+        "ga.sbx_eta=-1.0",              # 1/(eta + 1) divides by zero
         "grids.s_step=0",               # each step divides an axis
         "grids.d_step=-0.02",
         "grids.l_step=0",

@@ -190,6 +190,22 @@ def test_samples_file_round_trip(tmp_path):
         assert (a.span, a.aspect_ratio, a.eta) == (b.span, b.aspect_ratio, b.eta)
 
 
+def test_load_samples_requires_the_header(tmp_path):
+    samples = bowl_samples(n=2, seed=4)
+    path = tmp_path / "samples.txt"
+    save_samples(samples, path)
+    assert len(load_samples(path)) == 2
+    # without its header line the file would lose its first sample
+    headerless = tmp_path / "headerless.txt"
+    headerless.write_text("".join(path.read_text().splitlines(True)[1:]))
+    with pytest.raises(ConfigError, match="headerless.txt line 1: expected the header"):
+        load_samples(headerless)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with pytest.raises(ConfigError, match="empty.txt line 1"):
+        load_samples(empty)
+
+
 def test_load_samples_rejects_an_inconsistent_eta_column(tmp_path):
     path = tmp_path / "samples.txt"
     save_samples(bowl_samples(n=3, seed=4), path)
