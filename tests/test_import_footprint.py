@@ -34,3 +34,18 @@ def test_no_module_imports_scipy():
     assert "hydrokite.codesign" in report["imported"]
     assert "hydrokite.dynsim.sim" in report["imported"]
     assert report["scipy"] == []
+
+
+def test_catalog_imports_no_design_search_module():
+    # the flight workload loads a catalog kite and never needs the config
+    # schema, which pulls in the whole design search
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import json, sys\nimport hydrokite.catalog\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.startswith('hydrokite.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "hydrokite.catalog" in loaded
+    for name in ("config", "codesign", "effmap", "ilc"):
+        assert f"hydrokite.{name}" not in loaded
