@@ -4,13 +4,18 @@ Records are data, not derivations: masses and thicknesses are carried as
 sized by the program that produced each design.  The structural audit in
 this package applies its own load case and may disagree with a record;
 that disagreement is reported, not hidden.
+
+The typed reader that builds a record from YAML, ``build_record``, also
+reads every section of the suite's config file.  It lives here because the
+config schema imports the whole design search, which loading a catalog
+kite to fly it must not pay for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import yaml
 
@@ -21,16 +26,73 @@ from .fusestruct import FuselageDesign
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform
 from .wingstruct import FourDigitFoil
 
-_FLOAT_KEYS = ("span", "aspect_ratio", "diameter", "length", "wall_pct",
-               "m_wing", "m_fuse", "ratio_mass")
-_OPTIONAL_FLOAT_KEYS = ("spar_width_pct", "shell_pct", "power_rated")
+
+def read_text(path: str, what: str) -> str:
+    """The text of a file the user named; ``what`` names it in errors."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} {path!r} does not exist")
+    return p.read_text()
+
+
+def parse_yaml(text: str, what: str) -> Any:
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
+
+
+def _coerce(where: str, ftype: str, raw: Any) -> Any:
+    # the records are defined under postponed annotations, so fields()
+    # gives each type as its source string
+    if ftype.startswith("Optional[") and ftype.endswith("]"):
+        if raw is None:
+            return None
+        ftype = ftype[len("Optional["):-1]
+    if ftype == "str":
+        if not isinstance(raw, str):
+            raise ConfigError(f"{where} must be a string")
+        return raw
+    if ftype == "bool":
+        if not isinstance(raw, bool):
+            raise ConfigError(f"{where} must be true or false")
+        return raw
+    if ftype == "int":
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ConfigError(f"{where} must be an integer")
+        return raw
+    if ftype == "float":
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{where} must be a number")
+        return float(raw)
+    raise ConfigError(f"{where} has unsupported type {ftype!r}")
+
+
+def build_record(cls: type, data: dict, where: str) -> Any:
+    """Dataclass ``cls`` from a mapping read out of a YAML file.
+
+    Each value is checked against its field's type, and unknown or missing
+    keys are rejected: a misspelled key must never change a result.
+    ``where`` prefixes each key in the messages, e.g. ``"simulation."``.
+    """
+    known = {f.name: f for f in fields(cls)}
+    bad = set(data) - set(known)
+    if bad:
+        raise ConfigError(
+            f"unknown key {where}{sorted(bad)[0]}; "
+            f"known keys: {', '.join(sorted(known))}")
+    missing = [name for name, f in known.items() if name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing key {where}{missing[0]}")
+    return cls(**{name: _coerce(f"{where}{name}", known[name].type, raw)
+                  for name, raw in data.items()})
 
 
 @dataclass(frozen=True)
 class DesignRecord:
     """One catalog entry; structure fields are None when never sized."""
 
-    name: str
     span: float
     aspect_ratio: float
     diameter: float
@@ -58,52 +120,21 @@ class DesignRecord:
         return FuselageDesign(self.diameter, self.length, self.wall_pct)
 
 
-def _number(name: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"design {name!r}: {key} must be a number")
-    return float(value)
-
-
-def _parse_record(name: str, data: dict) -> DesignRecord:
-    if not isinstance(data, dict):
-        raise ConfigError(f"design {name!r} must be a mapping")
-    known = set(_FLOAT_KEYS) | set(_OPTIONAL_FLOAT_KEYS) | {"n_spars", "note"}
-    bad = set(data) - known
-    if bad:
-        raise ConfigError(f"design {name!r}: unknown key {sorted(bad)[0]!r}")
-    kwargs: dict = {"name": name}
-    for key in _FLOAT_KEYS:
-        if key not in data:
-            raise ConfigError(f"design {name!r} is missing {key!r}")
-        kwargs[key] = _number(name, key, data[key])
-    for key in _OPTIONAL_FLOAT_KEYS:
-        if data.get(key) is not None:
-            kwargs[key] = _number(name, key, data[key])
-    n_spars = data.get("n_spars")
-    if n_spars is not None:
-        if isinstance(n_spars, bool) or not isinstance(n_spars, int):
-            raise ConfigError(f"design {name!r}: n_spars must be an integer")
-        kwargs["n_spars"] = n_spars
-    kwargs["note"] = str(data.get("note", ""))
-    return DesignRecord(**kwargs)
-
-
 def load_designs(path: Optional[str] = None) -> dict[str, DesignRecord]:
     """Catalog from a YAML file; with no path, the bundled catalog."""
     if path is None:
         text = (resources.files("hydrokite") / "data" / "designs.yaml").read_text()
     else:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"design catalog {path!r} does not exist")
-        text = p.read_text()
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"design catalog is not valid YAML: {exc}") from exc
+        text = read_text(path, "design catalog")
+    doc = parse_yaml(text, "design catalog")
     if not isinstance(doc, dict):
         raise ConfigError("design catalog must map names to records")
-    return {name: _parse_record(name, data) for name, data in doc.items()}
+    designs = {}
+    for name, data in doc.items():
+        if not isinstance(data, dict):
+            raise ConfigError(f"design {name!r} must be a mapping")
+        designs[name] = build_record(DesignRecord, data, f"design {name!r}: ")
+    return designs
 
 
 def kite_from_record(

@@ -29,9 +29,9 @@ from .fusestruct import (
 )
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
 from .wingstruct import (
-    SHELL_MAX_PCT, SPAR_STATIONS, SPAR_WIDTH_MAX_PCT, FourDigitFoil,
-    Material, WingStructureDesign, rated_wing_load, required_inertia,
-    section_properties, swdt_optimize, wing_mass,
+    N_STATIONS, SHELL_MAX_PCT, SPAR_STATIONS, SPAR_WIDTH_MAX_PCT,
+    FourDigitFoil, Material, WingStructureDesign, rated_wing_load,
+    required_inertia, section_properties, swdt_optimize, wing_mass,
 )
 
 # spar counts with a station layout; the GA draws integers in this range
@@ -58,7 +58,7 @@ class SearchGrid:
     d_step: float = 0.02             # m
     l_step: float = 0.2              # m
     ar_scan: int = 64                # sign-scan intervals per span station
-    n_stations: int = 2000           # section integration resolution
+    n_stations: int = N_STATIONS     # section integration resolution
     power_tol: float = 1e-3          # relative power equality tolerance
 
     def __post_init__(self):
@@ -420,7 +420,7 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
 @dataclass
 class GAConfig:
     population: int = 200
-    elite: int = 20
+    elite: int = 20                  # carried over each generation
     tournament: int = 3
     generations: int = 60
     crossover_prob: float = 0.9
@@ -428,7 +428,8 @@ class GAConfig:
     mutation_eta: float = 20.0
     mutation_prob: float = 0.125     # per gene
     seed: int = 0
-    polish: bool = True
+    polish: bool = True              # Nelder-Mead over the seven continuous
+                                     # variables of the winner, spar count fixed
 
     def __post_init__(self):
         # elitism carries the best genome into the last population, which

@@ -2,7 +2,12 @@
 
 The file is YAML with one section per subsystem.  Each section is parsed
 into the dataclass the runtime code takes, so the schema lives in one
-place: the dataclass definitions.  Unknown sections or keys are rejected
+place: the dataclass definitions.  A setting's default and unit live on
+its dataclass field and its constraints in that dataclass's checks, nowhere
+else.  ``SuiteConfig()`` is the default configuration, and
+``config_text(SuiteConfig())`` prints it as a complete file.  Sections are
+read by ``catalog.build_record``, the reader the design catalog uses too.
+Unknown sections or keys are rejected
 rather than ignored; a silently misspelled key must never change a
 published sweep.
 """
@@ -10,12 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields, replace
-from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
 
 import yaml
 
+from .catalog import build_record, parse_yaml, read_text
 from .codesign import DesignContext, GAConfig, SearchGrid
 from .design import ScalingRule
 from .dynsim import BasisParams, FlightGains, SimParams, TetherProperties, WinchParams
@@ -58,49 +63,15 @@ class SuiteConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(SuiteConfig)}
 
 
-def default_config() -> SuiteConfig:
-    return SuiteConfig()
-
-
-def _coerce(section: str, name: str, ftype: str, raw: Any) -> Any:
-    # every config dataclass is defined under postponed annotations, so
-    # fields() gives each type as its source string
-    where = f"{section}.{name}"
-    if ftype == "bool":
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{where} must be true or false")
-        return raw
-    if ftype == "int":
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{where} must be an integer")
-        return raw
-    if ftype == "float":
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{where} must be a number")
-        return float(raw)
-    raise ConfigError(f"{where} has unsupported type {ftype!r}")
-
-
-def _build_section(section: str, cls: type, data: dict) -> Any:
-    known = {f.name: f.type for f in fields(cls)}
-    bad = set(data) - set(known)
-    if bad:
-        raise ConfigError(
-            f"unknown key {section}.{sorted(bad)[0]}; "
-            f"known keys: {', '.join(sorted(known))}")
-    kwargs = {name: _coerce(section, name, known[name], raw)
-              for name, raw in data.items()}
+def _build_section(section: str, data: dict) -> Any:
     try:
-        return cls(**kwargs)
+        return build_record(_SECTION_TYPES[section], data, f"{section}.")
     except ValueError as exc:
         raise ConfigError(f"invalid {section} settings: {exc}") from exc
 
 
 def parse_config(text: str) -> SuiteConfig:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    doc = parse_yaml(text, "config")
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -118,7 +89,7 @@ def parse_config(text: str) -> SuiteConfig:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        kwargs[section] = _build_section(section, _SECTION_TYPES[section], raw)
+        kwargs[section] = _build_section(section, raw)
     return SuiteConfig(**kwargs)
 
 
@@ -128,16 +99,8 @@ def config_text(cfg: SuiteConfig) -> str:
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
-def load_config(path: Optional[str] = None) -> SuiteConfig:
-    """Read a config file; with no path, the packaged defaults file."""
-    if path is None:
-        text = (resources.files("hydrokite") / "data" / "defaults.yaml").read_text()
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {path!r} does not exist")
-        text = p.read_text()
-    return parse_config(text)
+def load_config(path: str) -> SuiteConfig:
+    return parse_config(read_text(path, "config file"))
 
 
 def save_config(cfg: SuiteConfig, path: str) -> None:
@@ -162,6 +125,6 @@ def apply_overrides(cfg: SuiteConfig, overrides: list[str]) -> SuiteConfig:
             raise ConfigError(f"cannot parse value {raw_text!r}") from exc
         # rebuild the whole section so the value is checked like a file's
         values = {**dataclasses.asdict(getattr(cfg, section)), key: raw}
-        updated = _build_section(section, _SECTION_TYPES[section], values)
+        updated = _build_section(section, values)
         cfg = replace(cfg, **{section: updated})
     return cfg

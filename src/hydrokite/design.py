@@ -25,8 +25,8 @@ ASPECT_RANGE = (4.0, 12.0)
 class ScalingRule:
     """How stabilizers and hull track the wing planform."""
 
-    hstab_area_fraction: float = 0.25
-    vstab_area_fraction: float = 0.15
+    hstab_area_fraction: float = 0.25   # of wing area
+    vstab_area_fraction: float = 0.15   # of wing area
     fuse_length_factor: float = 0.75    # L = factor * span, clamped to bounds
     fuse_diameter_factor: float = 0.07  # D = factor * span, clamped to bounds
 

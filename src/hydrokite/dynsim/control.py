@@ -48,6 +48,8 @@ def _clip(value: float, limit: float) -> float:
 
 @dataclass
 class FlightGains:
+    """Figure-8 tracking gains."""
+
     lookahead: float = 0.5           # rad of path position ahead
     velocity_kp: float = 1.2
     velocity_ki: float = 0.0
@@ -62,7 +64,7 @@ class FlightGains:
 
 @dataclass
 class WinchParams:
-    spool_ratio: float = 1.0 / 3.0
+    spool_ratio: float = 1.0 / 3.0   # spool speed as a fraction of flow speed
     elevator_out: float = -0.25      # nose-up trim: high lift while paying out
     elevator_in: float = 0.0         # de-powered for cheap reel-in
 

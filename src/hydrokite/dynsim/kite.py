@@ -93,7 +93,6 @@ class KiteProperties:
     added_mass: np.ndarray         # 6 diagonal entries
     surfaces: list[SurfaceRow]
     ref_area: float
-    planform: WingPlanform
     structural_mass: float = 0.0
     ballast: float = 0.0
 
@@ -387,5 +386,5 @@ def build_kite(
     return KiteProperties(
         mass=total, volume=volume, inertia=inertia, r_cg=r_cg, r_cb=r_cb,
         r_attach=r_attach, added_mass=added, surfaces=surfaces,
-        ref_area=s_ref, planform=planform, structural_mass=structural,
+        ref_area=s_ref, structural_mass=structural,
         ballast=ballast)

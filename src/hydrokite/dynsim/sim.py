@@ -81,14 +81,14 @@ def _unit(v) -> tuple[float, float, float]:
 
 @dataclass
 class SimParams:
-    dt: float = 2e-3
-    max_time: float = 900.0
-    init_speed: float = 3.5
-    init_path_pos: float = 0.25 * math.pi   # start of a spool-in quarter
-    pre_strain: float = 6e-5
+    dt: float = 2e-3                  # s
+    max_time: float = 900.0           # s, hard stop
+    init_speed: float = 3.5           # m/s along the path at release
+    init_path_pos: float = 0.25 * math.pi   # rad, start of a spool-in quarter
+    pre_strain: float = 6e-5          # initial line stretch fraction
     abort_angle: float = 1.0          # rad of interior angle before PathLost
-    grace_time: float = 20.0          # no abort during the initial transient
-    blowup_speed: float = 60.0
+    grace_time: float = 20.0          # s; no abort during the initial transient
+    blowup_speed: float = 60.0        # m/s divergence guard
     trace_stride: int = 5             # record every k-th step
 
     def __post_init__(self):

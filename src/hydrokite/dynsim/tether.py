@@ -17,12 +17,12 @@ from ..hydro import FlowEnv
 
 @dataclass(frozen=True)
 class TetherProperties:
-    n_nodes: int = 5
-    radius: float = 0.05
-    density: float = 975.0
-    youngs_modulus: float = 1.0e10
-    damping_ratio: float = 0.5
-    drag_coeff: float = 1.0
+    n_nodes: int = 5                # lumped masses along the line
+    radius: float = 0.05            # m
+    density: float = 975.0          # kg/m^3, a slightly buoyant line
+    youngs_modulus: float = 1.0e10  # Pa
+    damping_ratio: float = 0.5      # of a link's critical damping
+    drag_coeff: float = 1.0         # cylinder cross-flow drag
     length: float = 125.0           # unstretched line length, m
 
     def __post_init__(self):

@@ -96,7 +96,7 @@ class ILCConfig:
     perturb_amplitude: float = 0.02
     perturb_decay: float = 30.0      # laps to halve-ish the excitation
     seed: int = 0
-    warmup_laps: int = 20
+    warmup_laps: int = 20            # pure excitation before the first step
     max_laps: int = 200
     tol: float = 1e-3                # on the basis-parameter step norm
     init_cov: float = 1e8            # weak prior; features are collinear
@@ -174,7 +174,6 @@ class PathOptimum:
     power_peak: float
     history: np.ndarray      # rows (k, b1..b4, J, P_avg, P_peak)
     converged: bool
-    model: RLSModel
 
 
 def optimize_path(
@@ -233,7 +232,6 @@ def optimize_path(
         power_peak=float(history[best, 7]),
         history=history,
         converged=converged,
-        model=model,
     )
 
 

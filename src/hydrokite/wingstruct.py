@@ -36,6 +36,9 @@ SHELL_MAX_PCT = 10.0        # % of max section thickness
 TIP_DEFLECTION_FRACTION = 0.05  # of the half span
 SPAR_WIDTH_TOL = 1e-4          # fraction of chord; the spar-width resolution
 
+# chordwise strips in the section integration
+N_STATIONS = 2000
+
 # fraction of the ideal crosswind tension a closed-loop lap sustains; sets
 # the rated load case of both the wing and the hull
 RATED_EFFICIENCY = 0.33
@@ -153,7 +156,7 @@ class SectionIntegrator:
     once per cell.
     """
 
-    def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = 2000):
+    def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = N_STATIONS):
         self.foil = foil
         edges = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, n_stations + 1)))
         x = 0.5 * (edges[:-1] + edges[1:])
@@ -258,7 +261,7 @@ def section_properties(
     design: WingStructureDesign,
     chord: float,
     foil: FourDigitFoil = FourDigitFoil(),
-    n_stations: int = 2000,
+    n_stations: int = N_STATIONS,
 ) -> SectionProperties:
     """Dimensional section properties for a wing of the given chord (m)."""
     unit = _integrator(foil, n_stations).properties(design)
@@ -381,7 +384,7 @@ def swdt_optimize(
     load: float,
     material: Material = Material(),
     foil: FourDigitFoil = FourDigitFoil(),
-    n_stations: int = 2000,
+    n_stations: int = N_STATIONS,
 ) -> WingSizing:
     """Minimum-mass wing structure subject to the tip-deflection inertia floor.
 

@@ -10,9 +10,9 @@ from hydrokite.catalog import DesignRecord, kite_from_record, load_designs
 from hydrokite.codesign import SearchGrid
 from hydrokite.config import (
     _SECTION_TYPES,
+    SuiteConfig,
     apply_overrides,
     config_text,
-    default_config,
     load_config,
     parse_config,
     save_config,
@@ -24,13 +24,8 @@ from hydrokite.errors import ConfigError, NotConverged
 from hydrokite.ilc import ILCConfig, optimize_path
 
 
-def test_packaged_defaults_match_builtin_defaults():
-    # the shipped file must never drift from the dataclass defaults
-    assert load_config() == default_config()
-
-
 def test_serialize_parse_round_trip():
-    cfg = default_config()
+    cfg = SuiteConfig()
     assert parse_config(config_text(cfg)) == cfg
 
     edited = replace(
@@ -44,14 +39,14 @@ def test_serialize_parse_round_trip():
 
 
 def test_empty_text_gives_defaults():
-    assert parse_config("") == default_config()
+    assert parse_config("") == SuiteConfig()
 
 
 def test_partial_file_fills_remaining_sections():
     cfg = parse_config("simulation:\n  dt: 0.004\n")
     assert cfg.simulation.dt == 0.004
-    assert cfg.simulation.max_time == default_config().simulation.max_time
-    assert cfg.flow == default_config().flow
+    assert cfg.simulation.max_time == SuiteConfig().simulation.max_time
+    assert cfg.flow == SuiteConfig().flow
 
 
 def test_unknown_section_rejected():
@@ -111,11 +106,11 @@ def test_tether_length_must_be_positive():
     with pytest.raises(ConfigError, match="length must be positive"):
         parse_config("tether:\n  length: -5.0\n")
     with pytest.raises(ConfigError, match="length must be positive"):
-        apply_overrides(default_config(), ["tether.length=0"])
+        apply_overrides(SuiteConfig(), ["tether.length=0"])
 
 
 def test_overrides_apply_and_coerce():
-    cfg = default_config()
+    cfg = SuiteConfig()
     out = apply_overrides(cfg, [
         "simulation.max_time=120",
         "ga.seed=7",
@@ -129,12 +124,12 @@ def test_overrides_apply_and_coerce():
     assert out.ga.polish is False
     # untouched sections shared, source config unchanged
     assert out.flow == cfg.flow
-    assert cfg.ga.seed == default_config().ga.seed
+    assert cfg.ga.seed == SuiteConfig().ga.seed
     assert apply_overrides(cfg, []) == cfg
 
 
 def test_override_rejections():
-    cfg = default_config()
+    cfg = SuiteConfig()
     bad = [
         "simulation.max_time",          # no value
         "max_time=10",                  # no section
@@ -176,7 +171,7 @@ def test_override_rejections():
 
 
 def test_save_and_load_round_trip(tmp_path):
-    cfg = apply_overrides(default_config(), ["grids.s_step=0.5"])
+    cfg = apply_overrides(SuiteConfig(), ["grids.s_step=0.5"])
     path = tmp_path / "suite.yaml"
     save_config(cfg, str(path))
     assert load_config(str(path)) == cfg
@@ -185,7 +180,7 @@ def test_save_and_load_round_trip(tmp_path):
 
 
 def test_design_context_carries_grid_settings():
-    cfg = apply_overrides(default_config(), [
+    cfg = apply_overrides(SuiteConfig(), [
         "grids.s_step=0.5", "grids.n_stations=300", "grids.ar_scan=16",
     ])
     ctx = cfg.design_context()
@@ -201,7 +196,7 @@ def test_design_context_carries_grid_settings():
 
 
 def test_sections_are_the_runtime_classes():
-    cfg = default_config()
+    cfg = SuiteConfig()
     for section, cls in _SECTION_TYPES.items():
         assert type(getattr(cfg, section)) is cls
         assert cls.__module__ != "hydrokite.config"
@@ -223,7 +218,7 @@ def test_sections_are_the_runtime_classes():
 
 
 def test_sim_kwargs_cover_simulator_inputs():
-    cfg = default_config()
+    cfg = SuiteConfig()
     kw = cfg.sim_kwargs()
     assert set(kw) == {"gains", "winch", "flow", "params"}
     assert kw["gains"] is cfg.controller
@@ -330,7 +325,10 @@ def test_catalog_rejections(tmp_path):
                           ("n_spars: x", "n_spars must be an integer"),
                           ("shell_pct: true", "shell_pct must be a number"),
                           ("shell_pct: abc", "shell_pct must be a number"),
-                          ("power_rated: [1]", "power_rated must be a number")):
+                          ("power_rated: [1]", "power_rated must be a number"),
+                          ("note: null", "note must be a string"),
+                          ("note: [1, 2]", "note must be a string"),
+                          ("note: 3", "note must be a string")):
         with pytest.raises(ConfigError, match=f"design 'tiny': {message}"):
             load_text(record + f"  {line}\n")
     with pytest.raises(ConfigError, match="does not exist"):

@@ -62,8 +62,7 @@ def point_body(mass=500.0, inertia_scalar=5.0, added=None, density=1000.0):
         inertia=inertia_scalar * np.eye(3),
         r_cg=np.zeros(3), r_cb=np.zeros(3), r_attach=np.zeros(3),
         added_mass=np.zeros(6) if added is None else np.asarray(added, float),
-        surfaces=[], ref_area=1.0,
-        planform=WingPlanform(span=1.0, aspect_ratio=1.0))
+        surfaces=[], ref_area=1.0)
 
 
 def tau(props, rot, nu, deflections, flow=STILL_WATER):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from hydrokite import effmap
+from hydrokite.dynsim import SimParams
 from hydrokite.effmap import (
     EffSample, default_surface, design_matrix, fit_surface,
     generate_samples, load_samples, load_surface, monomial_exponents,
     parse_surface, save_samples, save_surface, surface_text,
 )
 from hydrokite.errors import ConfigError, DomainWarning, NumericBlowup, RankDeficient
+from hydrokite.ilc import ILCConfig
 
 
 def bowl_eta(s, ar):
@@ -261,6 +263,21 @@ def test_generate_samples_skips_diverged_points_with_warning():
     with pytest.warns(UserWarning, match="skipping geometry"):
         out = generate_samples(grid, point_fn=scorer)
     assert [(p.span, p.aspect_ratio) for p in out] == [(8.0, 6.0), (9.0, 5.0)]
+
+
+def test_generate_samples_skips_simulated_points_that_fail():
+    # the simulator path: the first kite is sized and flown but completes
+    # no lap (EmptyLap); the second has no wing structure (Infeasible)
+    grid = [(8.5, 6.0), (8.5, 12.0)]
+    with pytest.warns(UserWarning) as record:
+        out = generate_samples(grid, ILCConfig(max_laps=1, warmup_laps=1),
+                               params=SimParams(max_time=0.2))
+    assert out == []
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert messages[0].startswith("skipping geometry (8.5, 6): no lap completed")
+    assert messages[1].startswith(
+        "skipping geometry (8.5, 12): no wing structure within bounds")
 
 
 def test_generate_samples_rejects_out_of_box_grid():
