@@ -45,7 +45,7 @@ def parse_yaml(text: str, what: str) -> Any:
 def _coerce(where: str, ftype: str, raw: Any) -> Any:
     # the records are defined under postponed annotations, so fields()
     # gives each type as its source string
-    if ftype.startswith("Optional[") and ftype.endswith("]"):
+    if ftype.startswith("Optional["):
         if raw is None:
             return None
         ftype = ftype[len("Optional["):-1]

@@ -304,7 +304,7 @@ def test_catalog_rejections(tmp_path):
               ratio_mass: 500.0
               color: red
         """)
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ConfigError, match="missing key design 'tiny': aspect_ratio"):
         load_text("tiny:\n  span: 7.5\n")
     with pytest.raises(ConfigError, match="must be a number"):
         load_text("""
