@@ -428,8 +428,7 @@ class GAConfig:
     mutation_eta: float = 20.0
     mutation_prob: float = 0.125     # per gene
     seed: int = 0
-    polish: bool = True              # Nelder-Mead over the seven continuous
-                                     # variables of the winner, spar count fixed
+    polish: bool = True              # Nelder-Mead refinement of the winner
 
     def __post_init__(self):
         # elitism carries the best genome into the last population, which

@@ -48,8 +48,6 @@ def _clip(value: float, limit: float) -> float:
 
 @dataclass
 class FlightGains:
-    """Figure-8 tracking gains."""
-
     lookahead: float = 0.5           # rad of path position ahead
     velocity_kp: float = 1.2
     velocity_ki: float = 0.0
