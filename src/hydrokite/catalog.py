@@ -35,9 +35,15 @@ def read_text(path: str, what: str) -> str:
     return p.read_text()
 
 
+# libyaml's scanner and parser when PyYAML was built with them; the
+# resolver and constructor are the same Python classes either way
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_yaml(text: str, what: str) -> Any:
+    """The one YAML entry point; ``what`` names the text in errors."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
 

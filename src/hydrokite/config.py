@@ -119,10 +119,7 @@ def apply_overrides(cfg: SuiteConfig, overrides: list[str]) -> SuiteConfig:
         section, key = parts
         if section not in _SECTION_TYPES:
             raise ConfigError(f"unknown section {section!r}")
-        try:
-            raw = yaml.safe_load(raw_text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse value {raw_text!r}") from exc
+        raw = parse_yaml(raw_text, f"override value {raw_text!r}")
         # rebuild the whole section so the value is checked like a file's
         values = {**dataclasses.asdict(getattr(cfg, section)), key: raw}
         updated = _build_section(section, values)

@@ -30,6 +30,13 @@ class ScalingRule:
     fuse_length_factor: float = 0.75    # L = factor * span, clamped to bounds
     fuse_diameter_factor: float = 0.07  # D = factor * span, clamped to bounds
 
+    def __post_init__(self):
+        for name in ("hstab_area_fraction", "vstab_area_fraction",
+                     "fuse_length_factor", "fuse_diameter_factor"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
+
     def fuselage(self, planform: WingPlanform) -> tuple[float, float]:
         """(D, L) for a wing, clamped into the hull design box."""
         d = min(max(self.fuse_diameter_factor * planform.span,

@@ -66,6 +66,15 @@ class WinchParams:
     elevator_out: float = -0.25      # nose-up trim: high lift while paying out
     elevator_in: float = 0.0         # de-powered for cheap reel-in
 
+    def __post_init__(self):
+        if not 0.0 <= self.spool_ratio < math.inf:
+            raise ValueError(f"spool_ratio must be finite and at least 0; "
+                             f"got {self.spool_ratio!r}")
+        for name in ("elevator_out", "elevator_in"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite; got {getattr(self, name)!r}")
+
 
 class FlightController:
     """Stateful PI cascade; one update per control step (zero-order hold).

@@ -5,27 +5,32 @@ converged peak simulated power to the ideal at the same geometry defines a
 flight efficiency.  This module samples that ratio over the wing design
 box, fits a low-order polynomial surface to the samples, and serves the
 surface as a cheap stand-in for the simulator inside design optimization.
+
+The flight simulator (``dynsim``) and the lap optimizer (``ilc``) load only
+when a geometry is flown, so a design search that only evaluates the
+surface never imports them.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
 from .design import ASPECT_RANGE, SPAN_RANGE, ScalingRule
-from .dynsim import TetherProperties
-from .dynsim.kite import build_kite
 from .errors import (
     ConfigError, DomainWarning, EmptyLap, Infeasible, NumericBlowup,
     PathLost, RankDeficient,
 )
 from .fusestruct import rated_fuselage_loads, sfdt_optimize
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
-from .ilc import ILCConfig, optimize_path
 from .wingstruct import FourDigitFoil, Material, rated_wing_load, swdt_optimize
+
+if TYPE_CHECKING:
+    from .dynsim import TetherProperties
+    from .ilc import ILCConfig
 
 ETA_FLOOR = 0.01
 ETA_CAP = 1.0
@@ -267,9 +272,8 @@ def generate_samples(
                 p_star, p_ideal = point_fn(span, aspect)
             else:
                 p_star, p_ideal = _simulated_point(
-                    span, aspect, ilc_cfg or ILCConfig(), rule, flow,
-                    foil_coeffs, foil, material,
-                    tether or TetherProperties(), **sim_kwargs)
+                    span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
+                    material, tether, **sim_kwargs)
             samples.append(EffSample(span, aspect, p_star, p_ideal))
         except (NumericBlowup, PathLost, EmptyLap, Infeasible) as exc:
             warnings.warn(
@@ -280,6 +284,9 @@ def generate_samples(
 
 def _simulated_point(span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
                      material, tether, **sim_kwargs):
+    from .dynsim import TetherProperties, build_kite
+    from .ilc import ILCConfig, optimize_path
+
     planform = WingPlanform(span, aspect)
     load = rated_wing_load(planform, flow, foil_coeffs)
     wing = swdt_optimize(planform, load, material, foil)
@@ -288,5 +295,6 @@ def _simulated_point(span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
     fuse = sfdt_optimize(d, length, floads, material)
     props = build_kite(planform, wing.mass, fuse.design, fuse.mass,
                        rule, flow, foil_coeffs, foil)
-    optimum = optimize_path(props, tether, ilc_cfg, flow=flow, **sim_kwargs)
+    optimum = optimize_path(props, tether or TetherProperties(),
+                            ilc_cfg or ILCConfig(), flow=flow, **sim_kwargs)
     return optimum.power_peak, loyd_power(planform, flow, foil=foil_coeffs)

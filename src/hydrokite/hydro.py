@@ -73,6 +73,15 @@ class FlowEnv:
     speed: float = 1.5
     density: float = 1000.0
 
+    def __post_init__(self):
+        # still water (speed 0) is a legal environment
+        if not 0.0 <= self.speed < math.inf:
+            raise ValueError(
+                f"speed must be finite and at least 0; got {self.speed!r}")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError(
+                f"density must be finite and positive; got {self.density!r}")
+
 
 @dataclass(frozen=True)
 class WingPlanform:

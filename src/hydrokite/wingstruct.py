@@ -52,6 +52,12 @@ class Material:
     youngs_modulus: float = 6.89e10  # Pa
     yield_stress: float = 2.70e8   # Pa
 
+    def __post_init__(self):
+        for name in ("density", "youngs_modulus", "yield_stress"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
+
 
 # NACA four-digit thickness polynomial, closed trailing edge:
 # y_t / (5 t) = a0 sqrt(x) - a1 x - a2 x^2 + a3 x^3 - a4 x^4

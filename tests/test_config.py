@@ -2,11 +2,15 @@
 import textwrap
 import warnings
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
-from hydrokite.catalog import DesignRecord, kite_from_record, load_designs
+from hydrokite.catalog import (
+    YAML_LOADER, DesignRecord, kite_from_record, load_designs, parse_yaml,
+)
 from hydrokite.codesign import SearchGrid
 from hydrokite.config import (
     _SECTION_TYPES,
@@ -109,6 +113,34 @@ def test_tether_length_must_be_positive():
         apply_overrides(SuiteConfig(), ["tether.length=0"])
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("flow.speed", -1.5),
+    ("material.density", -2700.0),
+    ("scaling.hstab_area_fraction", 0.0),
+    ("winch.spool_ratio", -1.0),
+])
+def test_impossible_physical_settings_rejected(setting, value):
+    section, key = setting.split(".")
+    with pytest.raises(ConfigError, match=f"invalid {section} settings: "
+                                          f"{key} must be finite"):
+        parse_config(f"{section}:\n  {key}: {value}\n")
+
+
+def test_physical_settings_must_be_finite():
+    for item in ("flow.speed=.nan", "flow.density=.inf", "flow.density=0",
+                 "material.youngs_modulus=0", "material.yield_stress=.nan",
+                 "scaling.vstab_area_fraction=-0.15",
+                 "scaling.fuse_length_factor=.inf",
+                 "scaling.fuse_diameter_factor=0",
+                 "winch.spool_ratio=.inf", "winch.elevator_out=-.inf",
+                 "winch.elevator_in=.nan"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_overrides(SuiteConfig(), [item])
+    # still water and a winch that holds the tether are legal
+    cfg = apply_overrides(SuiteConfig(), ["flow.speed=0", "winch.spool_ratio=0"])
+    assert cfg.flow.speed == 0.0 and cfg.winch.spool_ratio == 0.0
+
+
 def test_overrides_apply_and_coerce():
     cfg = SuiteConfig()
     out = apply_overrides(cfg, [
@@ -164,6 +196,8 @@ def test_override_rejections():
     for item in bad:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, [item])
+    with pytest.raises(ConfigError, match=r"override value '\[1' is not valid YAML"):
+        apply_overrides(cfg, ["flow.speed=[1"])
     with pytest.raises(ConfigError, match="dt must be positive"):
         parse_config("simulation:\n  dt: 0.0\n")
     with pytest.raises(ConfigError, match="trace_stride must be at least 1"):
@@ -247,6 +281,16 @@ def test_bundled_catalog_contents():
         rec = designs[name]
         assert rec.m_kite == pytest.approx(rec.ratio_mass)
         assert rec.n_spars is not None
+
+
+def test_libyaml_and_python_loaders_agree():
+    # parse_yaml uses libyaml's scanner when PyYAML has it
+    assert YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    catalog = (resources.files("hydrokite") / "data" / "designs.yaml").read_text()
+    for text in (catalog, config_text(SuiteConfig())):
+        doc = yaml.load(text, Loader=yaml.SafeLoader)
+        assert doc
+        assert parse_yaml(text, "text") == doc
 
 
 def test_baseline_record_is_legacy_shaped():
