@@ -9,6 +9,7 @@ equal, bit for bit, straightforward reference forms kept in this file.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,7 +500,10 @@ def reference_tether_forces(node_pos, node_vel, attach_pos, attach_vel,
     n = props.n_nodes
     chain_pos = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
     chain_vel = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
-    k, damp, _ = props.link_constants(rest_length)
+    area = math.pi * props.radius**2
+    k = props.youngs_modulus * area / rest_length
+    mass = props.density * area * rest_length
+    damp = 2.0 * props.damping_ratio * math.sqrt(k * mass)
     pulls = []
     for i in range(0, 3 * n + 3, 3):
         sx = chain_pos[i + 3] - chain_pos[i]
@@ -514,7 +518,7 @@ def reference_tether_forces(node_pos, node_vel, attach_pos, attach_vel,
                             + sz * (chain_vel[i + 5] - chain_vel[i + 2])) / safe
             mag = max(k * (dist - rest_length) + damp * stretch_rate, 0.0) / safe
         pulls += (-mag * sx, -mag * sy, -mag * sz)
-    lift = ((flow.density - props.density) * props.section_area * GRAVITY
+    lift = ((flow.density - props.density) * area * GRAVITY
             * rest_length)
     drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
     forces = []
@@ -669,7 +673,10 @@ def test_tether_forces_matches_the_two_pass_reference():
         node_pos, node_vel, attach_pos, attach_vel, rest, props, _ = args
         chain = [0.0, 0.0, 0.0, *node_pos, *attach_pos]
         speeds = [0.0, 0.0, 0.0, *node_vel, *attach_vel]
-        k, damp, _ = props.link_constants(rest)
+        area = math.pi * props.radius**2
+        k = props.youngs_modulus * area / rest
+        mass = props.density * area * rest
+        damp = 2.0 * props.damping_ratio * math.sqrt(k * mass)
         for i in range(0, len(chain) - 3, 3):
             s = np.subtract(chain[i + 3:i + 6], chain[i:i + 3])
             dist = float(np.linalg.norm(s))
@@ -739,6 +746,169 @@ def test_coriolis_force_matches_the_matvec_reference():
         ref = reference_coriolis_force(rows, nu)
         assert out == ref
         assert bits(out) == bits(ref)
+
+
+
+# The whole flight step against its plain form: reference_derivative and
+# reference_winch_tension are Simulator.derivative and winch_tension
+# written with one helper call per rotation, cross product and 6x6 product,
+# and with every link and line constant derived from the tether and flow at
+# each call, on top of the tether, surface and Coriolis references above.
+# The simulator binds those constants once and inlines the helpers with
+# the same products and sums in the same order, so a flight must come out
+# the same, bit for bit.
+
+DERIVATIVE_REFERENCE = Path(__file__).parent / "data" / "derivative_reference.txt"
+
+
+def reference_quat_to_rot(q):
+    w, x, y, z = q
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+
+
+def reference_rotate(rot, v):
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    x, y, z = v
+    return (r00 * x + r01 * y + r02 * z,
+            r10 * x + r11 * y + r12 * z,
+            r20 * x + r21 * y + r22 * z)
+
+
+def reference_matvec6(rows, v):
+    v0, v1, v2, v3, v4, v5 = v
+    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5
+            for m0, m1, m2, m3, m4, m5 in rows]
+
+
+def reference_quat_derivative(q, omega_body):
+    w, x, y, z = q
+    ox, oy, oz = omega_body
+    return (
+        0.5 * (-x * ox - y * oy - z * oz),
+        0.5 * (w * ox + y * oz - z * oy),
+        0.5 * (w * oy + z * ox - x * oz),
+        0.5 * (w * oz + x * oy - y * ox),
+    )
+
+
+def reference_derivative(sim, y, deflections, spool_speed):
+    n = sim.n
+    props, flow = sim.tether, sim.flow
+    mass_matrix = sim.props.mass_matrix()
+    quat = y[3:7]
+    nu = y[7:13]
+    omega = y[10:13]
+    node_vel = y[13 + 3 * n:13 + 6 * n]
+
+    rot = reference_quat_to_rot(quat)
+    vx, vy, vz = reference_rotate(rot, nu[:3])
+    v_inertial = (vx + flow.speed, vy, vz)
+    r_attach = tuple(sim.props.r_attach.tolist())
+    ox, oy, oz = reference_rotate(rot, r_attach)
+    attach_pos = (y[0] + ox, y[1] + oy, y[2] + oz)
+    wx, wy, wz = reference_rotate(rot, reference_cross3(omega, r_attach))
+    attach_vel = (v_inertial[0] + wx, v_inertial[1] + wy,
+                  v_inertial[2] + wz)
+
+    rest = y[13 + 6 * n] / (n + 1)
+    node_f, kite_f, _ = reference_tether_forces(
+        y[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest, props, flow)
+    node_mass = props.density * (math.pi * props.radius**2) * rest
+
+    tau = reference_net_force_moment(ForceTable.of(sim.props, flow), rot, nu,
+                                     kite_f, deflections)
+    dnu = reference_matvec6(np.linalg.inv(mass_matrix).tolist(), [
+        t - c for t, c in zip(tau, reference_coriolis_force(
+            mass_matrix.tolist(), nu))])
+
+    return [
+        *v_inertial,
+        *reference_quat_derivative(quat, omega),
+        *dnu,
+        *node_vel,
+        *[f / node_mass for f in node_f],
+        spool_speed,
+    ]
+
+
+def reference_winch_tension(sim, y):
+    n = sim.n
+    props = sim.tether
+    x, yy, z = y[13:16]
+    vx, vy, vz = y[13 + 3 * n:16 + 3 * n]
+    rest = y[13 + 6 * n] / (n + 1)
+    dist = math.sqrt(x * x + yy * yy + z * z)
+    if dist < rest or dist == 0.0:
+        return 0.0
+    area = math.pi * props.radius**2
+    k = props.youngs_modulus * area / rest
+    mass = props.density * area * rest
+    damp = 2.0 * props.damping_ratio * math.sqrt(k * mass)
+    mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
+    return max(mag, 0.0)
+
+
+def oracle_cases(n):
+    """(state, deflections, spool speed) of every derivative-oracle row:
+    the golden flight's recorded states and their perturbed copies."""
+    size = 14 + 6 * n
+    for row in np.loadtxt(DERIVATIVE_REFERENCE).tolist():
+        yield (row[:size], dict(zip(("aileron", "rudder", "elevator"),
+                                    row[size:size + 3])), row[size + 3])
+
+
+def flown_cases(sim, rng):
+    """States a short flight passes through, each with a jittered copy
+    (some links slack, some stretched) under random controls."""
+    defl = {"aileron": 0.05, "rudder": -0.02, "elevator": -0.1}
+    y = sim.initial_state().tolist()
+    n3 = 3 * sim.n
+    for step in range(400):
+        y = sim.rk4_step(y, defl, -0.3 if step < 200 else 0.4)
+        if step % 25:
+            continue
+        yield y, defl, 0.4
+        jitter = np.array(y)
+        jitter[7:13] += rng.normal(scale=0.2, size=6)
+        jitter[13:13 + n3] += rng.normal(scale=2e-3, size=n3)
+        jitter[13 + n3:13 + 2 * n3] += rng.normal(scale=0.1, size=n3)
+        if step % 50 == 0:
+            jitter[13:16] *= 0.99         # the winch link goes slack
+        yield (jitter.tolist(),
+               {"aileron": rng.uniform(-0.25, 0.25),
+                "rudder": rng.uniform(-0.4, 0.4),
+                "elevator": rng.uniform(-0.3, 0.1)},
+               rng.uniform(-0.6, 0.6))
+
+
+def test_flight_step_matches_the_reference_bit_for_bit():
+    from hydrokite.catalog import kite_from_record, load_designs
+
+    record = load_designs()["intermediate"]
+    sim = Simulator(kite_from_record(record), TetherProperties(), BasisParams())
+    cases = [(sim, case) for case in oracle_cases(sim.n)]
+    assert len(cases) >= 60
+    flow = FlowEnv(speed=1.0, density=1025.0)
+    other = Simulator(kite_from_record(record, flow=flow),
+                      TetherProperties(n_nodes=3, radius=0.02, drag_coeff=0.5,
+                                       damping_ratio=0.2),
+                      BasisParams(), flow=flow)
+    rng = np.random.default_rng(20261022)
+    cases += [(other, case) for case in flown_cases(other, rng)]
+    slack = 0
+    for model, (y, deflections, spool) in cases:
+        got = model.derivative(y, deflections, spool)
+        want = reference_derivative(model, y, deflections, spool)
+        assert got == want
+        assert bits(got) == bits(want)
+        tension = model.winch_tension(y)
+        assert bits([tension]) == bits([reference_winch_tension(model, y)])
+        slack += tension == 0.0
+    assert 0 < slack < len(cases)
 
 
 # -- integration ------------------------------------------------------------
