@@ -12,6 +12,7 @@ kite to fly it must not pay for.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -113,6 +114,18 @@ class DesignRecord:
     power_rated: Optional[float] = None
     note: str = ""
 
+    def __post_init__(self):
+        for name in ("span", "aspect_ratio", "diameter", "length", "wall_pct",
+                     "m_wing", "m_fuse", "ratio_mass", "spar_width_pct",
+                     "shell_pct", "power_rated"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive; got {value!r}")
+        if self.n_spars is not None and self.n_spars < 1:
+            raise ValueError(
+                f"n_spars must be at least 1; got {self.n_spars!r}")
+
     @property
     def m_kite(self) -> float:
         return self.m_wing + self.m_fuse
@@ -139,7 +152,10 @@ def load_designs(path: Optional[str] = None) -> dict[str, DesignRecord]:
     for name, data in doc.items():
         if not isinstance(data, dict):
             raise ConfigError(f"design {name!r} must be a mapping")
-        designs[name] = build_record(DesignRecord, data, f"design {name!r}: ")
+        try:
+            designs[name] = build_record(DesignRecord, data, f"design {name!r}: ")
+        except ValueError as exc:
+            raise ConfigError(f"design {name!r}: {exc}") from exc
     return designs
 
 

@@ -63,10 +63,11 @@ class SearchGrid:
 
     def __post_init__(self):
         for name in ("s_step", "d_step", "l_step", "power_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
         if self.ar_scan < 1 or self.n_stations < 2:
-            raise ConfigError("ar_scan must be at least 1 and n_stations at least 2")
+            raise ValueError("ar_scan must be at least 1 and n_stations at least 2")
 
 
 @dataclass

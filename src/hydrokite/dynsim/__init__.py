@@ -20,12 +20,12 @@ from .paths import (
     spool_phase,
 )
 from .sim import LapMetrics, SimParams, SimResult, Simulator
-from .tether import TetherProperties, tether_forces
+from .tether import TetherConstants, TetherProperties, tether_forces
 
 __all__ = [
     "BasisParams", "FlightController", "FlightGains", "ForceTable",
     "KiteProperties", "LapMetrics", "SimParams", "SimResult", "Simulator",
-    "SurfaceRow", "TetherProperties", "WinchParams", "build_kite",
+    "SurfaceRow", "TetherConstants", "TetherProperties", "WinchParams", "build_kite",
     "coriolis_force", "interior_angle", "nearest_path_position",
     "net_force_moment", "path_angles", "path_direction", "spool_phase",
     "surface", "tether_forces", "winch_command",

@@ -59,6 +59,18 @@ class FlightGains:
     rudder_share: float = 0.3        # rudder deflection per aileron deflection
     rudder_limit: float = 0.4
 
+    def __post_init__(self):
+        for name in ("lookahead", "roll_limit", "moment_coeff_limit",
+                     "aileron_limit", "rudder_limit"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("velocity_kp", "velocity_ki", "roll_kp", "roll_ki",
+                     "rudder_share"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and at least 0; "
+                                 f"got {getattr(self, name)!r}")
+
 
 @dataclass
 class WinchParams:

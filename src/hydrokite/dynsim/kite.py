@@ -15,16 +15,19 @@ floats through every RK4 step of Simulator.run, and return tuples of
 floats.  Rotations are three rows of floats, as quat_to_rot in sim.py
 returns them.
 
-Each surface is described once, as the SurfaceRow the force sum reads:
-surface() takes its geometry, foil and aspect ratio and derives the
-chordwise axis, lift slope and drag factor.  Only the flow-dependent
-1/2 rho S_ref is left to ForceTable, built from the kite and a flow.
+Each surface is described once, as a SurfaceRow: surface() takes its
+geometry, foil and aspect ratio and derives the chordwise axis, lift slope
+and drag factor.  Only the flow-dependent 1/2 rho S_ref is left to
+ForceTable, built once per simulator from the kite and a flow.  It binds
+each surface's q_ref times area fraction into the flat row the force sum
+reads, so the sum forms q_ref * area_fraction * speed^2 with one product
+per surface and the same rounding, as Python multiplies left to right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -73,13 +76,6 @@ def rotate(rot, v) -> Vec3:
             r20 * x + r21 * y + r22 * z)
 
 
-def matvec6(rows, v) -> list[float]:
-    """rows @ v for a 6x6 given as six rows and a 6-sequence."""
-    v0, v1, v2, v3, v4, v5 = v
-    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5
-            for m0, m1, m2, m3, m4, m5 in rows]
-
-
 @dataclass
 class KiteProperties:
     """Everything the integrator needs to know about the assembled kite."""
@@ -118,8 +114,8 @@ def coriolis_force(mass_rows, nu) -> tuple[float, ...]:
     [omega x p_lin, v x p_lin + omega x p_ang], the skew construction
     C = [[0, -S(p_lin)], [-S(p_lin), -S(p_ang)]] applied to nu, so
     nu . C(nu) nu = 0 up to rounding.  mass_rows is M as six rows.  The
-    products and sums are matvec6's and cross3's, in their order; l and h
-    are the linear and angular momentum.
+    products and sums are those of the row-by-row product M nu and of
+    cross3, in their order; l and h are the linear and angular momentum.
     """
     u, v, w, p, q, r = nu
     ((m00, m01, m02, m03, m04, m05), (m10, m11, m12, m13, m14, m15),
@@ -187,7 +183,9 @@ class ForceTable:
     Built once per simulator from KiteProperties and FlowEnv; the body
     vectors are in body axes, the weight and buoyancy are magnitudes.
     q_ref is 1/2 rho S_ref: a surface's force per CL per speed^2 is q_ref
-    times its area fraction.
+    times its area fraction.  rows holds each surface as the flat tuple
+    net_force_moment reads: its body vectors' components, its foil
+    numbers, its control tag and gain, and that product.
     """
 
     weight: float
@@ -197,6 +195,14 @@ class ForceTable:
     r_attach: Vec3
     q_ref: float
     surfaces: tuple[SurfaceRow, ...]
+    rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            (*s.center, *s.normal, *s.chordwise, *s.spanwise, s.incidence,
+             s.lift_slope, s.cl_zero, s.drag_factor, s.cl_min_drag, s.cd_zero,
+             s.control, s.gain, self.q_ref * s.area_fraction)
+            for s in self.surfaces))
 
     @classmethod
     def of(cls, props: KiteProperties, flow: FlowEnv) -> "ForceTable":
@@ -225,30 +231,31 @@ def net_force_moment(
     # gravity and buoyancy act along inertial z: the third row of rotation
     w_b = -table.weight
     b_b = table.buoyancy
-    weight = (r20 * w_b, r21 * w_b, r22 * w_b)
-    buoyancy = (r20 * b_b, r21 * b_b, r22 * b_b)
+    wx, wy, wz = r20 * w_b, r21 * w_b, r22 * w_b
+    bx, by, bz = r20 * b_b, r21 * b_b, r22 * b_b
     tx, ty, tz = tether_force
-    f_thr = (r00 * tx + r10 * ty + r20 * tz,
-             r01 * tx + r11 * ty + r21 * tz,
-             r02 * tx + r12 * ty + r22 * tz)
+    hx = r00 * tx + r10 * ty + r20 * tz
+    hy = r01 * tx + r11 * ty + r21 * tz
+    hz = r02 * tx + r12 * ty + r22 * tz
 
-    fx = weight[0] + buoyancy[0] + f_thr[0]
-    fy = weight[1] + buoyancy[1] + f_thr[1]
-    fz = weight[2] + buoyancy[2] + f_thr[2]
-    m_cg = cross3(table.r_cg, weight)
-    m_cb = cross3(table.r_cb, buoyancy)
-    m_thr = cross3(table.r_attach, f_thr)
-    mx = m_cg[0] + m_cb[0] + m_thr[0]
-    my = m_cg[1] + m_cb[1] + m_thr[1]
-    mz = m_cg[2] + m_cb[2] + m_thr[2]
+    fx = wx + bx + hx
+    fy = wy + by + hy
+    fz = wz + bz + hz
+    # r x F about the body origin, as cross3 forms it, for the weight at
+    # r_cg, the buoyancy at r_cb and the tether pull at r_attach
+    cgx, cgy, cgz = table.r_cg
+    cbx, cby, cbz = table.r_cb
+    atx, aty, atz = table.r_attach
+    mx = (cgy * wz - cgz * wy) + (cby * bz - cbz * by) + (aty * hz - atz * hy)
+    my = (cgz * wx - cgx * wz) + (cbz * bx - cbx * bz) + (atz * hx - atx * hz)
+    mz = (cgx * wy - cgy * wx) + (cbx * by - cby * bx) + (atx * hy - aty * hx)
 
     # each surface's quasi-steady lift and drag in body axes, and their
     # moment about the body origin
     u, v, w, p, q, r = nu
-    q_ref = table.q_ref
-    for (_, (cx, cy, cz), (nx, ny, nz), (tx, ty, tz), (sx, sy, sz), incidence,
+    for (cx, cy, cz, nx, ny, nz, tx, ty, tz, sx, sy, sz, incidence,
          lift_slope, cl_zero, drag_factor, cl_min_drag, cd_zero, control,
-         gain, area_fraction) in table.surfaces:
+         gain, q_area) in table.rows:
         vx = u + (q * cz - r * cy)
         vy = v + (r * cx - p * cz)
         vz = w + (p * cy - q * cx)
@@ -269,7 +276,7 @@ def net_force_moment(
             dx, dy, dz = -vx / speed, -vy / speed, -vz / speed
             lx, ly, lz = sy * dz - sz * dy, sz * dx - sx * dz, sx * dy - sy * dx
             norm = math.sqrt(lx * lx + ly * ly + lz * lz)
-            q_s = q_ref * area_fraction * speed**2
+            q_s = q_area * speed**2
             if norm < 1e-9:
                 # flow along the span: no lift, drag only
                 q_d = q_s * cd

@@ -105,7 +105,7 @@ def nearest_path_position(b: BasisParams, direction, p_guess: float) -> float:
     candidates, points = _scan_points(b, p_guess)
     x, y, z = direction
     norm = math.sqrt(x * x + y * y + z * z)
-    return candidates[int(np.argmax(points @ (x / norm, y / norm, z / norm)))]
+    return candidates[int((points @ (x / norm, y / norm, z / norm)).argmax())]
 
 
 def interior_angle(b: BasisParams, p: float, position) -> float:

@@ -11,13 +11,25 @@ Inside ``Simulator.run`` the state is one Python list of floats:
 ``derivative`` and ``rk4_step`` take and return lists, so a step makes no
 NumPy call on the state; ``initial_state`` builds it in floats too.  ``run``
 converts its starting array once, and ``SimResult.final_state`` is an array
-again.  ``derivative`` sums three float kernels written on scalars:
-``tether_forces`` (one pass over the links, winch to kite),
-``net_force_moment`` and ``coriolis_force``.  One BLAS product remains:
-the path scan in ``nearest_path_position`` multiplies the kite's unit
-direction by its 61 candidate directions.  Those are ``path_direction``,
-the path's one formula, at 61 fixed offsets ahead of the last path
-position, built in floats once per position and reused while it stands.
+again.
+
+What depends only on the kite, the tether and the flow is bound once, in
+``Simulator.__init__``: the mass matrix and its inverse as flat tuples,
+the kite's ``ForceTable`` (whose surface rows carry their q_ref times area
+fraction), the line's ``TetherConstants`` and the attachment point and
+flow speed as floats.  ``derivative`` is then one pass of scalar code: the
+rotation, the attachment's position and velocity, the quaternion rate and
+the M^-1 product are written out inline, with the products and sums of
+the helpers they replace in the same order, so the step gives the same
+floats.  It calls three float kernels: ``tether_forces`` (one pass over
+the links, winch to kite), ``net_force_moment`` and ``coriolis_force``.
+``winch_tension`` derives its link's constants from the same bound line.
+
+One BLAS product remains: the path scan in ``nearest_path_position``
+multiplies the kite's unit direction by its 61 candidate directions.
+Those are ``path_direction``, the path's one formula, at 61 fixed offsets
+ahead of the last path position, built in floats once per position and
+reused while it stands.
 """
 
 from __future__ import annotations
@@ -29,11 +41,10 @@ import numpy as np
 
 from .control import FlightController, FlightGains, WinchParams, winch_command
 from .kite import (
-    ForceTable, KiteProperties, coriolis_force, cross3, matvec6, net_force_moment,
-    rotate,
+    ForceTable, KiteProperties, coriolis_force, cross3, net_force_moment, rotate,
 )
 from .paths import BasisParams, interior_angle, nearest_path_position, path_direction
-from .tether import TetherProperties, tether_forces
+from .tether import TetherConstants, TetherProperties, tether_forces
 from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
 from ..hydro import FlowEnv
 
@@ -51,17 +62,6 @@ def quat_to_rot(q) -> tuple[tuple[float, float, float], ...]:
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
-    )
-
-
-def quat_derivative(q, omega_body) -> tuple[float, float, float, float]:
-    w, x, y, z = q
-    ox, oy, oz = omega_body
-    return (
-        0.5 * (-x * ox - y * oy - z * oz),
-        0.5 * (w * ox + y * oz - z * oy),
-        0.5 * (w * oy + z * ox - x * oz),
-        0.5 * (w * oz + x * oy - y * ox),
     )
 
 
@@ -92,8 +92,18 @@ class SimParams:
     trace_stride: int = 5             # record every k-th step
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "max_time", "abort_angle", "blowup_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("init_speed", "grace_time"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and at least 0; "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("init_path_pos", "pre_strain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite; got {getattr(self, name)!r}")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be at least 1")
 
@@ -154,8 +164,12 @@ class Simulator:
         # plain-float tables for the per-step math
         mass_matrix = props.mass_matrix()
         self.mass_rows = tuple(map(tuple, mass_matrix.tolist()))
-        self.minv_rows = tuple(map(tuple, np.linalg.inv(mass_matrix).tolist()))
+        self._minv = tuple(np.linalg.inv(mass_matrix).ravel().tolist())
         self.forces = ForceTable.of(props, flow)
+        self.line = TetherConstants.of(tether, flow)
+        # the state's node-position and node-velocity blocks end here
+        self._nodes_end = 13 + 3 * self.n
+        self._vel_end = 13 + 6 * self.n
         # the aileron pair's gains differ only in sign
         aileron_gain = next((abs(s.gain) for s in props.surfaces
                              if s.control == "aileron"), 0.0)
@@ -204,40 +218,78 @@ class Simulator:
 
     def derivative(self, y: list[float], deflections: dict[str, float],
                    spool_speed: float) -> list[float]:
-        n = self.n
-        quat = y[3:7]
-        nu = y[7:13]
-        omega = y[10:13]
-        node_vel = y[13 + 3 * n:13 + 6 * n]
+        nodes_end = self._nodes_end
+        vel_end = self._vel_end
+        px, py, pz, w, x, yq, z, u, v, ww, p, q, r = y[:13]
+        node_vel = y[nodes_end:vel_end]
 
-        rot = quat_to_rot(quat)
-        vx, vy, vz = rotate(rot, nu[:3])
-        v_inertial = (vx + self.flow.speed, vy, vz)
-        r_attach = self.forces.r_attach
-        ox, oy, oz = rotate(rot, r_attach)
-        attach_pos = (y[0] + ox, y[1] + oy, y[2] + oz)
-        wx, wy, wz = rotate(rot, cross3(omega, r_attach))
-        attach_vel = (v_inertial[0] + wx, v_inertial[1] + wy,
-                      v_inertial[2] + wz)
+        # quat_to_rot(y[3:7])
+        r00 = 1 - 2 * (yq * yq + z * z)
+        r01 = 2 * (x * yq - w * z)
+        r02 = 2 * (x * z + w * yq)
+        r10 = 2 * (x * yq + w * z)
+        r11 = 1 - 2 * (x * x + z * z)
+        r12 = 2 * (yq * z - w * x)
+        r20 = 2 * (x * z - w * yq)
+        r21 = 2 * (yq * z + w * x)
+        r22 = 1 - 2 * (x * x + yq * yq)
 
-        rest = y[13 + 6 * n] / (n + 1)
+        # inertial velocity; the attachment sits at rot @ r_attach from the
+        # kite and moves at rot @ (omega x r_attach) relative to it, each
+        # product summed before it is added, as rotate() returned it
+        vx = r00 * u + r01 * v + r02 * ww + self.flow.speed
+        vy = r10 * u + r11 * v + r12 * ww
+        vz = r20 * u + r21 * v + r22 * ww
+        ax, ay, az = self.forces.r_attach
+        cx = q * az - r * ay
+        cy = r * ax - p * az
+        cz = p * ay - q * ax
+        rest = y[vel_end] / (self.n + 1)
         node_f, kite_f, _ = tether_forces(
-            y[13:13 + 3 * n], node_vel, attach_pos, attach_vel, rest,
-            self.tether, self.flow)
-        node_mass = self.tether.link_constants(rest)[2]
+            y[13:nodes_end], node_vel,
+            (px + (r00 * ax + r01 * ay + r02 * az),
+             py + (r10 * ax + r11 * ay + r12 * az),
+             pz + (r20 * ax + r21 * ay + r22 * az)),
+            (vx + (r00 * cx + r01 * cy + r02 * cz),
+             vy + (r10 * cx + r11 * cy + r12 * cz),
+             vz + (r20 * cx + r21 * cy + r22 * cz)),
+            rest, self.line)
+        node_mass = self.line.mass_per_length * rest
 
-        tau = net_force_moment(self.forces, rot, nu, kite_f, deflections)
-        dnu = matvec6(self.minv_rows, [
-            t - c for t, c in zip(tau, coriolis_force(self.mass_rows, nu))])
+        nu = (u, v, ww, p, q, r)
+        f0, f1, f2, f3, f4, f5 = net_force_moment(
+            self.forces, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)),
+            nu, kite_f, deflections)
+        c0, c1, c2, c3, c4, c5 = coriolis_force(self.mass_rows, nu)
+        t0 = f0 - c0
+        t1 = f1 - c1
+        t2 = f2 - c2
+        t3 = f3 - c3
+        t4 = f4 - c4
+        t5 = f5 - c5
+        (m00, m01, m02, m03, m04, m05, m10, m11, m12, m13, m14, m15,
+         m20, m21, m22, m23, m24, m25, m30, m31, m32, m33, m34, m35,
+         m40, m41, m42, m43, m44, m45, m50, m51, m52, m53, m54, m55) = self._minv
 
-        return [
-            *v_inertial,
-            *quat_derivative(quat, omega),
-            *dnu,
-            *node_vel,
-            *[f / node_mass for f in node_f],
-            spool_speed,
+        # the state's rate: inertial velocity, the quaternion rate, and
+        # M^-1 (tau - C(nu) nu) row by row
+        out = [
+            vx, vy, vz,
+            0.5 * (-x * p - yq * q - z * r),
+            0.5 * (w * p + yq * r - z * q),
+            0.5 * (w * q + z * p - x * r),
+            0.5 * (w * r + x * q - yq * p),
+            m00 * t0 + m01 * t1 + m02 * t2 + m03 * t3 + m04 * t4 + m05 * t5,
+            m10 * t0 + m11 * t1 + m12 * t2 + m13 * t3 + m14 * t4 + m15 * t5,
+            m20 * t0 + m21 * t1 + m22 * t2 + m23 * t3 + m24 * t4 + m25 * t5,
+            m30 * t0 + m31 * t1 + m32 * t2 + m33 * t3 + m34 * t4 + m35 * t5,
+            m40 * t0 + m41 * t1 + m42 * t2 + m43 * t3 + m44 * t4 + m45 * t5,
+            m50 * t0 + m51 * t1 + m52 * t2 + m53 * t3 + m54 * t4 + m55 * t5,
         ]
+        out += node_vel
+        out += [f / node_mass for f in node_f]
+        out.append(spool_speed)
+        return out
 
     def rk4_step(self, y: list[float], deflections: dict[str, float],
                  spool_speed: float) -> list[float]:
@@ -260,14 +312,16 @@ class Simulator:
 
     def winch_tension(self, y: list[float]) -> float:
         # only the first link matters: inner end pinned at the winch
-        n = self.n
+        nodes_end = self._nodes_end
         x, yy, z = y[13:16]
-        vx, vy, vz = y[13 + 3 * n:16 + 3 * n]
-        rest = y[13 + 6 * n] / (n + 1)
+        vx, vy, vz = y[nodes_end:nodes_end + 3]
+        rest = y[self._vel_end] / (self.n + 1)
         dist = math.sqrt(x * x + yy * yy + z * z)
         if dist < rest or dist == 0.0:
             return 0.0
-        k, damp, _ = self.tether.link_constants(rest)
+        line = self.line
+        k = line.axial_stiffness / rest
+        damp = line.two_zeta * math.sqrt(k * (line.mass_per_length * rest))
         mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
         return max(mag, 0.0)
 

@@ -3,13 +3,21 @@ links, with buoyancy and cross-flow drag on each node.
 
 The winch end is pinned at the origin; the outer end follows the kite's
 attachment point.  Spooling rescales every link's rest length uniformly.
+
+Everything the link and node forces take from the line and the flow is
+bound once per simulator, as a TetherConstants: E A, rho_t A, twice the
+damping ratio, the net buoyancy and drag per unit of rest length, the
+line's width and the flow speed.  Each call forms a link's stiffness
+E A / l, mass rho_t A l and damping 2 zeta sqrt(k m) from those, and they
+come out as the unbound formulas give them: Python multiplies left to
+right, so E * A / l is (E A) / l.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .kite import GRAVITY
 from ..hydro import FlowEnv
@@ -29,20 +37,44 @@ class TetherProperties:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
         for name in ("radius", "density", "youngs_modulus", "length"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("damping_ratio", "drag_coeff"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and at least 0; "
+                                 f"got {getattr(self, name)!r}")
 
-    @cached_property
-    def section_area(self) -> float:
-        return math.pi * self.radius**2
 
-    def link_constants(self, rest_length: float) -> tuple[float, float, float]:
-        """Stiffness, damping coefficient (damping_ratio of critical for the
-        link's own mass) and mass of one link of the given rest length."""
-        area = self.section_area
-        k = self.youngs_modulus * area / rest_length
-        mass = self.density * area * rest_length
-        return k, 2.0 * self.damping_ratio * math.sqrt(k * mass), mass
+class TetherConstants(NamedTuple):
+    """What tether_forces needs of a line in a flow, in plain floats.
+
+    Built once per simulator by of(); each field is a product the link
+    and node forces used to form at every call, grouped as they grouped
+    it.  Per unit of rest length l: a link's stiffness is
+    axial_stiffness / l, its mass mass_per_length * l and its damping
+    coefficient two_zeta * sqrt(stiffness * mass); a node's net buoyancy
+    is net_buoyancy * l and its drag per speed^2 is
+    drag_pressure * (width * l).
+    """
+
+    axial_stiffness: float     # E A, N
+    mass_per_length: float     # rho_t A, kg/m
+    two_zeta: float            # twice the damping ratio
+    net_buoyancy: float        # (rho_w - rho_t) A g, N/m
+    drag_pressure: float       # 1/2 rho_w C_D, kg/m^3
+    width: float               # 2 r, m
+    flow_speed: float          # m/s, along inertial x
+
+    @classmethod
+    def of(cls, props: TetherProperties, flow: FlowEnv) -> "TetherConstants":
+        area = math.pi * props.radius**2
+        return cls(
+            props.youngs_modulus * area, props.density * area,
+            2.0 * props.damping_ratio,
+            (flow.density - props.density) * area * GRAVITY,
+            0.5 * flow.density * props.drag_coeff, 2.0 * props.radius,
+            flow.speed)
 
 
 def tether_forces(
@@ -51,25 +83,25 @@ def tether_forces(
     attach_pos,
     attach_vel,
     rest_length: float,
-    props: TetherProperties,
-    flow: FlowEnv,
+    line: TetherConstants,
 ) -> tuple[list[float], tuple[float, float, float], float]:
     """Net force per free node, force on the kite, and winch tension.
 
     node_pos/node_vel are flat sequences of 3N floats, x, y, z per free
     node ordered winch to kite, as in the simulator state; attach_pos and
     attach_vel are 3-sequences.  rest_length is the current per-link rest
-    length (uniform spooling).  The node forces come back in the same flat
-    layout.
+    length (uniform spooling), and line the tether's TetherConstants in
+    the flow.  The node forces come back in the same flat layout.
     """
-    n3 = 3 * props.n_nodes
-    k, damp, _ = props.link_constants(rest_length)
+    n3 = len(node_pos)
+    (axial_stiffness, mass_per_length, two_zeta, net_buoyancy, drag_pressure,
+     width, flow_speed) = line
+    k = axial_stiffness / rest_length
+    damp = two_zeta * math.sqrt(k * (mass_per_length * rest_length))
     # buoyancy net of weight, on each node's share of cable length
-    lift = ((flow.density - props.density) * props.section_area * GRAVITY
-            * rest_length)
+    lift = net_buoyancy * rest_length
     # cross-flow drag on the projected strip, tangential component dropped
-    drag = 0.5 * flow.density * props.drag_coeff * (2.0 * props.radius * rest_length)
-    flow_speed = flow.speed
+    drag = drag_pressure * (width * rest_length)
 
     # one pass, winch to kite.  Link i joins chain point a (the winch for
     # i = 0) to chain point b (the attachment for the last link); once its

@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from hydrokite import codesign, wingstruct
-from hydrokite.dynsim import BasisParams, sim
+from hydrokite.catalog import kite_from_record, load_designs
+from hydrokite.dynsim import BasisParams, SimParams, Simulator, TetherProperties, sim
 from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -85,3 +86,31 @@ def test_tracer_sees_every_section_the_sizing_search_integrates(monkeypatch):
         tracer.uninstall()
     assert integ.integrations > 100
     assert tracer.summary()["wingstruct.properties.calls"] == integ.integrations
+
+
+def test_traced_flight_passes_through_every_flight_layer():
+    # the flight step must reach each traced layer through the name the
+    # tracer wraps, as often per step as the per-layer figures assume
+    tracing = load_tracing()
+    props = kite_from_record(load_designs()["intermediate"])
+    y0 = Simulator(props, TetherProperties(), BasisParams(),
+                   params=SimParams(init_path_pos=2.0)).initial_state()
+    flight = Simulator(props, TetherProperties(), BasisParams(),
+                       params=SimParams(init_path_pos=2.05))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        flight.run(1, y0=y0, p_start=2.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing("flight") == []
+    calls = tracer.summary()
+    steps = calls["dynsim.sim.rk4_step.calls"]
+    assert steps > 100
+    assert calls["dynsim.sim.run.calls"] == 1
+    for layer in ("dynsim.sim.winch_tension", "dynsim.control.update",
+                  "dynsim.paths.nearest_path_position"):
+        assert calls[f"{layer}.calls"] == steps, layer
+    for layer in ("dynsim.sim.derivative", "dynsim.tether.tether_forces",
+                  "dynsim.kite.net_force_moment"):
+        assert calls[f"{layer}.calls"] == 4 * steps, layer

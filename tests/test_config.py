@@ -105,11 +105,11 @@ def test_tether_length_rides_in_tether_section():
 
 def test_tether_length_must_be_positive():
     for length in (0.0, -5.0):
-        with pytest.raises(ValueError, match="length must be positive"):
+        with pytest.raises(ValueError, match="length must be finite and positive"):
             TetherProperties(length=length)
-    with pytest.raises(ConfigError, match="length must be positive"):
+    with pytest.raises(ConfigError, match="length must be finite and positive"):
         parse_config("tether:\n  length: -5.0\n")
-    with pytest.raises(ConfigError, match="length must be positive"):
+    with pytest.raises(ConfigError, match="length must be finite and positive"):
         apply_overrides(SuiteConfig(), ["tether.length=0"])
 
 
@@ -118,6 +118,13 @@ def test_tether_length_must_be_positive():
     ("material.density", -2700.0),
     ("scaling.hstab_area_fraction", 0.0),
     ("winch.spool_ratio", -1.0),
+    ("simulation.max_time", -1.0),
+    ("simulation.dt", ".inf"),
+    ("tether.length", ".inf"),
+    ("tether.damping_ratio", -1.0),
+    ("tether.drag_coeff", -1.0),
+    ("controller.aileron_limit", -0.25),
+    ("grids.s_step", ".nan"),
 ])
 def test_impossible_physical_settings_rejected(setting, value):
     section, key = setting.split(".")
@@ -198,7 +205,7 @@ def test_override_rejections():
             apply_overrides(cfg, [item])
     with pytest.raises(ConfigError, match=r"override value '\[1' is not valid YAML"):
         apply_overrides(cfg, ["flow.speed=[1"])
-    with pytest.raises(ConfigError, match="dt must be positive"):
+    with pytest.raises(ConfigError, match="dt must be finite and positive"):
         parse_config("simulation:\n  dt: 0.0\n")
     with pytest.raises(ConfigError, match="trace_stride must be at least 1"):
         parse_config("simulation:\n  trace_stride: 0\n")
@@ -372,9 +379,17 @@ def test_catalog_rejections(tmp_path):
                           ("power_rated: [1]", "power_rated must be a number"),
                           ("note: null", "note must be a string"),
                           ("note: [1, 2]", "note must be a string"),
-                          ("note: 3", "note must be a string")):
+                          ("note: 3", "note must be a string"),
+                          ("n_spars: 0", "n_spars must be at least 1"),
+                          ("shell_pct: .nan", "shell_pct must be finite")):
         with pytest.raises(ConfigError, match=f"design 'tiny': {message}"):
             load_text(record + f"  {line}\n")
+    # dimensions and masses are checked when the catalog is read, not
+    # first when a kite is built from the record
+    for key, value in (("span", -7.5), ("m_wing", -300.0)):
+        with pytest.raises(ConfigError,
+                           match=f"design 'tiny': {key} must be finite"):
+            load_text(record.replace(f"{key}: {-value}", f"{key}: {value}"))
     with pytest.raises(ConfigError, match="does not exist"):
         load_designs(str(tmp_path / "absent.yaml"))
     with pytest.raises(ConfigError, match="map names"):

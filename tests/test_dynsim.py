@@ -23,6 +23,7 @@ from hydrokite.dynsim import (
     KiteProperties,
     SimParams,
     Simulator,
+    TetherConstants,
     TetherProperties,
     WinchParams,
     build_kite,
@@ -377,7 +378,7 @@ def kite_link_force(outer_span, outer_rate, rest=10.0):
     node = np.array([rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
         node, np.zeros(3), node + outer_span, outer_rate, rest,
-        props, STILL_WATER)
+        TetherConstants.of(props, STILL_WATER))
     assert tension == 0.0
     assert np.array_equal(forces, -np.array(kite_force))
     return np.array(kite_force)
@@ -411,7 +412,8 @@ def test_straight_neutral_chain_is_force_free():
     node_vel = np.zeros(3 * n)
     attach = np.array([(n + 1) * rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
-        node_pos, node_vel, attach, np.zeros(3), rest, props, STILL_WATER)
+        node_pos, node_vel, attach, np.zeros(3), rest,
+        TetherConstants.of(props, STILL_WATER))
     assert np.allclose(forces, 0.0, atol=1e-12)
     assert np.allclose(kite_force, 0.0, atol=1e-12)
     assert tension == 0.0
@@ -433,7 +435,8 @@ def test_winch_tension_fast_path_matches_reference():
                   + rot @ np.cross(nu[3:], sim.props.r_attach))
     _, _, reference = tether_forces(
         y[13:13 + 3 * n], y[13 + 3 * n:13 + 6 * n],
-        attach_pos, attach_vel, y[13 + 6 * n] / (n + 1), sim.tether, sim.flow)
+        attach_pos, attach_vel, y[13 + 6 * n] / (n + 1),
+        TetherConstants.of(sim.tether, sim.flow))
     assert tension == pytest.approx(reference, rel=1e-9)
     assert tension > 0.0
 
@@ -457,9 +460,11 @@ def test_chain_mode_frequency():
     vel = np.zeros((n, 3))
     attach = np.array([(n + 1) * rest * (1.0 + strain), 0.0, 0.0])
 
+    line = TetherConstants.of(props, STILL_WATER)
+
     def acc(p, v):
         f, _, _ = tether_forces(p.ravel(), v.ravel(), attach, np.zeros(3),
-                                rest, props, STILL_WATER)
+                                rest, line)
         return np.reshape(f, (n, 3)) / m
 
     dt = 5e-4
@@ -658,12 +663,18 @@ def random_chain(rng, case):
             rest, props, flow)
 
 
+def bound(args):
+    """tether_forces' arguments for reference_tether_forces' arguments."""
+    *chain, props, flow = args
+    return (*chain, TetherConstants.of(props, flow))
+
+
 def test_tether_forces_matches_the_two_pass_reference():
     rng = np.random.default_rng(20261019)
     kinds = {"slack": 0, "taut": 0, "floored": 0}
     for draw in range(200):
         args = random_chain(rng, draw % 10)
-        forces, kite_force, tension = tether_forces(*args)
+        forces, kite_force, tension = tether_forces(*bound(args))
         ref_forces, ref_kite, ref_tension = reference_tether_forces(*args)
         assert forces == ref_forces
         assert kite_force == ref_kite
@@ -694,7 +705,7 @@ def test_tether_forces_floors_keep_nan_like_the_reference():
     for field in range(4):
         args = list(random_chain(rng, 9))
         args[field] = [math.nan, *args[field][1:]]
-        out = tether_forces(*args)
+        out = tether_forces(*bound(args))
         ref = reference_tether_forces(*args)
         assert bits([*out[0], *out[1], out[2]]) == bits([*ref[0], *ref[1], ref[2]])
 
@@ -1214,7 +1225,7 @@ def test_step_functions_work_in_plain_floats():
     rot = quat_to_rot(s[3:7])
     node_f, kite_f, tension = tether_forces(
         s[13:13 + 3 * n], s[13 + 3 * n:13 + 6 * n], s[0:3], (0.0, 0.0, 0.0),
-        s[-1] / (n + 1), sim.tether, sim.flow)
+        s[-1] / (n + 1), sim.line)
     assert tension > 0.0
     tau = net_force_moment(sim.forces, rot, s[7:13], kite_f, deflections)
     dy = sim.derivative(s, deflections, 0.3)
