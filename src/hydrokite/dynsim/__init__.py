@@ -25,8 +25,8 @@ from .tether import TetherConstants, TetherProperties, tether_forces
 __all__ = [
     "BasisParams", "FlightController", "FlightGains", "ForceTable",
     "KiteProperties", "LapMetrics", "SimParams", "SimResult", "Simulator",
-    "SurfaceRow", "TetherConstants", "TetherProperties", "WinchParams", "build_kite",
-    "coriolis_force", "interior_angle", "nearest_path_position",
+    "SurfaceRow", "TetherConstants", "TetherProperties", "WinchParams",
+    "build_kite", "coriolis_force", "interior_angle", "nearest_path_position",
     "net_force_moment", "path_angles", "path_direction", "spool_phase",
     "surface", "tether_forces", "winch_command",
 ]

@@ -3,8 +3,9 @@ tether mechanics, controllers, and integrator order.
 
 The Coriolis term and the tether spring chain have exact analytic
 references; the integrator order is checked by Richardson step halving.
-The tether chain, the surface force sum and the Coriolis term must also
-equal, bit for bit, straightforward reference forms kept in this file.
+The tether chain, the surface force sum, the Coriolis term, the whole
+state derivative and the winch tension must also equal, bit for bit,
+straightforward reference forms kept in this file.
 """
 
 import dataclasses
