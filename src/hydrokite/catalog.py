@@ -12,7 +12,6 @@ kite to fly it must not pay for.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -22,7 +21,7 @@ import yaml
 
 from .design import ScalingRule
 from .dynsim.kite import KiteProperties, build_kite
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .fusestruct import FuselageDesign
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform
 from .wingstruct import FourDigitFoil
@@ -115,16 +114,10 @@ class DesignRecord:
     note: str = ""
 
     def __post_init__(self):
-        for name in ("span", "aspect_ratio", "diameter", "length", "wall_pct",
-                     "m_wing", "m_fuse", "ratio_mass", "spar_width_pct",
-                     "shell_pct", "power_rated"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and positive; got {value!r}")
-        if self.n_spars is not None and self.n_spars < 1:
-            raise ValueError(
-                f"n_spars must be at least 1; got {self.n_spars!r}")
+        check_fields(self, positive=(
+            "span", "aspect_ratio", "diameter", "length", "wall_pct",
+            "m_wing", "m_fuse", "ratio_mass", "spar_width_pct", "shell_pct",
+            "power_rated"), at_least={"n_spars": 1})
 
     @property
     def m_kite(self) -> float:

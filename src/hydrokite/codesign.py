@@ -22,7 +22,7 @@ from .design import (
     ScalingRule, displaced_volume,
 )
 from .effmap import EffSurface, default_surface
-from .errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
+from .errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual, check_fields
 from .fusestruct import (
     THICKNESS_MAX_PCT, THICKNESS_MIN_PCT, FuselageDesign, constraint_margins,
     fuse_mass, rated_fuselage_loads, sfdt_optimize,
@@ -62,12 +62,8 @@ class SearchGrid:
     power_tol: float = 1e-3          # relative power equality tolerance
 
     def __post_init__(self):
-        for name in ("s_step", "d_step", "l_step", "power_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
-        if self.ar_scan < 1 or self.n_stations < 2:
-            raise ValueError("ar_scan must be at least 1 and n_stations at least 2")
+        check_fields(self, positive=("s_step", "d_step", "l_step", "power_tol"),
+                     at_least={"ar_scan": 1, "n_stations": 2})
 
 
 @dataclass
@@ -128,9 +124,9 @@ def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
     This is the design box's only check, and it is exact: every solver clips
     or sizes its variables to the bounds themselves.  It compares the floats
     with float copies of ``DESIGN_LO``/``DESIGN_HI``, so a value on an edge
-    passes; a NaN entry fails neither comparison.  It runs before any
-    component is built, so a vector outside the box raises this error and
-    not a component's own limit.
+    passes and a NaN entry fails.  It runs before any component is built,
+    so a vector outside the box raises this error and not a component's
+    own limit.
     """
     # a GA row converts whole; unpacking it first would make NumPy scalars
     vec = np.asarray(u if isinstance(u, np.ndarray) else list(u), dtype=float)
@@ -138,7 +134,7 @@ def evaluate_design(u: Iterable[float], ctx: DesignContext) -> KiteDesign:
         raise ValueError("design vector must have eight entries")
     vals = vec.tolist()
     for v, lo, hi in zip(vals, _BOX_LO, _BOX_HI):
-        if v < lo or v > hi:
+        if not lo <= v <= hi:
             raise ValueError("design variables outside the admissible box")
     s, ar, n_sp, t_sp, t_sw, d, length, t_sf = vals
     n_spars = int(round(n_sp))
@@ -232,8 +228,9 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     Power is not assumed monotone in AR, so every bracketing interval of
     the scan contributes a root.
     """
-    if p_req <= 0.0:
-        raise ConfigError("required power must be positive")
+    if not 0.0 < p_req < math.inf:
+        raise ConfigError(
+            f"required power must be finite and positive; got {p_req!r}")
     if s_grid is None:
         s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
     ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1],
@@ -432,27 +429,20 @@ class GAConfig:
     polish: bool = True              # Nelder-Mead refinement of the winner
 
     def __post_init__(self):
+        # eta >= 0: the operators raise 2u to the power 1/(eta + 1)
+        check_fields(self, nonnegative=("crossover_prob", "sbx_eta",
+                                        "mutation_eta", "mutation_prob"),
+                     at_least={"tournament": 1, "generations": 0})
         # elitism carries the best genome into the last population, which
         # is where simultaneous_ga reads its winner
         if not 1 <= self.elite < self.population:
-            raise ConfigError(
+            raise ValueError(
                 f"elite must satisfy 1 <= elite < population; got "
                 f"elite={self.elite}, population={self.population}")
-        if self.tournament < 1:
-            raise ConfigError("tournament must be at least 1")
-        if self.generations < 0:
-            raise ConfigError(
-                f"generations must be at least 0; got {self.generations}")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(
-                    f"{name} must lie in [0, 1]; got {getattr(self, name)!r}")
-        # the operators raise 2u to the power 1/(eta + 1)
-        for name in ("sbx_eta", "mutation_eta"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(
-                    f"{name} must be finite and at least 0; "
-                    f"got {getattr(self, name)!r}")
+        for name, prob in (("crossover_prob", self.crossover_prob),
+                           ("mutation_prob", self.mutation_prob)):
+            if prob > 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]; got {prob!r}")
 
 
 DEATH = -1e18
@@ -558,8 +548,12 @@ def simultaneous_ga(w: float, p_min: float, ctx: DesignContext,
     and then dropped.  Each child is then scored by ``_ga_fitness``, one
     call per child in order; the elite keep their scores.
     """
-    if w <= 0.0:
-        raise ConfigError("objective weight must be positive")
+    if not 0.0 < w < math.inf:
+        raise ConfigError(
+            f"objective weight must be finite and positive; got {w!r}")
+    if not 0.0 < p_min < math.inf:
+        raise ConfigError(
+            f"power floor must be finite and positive; got {p_min!r}")
     rng = np.random.default_rng(cfg.seed)
     lo, hi = DESIGN_LO.copy(), DESIGN_HI.copy()
     # zero-thickness corners are structurally void; nudge the sampling floor

@@ -3,8 +3,9 @@
 The file is YAML with one section per subsystem.  Each section is parsed
 into the dataclass the runtime code takes, so the schema lives in one
 place: the dataclass definitions.  A setting's default and unit live on
-its dataclass field and its constraints in that dataclass's checks, nowhere
-else.  ``SuiteConfig()`` is the default configuration, and
+its dataclass field and its range in the one ``errors.check_fields`` call
+of that dataclass's ``__post_init__``, nowhere else; every number must be
+finite.  ``SuiteConfig()`` is the default configuration, and
 ``config_text(SuiteConfig())`` prints it as a complete file.  Sections are
 read by ``catalog.build_record``, the reader the design catalog uses too.
 Unknown sections or keys are rejected

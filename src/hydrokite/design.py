@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+from .errors import check_fields
 from .hydro import WingPlanform
 from .wingstruct import NACA_THICKNESS, FourDigitFoil
 
@@ -31,11 +32,9 @@ class ScalingRule:
     fuse_diameter_factor: float = 0.07  # D = factor * span, clamped to bounds
 
     def __post_init__(self):
-        for name in ("hstab_area_fraction", "vstab_area_fraction",
-                     "fuse_length_factor", "fuse_diameter_factor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
+        check_fields(self, positive=(
+            "hstab_area_fraction", "vstab_area_fraction",
+            "fuse_length_factor", "fuse_diameter_factor"))
 
     def fuselage(self, planform: WingPlanform) -> tuple[float, float]:
         """(D, L) for a wing, clamped into the hull design box."""

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .paths import BasisParams, path_direction, spool_phase
+from ..errors import check_fields
 from ..hydro import FlowEnv
 
 
@@ -60,16 +61,11 @@ class FlightGains:
     rudder_limit: float = 0.4
 
     def __post_init__(self):
-        for name in ("lookahead", "roll_limit", "moment_coeff_limit",
-                     "aileron_limit", "rudder_limit"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("velocity_kp", "velocity_ki", "roll_kp", "roll_ki",
-                     "rudder_share"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and at least 0; "
-                                 f"got {getattr(self, name)!r}")
+        check_fields(
+            self, positive=("lookahead", "roll_limit", "moment_coeff_limit",
+                            "aileron_limit", "rudder_limit"),
+            nonnegative=("velocity_kp", "velocity_ki", "roll_kp", "roll_ki",
+                         "rudder_share"))
 
 
 @dataclass
@@ -79,13 +75,7 @@ class WinchParams:
     elevator_in: float = 0.0         # de-powered for cheap reel-in
 
     def __post_init__(self):
-        if not 0.0 <= self.spool_ratio < math.inf:
-            raise ValueError(f"spool_ratio must be finite and at least 0; "
-                             f"got {self.spool_ratio!r}")
-        for name in ("elevator_out", "elevator_in"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite; got {getattr(self, name)!r}")
+        check_fields(self, nonnegative=("spool_ratio",))
 
 
 class FlightController:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import check_fields
+
 
 @dataclass(frozen=True)
 class BasisParams:
@@ -29,6 +31,7 @@ class BasisParams:
     b4: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if self.b2 == 0.0:
             raise ValueError("b2 must be nonzero")
 

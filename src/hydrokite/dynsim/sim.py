@@ -45,7 +45,7 @@ from .kite import (
 )
 from .paths import BasisParams, interior_angle, nearest_path_position, path_direction
 from .tether import TetherConstants, TetherProperties, tether_forces
-from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost
+from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost, check_fields
 from ..hydro import FlowEnv
 
 TWO_PI = 2.0 * math.pi
@@ -92,20 +92,10 @@ class SimParams:
     trace_stride: int = 5             # record every k-th step
 
     def __post_init__(self):
-        for name in ("dt", "max_time", "abort_angle", "blowup_speed"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("init_speed", "grace_time"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and at least 0; "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("init_path_pos", "pre_strain"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite; got {getattr(self, name)!r}")
-        if self.trace_stride < 1:
-            raise ValueError("trace_stride must be at least 1")
+        check_fields(
+            self, positive=("dt", "max_time", "abort_angle", "blowup_speed"),
+            nonnegative=("init_speed", "grace_time"),
+            at_least={"trace_stride": 1})
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .kite import GRAVITY
+from ..errors import check_fields
 from ..hydro import FlowEnv
 
 
@@ -34,16 +35,10 @@ class TetherProperties:
     length: float = 125.0           # unstretched line length, m
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be at least 1")
-        for name in ("radius", "density", "youngs_modulus", "length"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("damping_ratio", "drag_coeff"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and at least 0; "
-                                 f"got {getattr(self, name)!r}")
+        check_fields(
+            self, positive=("radius", "density", "youngs_modulus", "length"),
+            nonnegative=("damping_ratio", "drag_coeff"),
+            at_least={"n_nodes": 1})
 
 
 class TetherConstants(NamedTuple):

@@ -22,7 +22,7 @@ import numpy as np
 from .design import ASPECT_RANGE, SPAN_RANGE, ScalingRule
 from .errors import (
     ConfigError, DomainWarning, EmptyLap, Infeasible, NumericBlowup,
-    PathLost, RankDeficient,
+    PathLost, RankDeficient, check_fields,
 )
 from .fusestruct import rated_fuselage_loads, sfdt_optimize
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
@@ -92,6 +92,17 @@ class EffSurface:
     coeffs: np.ndarray
     domain: tuple[float, float, float, float]   # s_lo, s_hi, ar_lo, ar_hi
     residual_rms: float
+
+    def __post_init__(self):
+        # a NaN coefficient or bound would pass every clamp below quietly
+        check_fields(self, nonnegative=("residual_rms",))
+        s_lo, s_hi, a_lo, a_hi = self.domain
+        if not (-np.inf < s_lo < s_hi < np.inf
+                and -np.inf < a_lo < a_hi < np.inf):
+            raise ValueError(
+                f"domain needs finite lo < hi pairs; got {self.domain!r}")
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("coefficients must be finite")
 
     def eval(self, span: float, aspect_ratio: float) -> float:
         """Clamped polynomial evaluation; out-of-domain queries warn."""
@@ -179,8 +190,6 @@ def parse_surface(text: str) -> EffSurface:
         raise ConfigError(
             f"degree {degree} needs {len(monomial_exponents(degree))} "
             f"coefficients, document has {len(coeffs)}")
-    if len(domain) != 4:
-        raise ConfigError("domain line needs 4 numbers")
     return surface
 
 

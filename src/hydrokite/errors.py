@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+field-range check, ``check_fields``, that every settings section and
+catalog record runs when it is built."""
+
+import math
+from dataclasses import fields
 
 
 class HydrokiteError(Exception):
@@ -66,3 +71,28 @@ class DomainWarning(UserWarning):
 
 class NotConverged(UserWarning):
     """Iterative search hit its lap budget; best-so-far result is still returned."""
+
+
+def check_fields(obj, positive=(), nonnegative=(), at_least={}):
+    """Raise ``ValueError`` for the first field of dataclass ``obj`` out of
+    range: every ``int`` or ``float`` value (not ``bool``) must be finite,
+    those named in ``positive`` > 0, those in ``nonnegative`` >= 0, and
+    each ``name: least`` pair of ``at_least`` must hold."""
+    for f in fields(obj):
+        name = f.name
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if name in positive:
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive; got {value!r}")
+        elif name in nonnegative:
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and at least 0; got {value!r}")
+        elif not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite; got {value!r}")
+        if name in at_least and value < at_least[name]:
+            raise ValueError(
+                f"{name} must be at least {at_least[name]}; got {value!r}")

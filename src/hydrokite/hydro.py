@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateRange
+from .errors import DegenerateRange, check_fields
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class FoilCoeffs:
     def __post_init__(self):
         # the closed-form glide optimum needs a rising lift curve and a
         # drag polar with a positive floor and curvature
-        if not all(v > 0.0 for v in (self.gamma, self.e_lift, self.e_drag, self.cd_zero)):
-            raise ValueError("gamma, e_lift, e_drag and cd_zero must be positive")
-        if not self.k_visc >= 0.0:
-            raise ValueError("k_visc must be non-negative")
+        check_fields(self, positive=("gamma", "e_lift", "e_drag", "cd_zero"),
+                     nonnegative=("k_visc",))
 
     def lift_slope(self, aspect_ratio: float) -> float:
         """Finite-span lift-curve slope dCL/dalpha in 1/rad."""
@@ -75,12 +73,7 @@ class FlowEnv:
 
     def __post_init__(self):
         # still water (speed 0) is a legal environment
-        if not 0.0 <= self.speed < math.inf:
-            raise ValueError(
-                f"speed must be finite and at least 0; got {self.speed!r}")
-        if not 0.0 < self.density < math.inf:
-            raise ValueError(
-                f"density must be finite and positive; got {self.density!r}")
+        check_fields(self, positive=("density",), nonnegative=("speed",))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynsim import BasisParams, Simulator, TetherProperties
 from .dynsim.kite import KiteProperties
-from .errors import ConfigError, NotConverged
+from .errors import ConfigError, NotConverged, check_fields
 
 N_FEATURES = 15
 
@@ -103,14 +103,10 @@ class ILCConfig:
                                      # over a small excitation cloud
 
     def __post_init__(self):
-        if self.learning_gain < 0.0:
-            raise ConfigError("learning gain must be >= 0")
-        if self.perturb_amplitude < 0.0:
-            raise ConfigError("perturbation amplitude must be >= 0")
-        if self.perturb_decay <= 0.0:
-            raise ConfigError("perturbation decay must be positive")
-        if self.max_laps < 1:
-            raise ConfigError("max_laps must be at least 1")
+        check_fields(
+            self, positive=("perturb_decay", "init_cov"),
+            nonnegative=("learning_gain", "k_w", "perturb_amplitude", "tol"),
+            at_least={"warmup_laps": 0, "max_laps": 1})
 
 
 def perturbation(cfg: ILCConfig, k: int) -> np.ndarray:

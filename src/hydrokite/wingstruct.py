@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GeometryError, Infeasible
+from .errors import GeometryError, Infeasible, check_fields
 from .hydro import FlowEnv, FoilCoeffs, WingPlanform, max_glide_cubed
 
 # chordwise spar stations (fraction of chord) keyed by spar count
@@ -53,10 +53,8 @@ class Material:
     yield_stress: float = 2.70e8   # Pa
 
     def __post_init__(self):
-        for name in ("density", "youngs_modulus", "yield_stress"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; "
-                                 f"got {getattr(self, name)!r}")
+        check_fields(self, positive=("density", "youngs_modulus",
+                                     "yield_stress"))
 
 
 # NACA four-digit thickness polynomial, closed trailing edge:

@@ -65,6 +65,11 @@ def test_design_box_is_enforced():
         u[i] = DESIGN_LO[i] - 0.5
         with pytest.raises(ValueError):
             evaluate_design(u, ctx)
+        # a NaN entry once passed the box check and sized a design
+        u = mid_vector()
+        u[i] = math.nan
+        with pytest.raises(ValueError, match="admissible box"):
+            evaluate_design(u, ctx)
 
 
 def test_design_box_is_exact():
@@ -176,8 +181,10 @@ def test_sft_empty_set_outside_reachable_powers():
 
 
 def test_sft_rejects_nonpositive_power():
-    with pytest.raises(ConfigError):
-        sft_enumerate(-5.0, fast_ctx())
+    # a NaN target once sized thousands of bogus roots and returned a design
+    for p_req in (-5.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="required power"):
+            sft_enumerate(p_req, fast_ctx())
 
 
 # -- surrogate selection ----------------------------------------------------
@@ -517,7 +524,7 @@ def test_ga_reports_infeasibility():
 
 def test_ga_config_requires_elitism():
     for elite in (0, 40, 41):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ga_cfg(elite=elite)
     assert ga_cfg(elite=39).elite == 39
 
@@ -525,7 +532,7 @@ def test_ga_config_requires_elitism():
 @pytest.mark.parametrize("name", ["crossover_prob", "mutation_prob"])
 def test_ga_config_rejects_a_probability_outside_the_unit_interval(name):
     for bad in (-0.1, 1.1, math.nan):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(ValueError, match=name):
             ga_cfg(**{name: bad})
     for good in (0.0, 1.0):
         assert getattr(ga_cfg(**{name: good}), name) == good
@@ -535,13 +542,13 @@ def test_ga_config_rejects_a_probability_outside_the_unit_interval(name):
 def test_ga_config_rejects_a_negative_or_infinite_eta(name):
     # -1 made the operators' exponent 1/(eta + 1) divide by zero mid-run
     for bad in (-1.0, -0.5, math.inf, math.nan):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(ValueError, match=name):
             ga_cfg(**{name: bad})
     assert getattr(ga_cfg(**{name: 0.0}), name) == 0.0
 
 
 def test_ga_config_rejects_negative_generations():
-    with pytest.raises(ConfigError, match="generations"):
+    with pytest.raises(ValueError, match="generations"):
         ga_cfg(generations=-1)
     # no generations: the winner comes from the scored initial population
     point = simultaneous_ga(16.0, 350e3, fast_ctx(), ga_cfg(generations=0))
@@ -549,8 +556,11 @@ def test_ga_config_rejects_negative_generations():
 
 
 def test_ga_rejects_nonpositive_weight():
-    with pytest.raises(ConfigError):
-        simultaneous_ga(0.0, 350e3, fast_ctx(), ga_cfg())
+    # a NaN floor once dropped the power constraint and returned a design
+    for w, p_min in ((0.0, 350e3), (math.nan, 350e3), (math.inf, 350e3),
+                     (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            simultaneous_ga(w, p_min, fast_ctx(), ga_cfg())
 
 
 def test_dual_sweep_is_deterministic_and_validated():

@@ -1,7 +1,8 @@
 """Config file parsing, overrides, and the bundled design catalog."""
+import re
 import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -148,6 +149,51 @@ def test_physical_settings_must_be_finite():
     assert cfg.flow.speed == 0.0 and cfg.winch.spool_ratio == 0.0
 
 
+def numeric_keys(cls) -> list[tuple[str, str]]:
+    """(name, type) of each int or float field of a record class."""
+    return [(f.name, f.type) for f in fields(cls)
+            if f.type.removeprefix("Optional[").rstrip("]") in ("int", "float")]
+
+
+CONFIG_NUMBERS = [(section, key, ftype)
+                  for section, cls in _SECTION_TYPES.items()
+                  for key, ftype in numeric_keys(cls)]
+
+
+@pytest.mark.parametrize("section, key, ftype", CONFIG_NUMBERS,
+                         ids=[f"{s}.{k}" for s, k, _ in CONFIG_NUMBERS])
+def test_every_numeric_setting_rejects_nonfinite_values(section, key, ftype):
+    # no .nan or .inf is an int, so an int key's type check answers
+    if ftype == "int":
+        message = f"{section}.{key} must be an integer"
+    else:
+        message = f"invalid {section} settings: {key} must be"
+    for value in (".nan", ".inf", "-.inf"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"{section}:\n  {key}: {value}\n")
+
+
+TINY_RECORD = {"span": 7.5, "aspect_ratio": 5.0, "diameter": 0.5,
+               "length": 7.0, "wall_pct": 1.0, "m_wing": 300.0,
+               "m_fuse": 200.0, "ratio_mass": 500.0}
+
+
+def tiny_catalog(**changes) -> str:
+    """A catalog file holding the one design 'tiny'."""
+    items = {**TINY_RECORD, **changes}
+    return "tiny:\n" + "".join(f"  {k}: {v}\n" for k, v in items.items())
+
+
+@pytest.mark.parametrize("key", [k for k, _ in numeric_keys(DesignRecord)])
+def test_every_numeric_record_key_rejects_nonfinite_values(tmp_path, key):
+    path = tmp_path / "cat.yaml"
+    for value in (".nan", ".inf", "-.inf"):
+        path.write_text(tiny_catalog(**{key: value}))
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"design 'tiny': {key} must be")):
+            load_designs(str(path))
+
+
 def test_overrides_apply_and_coerce():
     cfg = SuiteConfig()
     out = apply_overrides(cfg, [
@@ -199,6 +245,10 @@ def test_override_rejections():
         "grids.power_tol=0",            # no design hits a power exactly
         "ilc.max_laps=0",               # the search returns its best lap
         "ilc.perturb_decay=0",          # divides the lap count
+        "ilc.tol=-1",                   # a step norm is never negative
+        "ilc.init_cov=0",               # the prior must be positive definite
+        "ilc.k_w=-1",
+        "ilc.warmup_laps=-1",
     ]
     for item in bad:
         with pytest.raises(ConfigError):
@@ -327,17 +377,7 @@ def test_catalog_rejections(tmp_path):
         p.write_text(textwrap.dedent(text))
         return load_designs(str(p))
 
-    record = textwrap.dedent("""\
-        tiny:
-          span: 7.5
-          aspect_ratio: 5.0
-          diameter: 0.5
-          length: 7.0
-          wall_pct: 1.0
-          m_wing: 300.0
-          m_fuse: 200.0
-          ratio_mass: 500.0
-    """)
+    record = tiny_catalog()
     ok = load_text(record)
     assert isinstance(ok["tiny"], DesignRecord)
     assert ok["tiny"].power_rated is None

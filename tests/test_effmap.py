@@ -169,6 +169,19 @@ def test_parse_surface_rejects_malformed_documents():
     with pytest.raises(ConfigError, match="eta_flor"):
         parse_surface(good + "eta_flor 0.5\n")
 
+    def flat(domain="7 10 4 12", residual="0", coeff="0.9"):
+        return (f"degree 0\ndomain {domain}\nresidual_rms {residual}\n"
+                f"coeff {coeff}\n")
+    assert parse_surface(flat()).eval(8.0, 6.0) == 0.9
+    # a NaN coefficient made eval return NaN; an infinite domain bound
+    # let eval extrapolate unwarned, and a reversed pair clamped every
+    # query to one edge
+    for bad in (flat(coeff="nan"), flat(domain="7 inf 4 12"),
+                flat(domain="10 7 4 12"), flat(domain="7 10 4"),
+                flat(residual="nan"), flat(residual="-1")):
+        with pytest.raises(ConfigError, match="malformed efficiency surface"):
+            parse_surface(bad)
+
 
 def test_default_surface_loads_and_is_sane():
     surface = default_surface()

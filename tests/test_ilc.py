@@ -130,9 +130,9 @@ def test_ilc_update_clamps_to_box_boundary():
 
 
 def test_ilc_config_validates_gain_and_amplitude():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ILCConfig(learning_gain=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         ILCConfig(perturb_amplitude=-0.1)
 
 
