@@ -48,7 +48,7 @@ def parse_yaml(text: str, what: str) -> Any:
         raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
 
 
-def _coerce(where: str, ftype: str, raw: Any) -> Any:
+def _coerce(name: str, ftype: str, raw: Any) -> Any:
     # the records are defined under postponed annotations, so fields()
     # gives each type as its source string
     if ftype.startswith("Optional["):
@@ -57,41 +57,41 @@ def _coerce(where: str, ftype: str, raw: Any) -> Any:
         ftype = ftype[len("Optional["):-1]
     if ftype == "str":
         if not isinstance(raw, str):
-            raise ConfigError(f"{where} must be a string")
+            raise ValueError(f"{name} must be a string")
         return raw
     if ftype == "bool":
         if not isinstance(raw, bool):
-            raise ConfigError(f"{where} must be true or false")
+            raise ValueError(f"{name} must be true or false")
         return raw
     if ftype == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{where} must be an integer")
+            raise ValueError(f"{name} must be an integer")
         return raw
     if ftype == "float":
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{where} must be a number")
+            raise ValueError(f"{name} must be a number")
         return float(raw)
-    raise ConfigError(f"{where} has unsupported type {ftype!r}")
+    raise ValueError(f"{name} has unsupported type {ftype!r}")
 
 
-def build_record(cls: type, data: dict, where: str) -> Any:
+def build_record(cls: type, data: dict) -> Any:
     """Dataclass ``cls`` from a mapping read out of a YAML file.
 
     Each value is checked against its field's type, and unknown or missing
-    keys are rejected: a misspelled key must never change a result.
-    ``where`` prefixes each key in the messages, e.g. ``"simulation."``.
+    keys are rejected: a misspelled key must never change a result.  Each
+    rejection, like ``cls``'s own checks, is a ``ValueError`` naming the key.
     """
     known = {f.name: f for f in fields(cls)}
     bad = set(data) - set(known)
     if bad:
-        raise ConfigError(
-            f"unknown key {where}{sorted(bad)[0]}; "
+        raise ValueError(
+            f"unknown key {sorted(bad)[0]}; "
             f"known keys: {', '.join(sorted(known))}")
     missing = [name for name, f in known.items() if name not in data
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ConfigError(f"missing key {where}{missing[0]}")
-    return cls(**{name: _coerce(f"{where}{name}", known[name].type, raw)
+        raise ValueError(f"missing key {missing[0]}")
+    return cls(**{name: _coerce(name, known[name].type, raw)
                   for name, raw in data.items()})
 
 
@@ -146,7 +146,7 @@ def load_designs(path: Optional[str] = None) -> dict[str, DesignRecord]:
         if not isinstance(data, dict):
             raise ConfigError(f"design {name!r} must be a mapping")
         try:
-            designs[name] = build_record(DesignRecord, data, f"design {name!r}: ")
+            designs[name] = build_record(DesignRecord, data)
         except ValueError as exc:
             raise ConfigError(f"design {name!r}: {exc}") from exc
     return designs

@@ -355,11 +355,10 @@ def _assemble(s, ar, wing_sizing, hull, ctx) -> KiteDesign:
                             fuse.thickness_pct), ctx)
 
 
-def nested_sequential(p_req: float, surrogate: str,
-                      ctx: DesignContext) -> ParetoPoint:
-    """Geometry first (via surrogate), then structure, then hull."""
-    s, ar = sfot(p_req, surrogate, ctx)
-    planform = WingPlanform(s, ar)
+def size_structure(planform: WingPlanform, ctx: DesignContext):
+    """(WingSizing, FuselageSizing) of the kite the search builds at one
+    geometry, the one the efficiency map flies; ``Infeasible`` if none."""
+    s, ar = planform.span, planform.aspect_ratio
     load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
     wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
                          n_stations=ctx.grid.n_stations)
@@ -368,6 +367,14 @@ def nested_sequential(p_req: float, surrogate: str,
         raise Infeasible(
             f"no hull supports the ({s:.2f}, {ar:.2f}) wing",
             detail={"span": s, "aspect_ratio": ar, "m_wing": wing.mass})
+    return wing, hull
+
+
+def nested_sequential(p_req: float, surrogate: str,
+                      ctx: DesignContext) -> ParetoPoint:
+    """Geometry first (via surrogate), then structure, then hull."""
+    s, ar = sfot(p_req, surrogate, ctx)
+    wing, hull = size_structure(WingPlanform(s, ar), ctx)
     design = _assemble(s, ar, wing, hull, ctx)
     return ParetoPoint(
         p_req=p_req, design=design,

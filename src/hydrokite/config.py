@@ -66,7 +66,7 @@ _SECTION_TYPES = {f.name: f.default_factory for f in fields(SuiteConfig)}
 
 def _build_section(section: str, data: dict) -> Any:
     try:
-        return build_record(_SECTION_TYPES[section], data, f"{section}.")
+        return build_record(_SECTION_TYPES[section], data)
     except ValueError as exc:
         raise ConfigError(f"invalid {section} settings: {exc}") from exc
 

@@ -1,10 +1,10 @@
-"""Kite assembly geometry: stabilizer and hull scaling, displaced volume,
-and the ballast that closes neutral buoyancy.
+"""Kite assembly geometry: stabilizer scaling, displaced volume, and the
+ballast that closes neutral buoyancy.
 
-The design vector only sizes the wing and hull; stabilizers and hull follow
-the wing through a fixed scaling rule.  Displaced volume is what the closed
-outer skin sweeps: foil outline area times span for each lifting surface
-plus the hull cylinder.
+The design vector sizes the wing and hull; the stabilizers follow the wing
+through a fixed scaling rule.  Displaced volume is what the closed outer
+skin sweeps: foil outline area times span for each lifting surface plus
+the hull cylinder.
 """
 
 from __future__ import annotations
@@ -24,25 +24,14 @@ ASPECT_RANGE = (4.0, 12.0)
 
 @dataclass(frozen=True)
 class ScalingRule:
-    """How stabilizers and hull track the wing planform."""
+    """How the stabilizers track the wing planform."""
 
     hstab_area_fraction: float = 0.25   # of wing area
     vstab_area_fraction: float = 0.15   # of wing area
-    fuse_length_factor: float = 0.75    # L = factor * span, clamped to bounds
-    fuse_diameter_factor: float = 0.07  # D = factor * span, clamped to bounds
 
     def __post_init__(self):
-        check_fields(self, positive=(
-            "hstab_area_fraction", "vstab_area_fraction",
-            "fuse_length_factor", "fuse_diameter_factor"))
-
-    def fuselage(self, planform: WingPlanform) -> tuple[float, float]:
-        """(D, L) for a wing, clamped into the hull design box."""
-        d = min(max(self.fuse_diameter_factor * planform.span,
-                    FUSE_DIAMETER_RANGE[0]), FUSE_DIAMETER_RANGE[1])
-        length = min(max(self.fuse_length_factor * planform.span,
-                         FUSE_LENGTH_RANGE[0]), FUSE_LENGTH_RANGE[1])
-        return d, length
+        check_fields(self, positive=("hstab_area_fraction",
+                                     "vstab_area_fraction"))
 
     def hstab(self, planform: WingPlanform) -> WingPlanform:
         return _stab_planform(planform, self.hstab_area_fraction)

@@ -5,10 +5,11 @@ converged peak simulated power to the ideal at the same geometry defines a
 flight efficiency.  This module samples that ratio over the wing design
 box, fits a low-order polynomial surface to the samples, and serves the
 surface as a cheap stand-in for the simulator inside design optimization.
+Each sample flies the kite the design search sizes at its geometry.
 
-The flight simulator (``dynsim``) and the lap optimizer (``ilc``) load only
-when a geometry is flown, so a design search that only evaluates the
-surface never imports them.
+``codesign``, the flight simulator (``dynsim``) and the lap optimizer
+(``ilc``) load only when a geometry is flown, so a design search that only
+evaluates the surface never imports the last two.
 """
 from __future__ import annotations
 
@@ -19,16 +20,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
-from .design import ASPECT_RANGE, SPAN_RANGE, ScalingRule
+from .design import ASPECT_RANGE, SPAN_RANGE
 from .errors import (
     ConfigError, DomainWarning, EmptyLap, Infeasible, NumericBlowup,
     PathLost, RankDeficient, check_fields,
 )
-from .fusestruct import rated_fuselage_loads, sfdt_optimize
-from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
-from .wingstruct import FourDigitFoil, Material, rated_wing_load, swdt_optimize
+from .hydro import WingPlanform, loyd_power
 
 if TYPE_CHECKING:
+    from .codesign import DesignContext
     from .dynsim import TetherProperties
     from .ilc import ILCConfig
 
@@ -127,6 +127,9 @@ def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:
             f"{len(samples)} samples cannot determine {n_terms} terms")
     spans = [p.span for p in samples]
     aspects = [p.aspect_ratio for p in samples]
+    domain = (min(spans), max(spans), min(aspects), max(aspects))
+    if domain[0] == domain[1] or domain[2] == domain[3]:
+        raise RankDeficient("samples share one span or one aspect ratio")
     etas = np.array([p.eta for p in samples])
     matrix = design_matrix(spans, aspects, degree)
     coeffs, _, rank, _ = np.linalg.lstsq(matrix, etas, rcond=None)
@@ -137,7 +140,7 @@ def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:
     return EffSurface(
         degree=degree,
         coeffs=coeffs,
-        domain=(min(spans), max(spans), min(aspects), max(aspects)),
+        domain=domain,
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
     )
 
@@ -252,23 +255,20 @@ def load_samples(path) -> list[EffSample]:
 
 def generate_samples(
     grid: Iterable[tuple[float, float]],
+    ctx: Optional[DesignContext] = None,
     ilc_cfg: Optional[ILCConfig] = None,
-    rule: ScalingRule = ScalingRule(),
-    flow: FlowEnv = FlowEnv(),
-    foil_coeffs: FoilCoeffs = FoilCoeffs(),
-    foil: FourDigitFoil = FourDigitFoil(),
-    material: Material = Material(),
     tether: Optional[TetherProperties] = None,
     point_fn: Optional[Callable[[float, float], tuple[float, float]]] = None,
     **sim_kwargs,
 ) -> list[EffSample]:
     """Score a grid of wing geometries.
 
-    The default path sizes the structure for each geometry, assembles the
-    kite, and runs the lap optimizer to convergence; point_fn(s, AR) ->
-    (P_star, P_ideal) substitutes any other scoring, e.g. for tests.
-    Points whose flight diverges or whose structure is infeasible are
-    skipped with a warning.
+    The default path flies each geometry's ``codesign.size_structure``
+    kite under ``ctx`` (default ``DesignContext()``) to a converged lap; a
+    ``flow`` keyword must equal ``ctx.flow``.  point_fn(s, AR) -> (P_star,
+    P_ideal) substitutes any other scoring, e.g. for tests.  Points whose
+    flight diverges or whose structure is infeasible are skipped with a
+    warning.
     """
     samples = []
     for span, aspect in grid:
@@ -281,8 +281,7 @@ def generate_samples(
                 p_star, p_ideal = point_fn(span, aspect)
             else:
                 p_star, p_ideal = _simulated_point(
-                    span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
-                    material, tether, **sim_kwargs)
+                    span, aspect, ctx, ilc_cfg, tether, **sim_kwargs)
             samples.append(EffSample(span, aspect, p_star, p_ideal))
         except (NumericBlowup, PathLost, EmptyLap, Infeasible) as exc:
             warnings.warn(
@@ -291,19 +290,18 @@ def generate_samples(
     return samples
 
 
-def _simulated_point(span, aspect, ilc_cfg, rule, flow, foil_coeffs, foil,
-                     material, tether, **sim_kwargs):
+def _simulated_point(span, aspect, ctx, ilc_cfg, tether, **sim_kwargs):
+    from .codesign import DesignContext, size_structure
     from .dynsim import TetherProperties, build_kite
     from .ilc import ILCConfig, optimize_path
 
+    ctx = ctx or DesignContext()
+    if sim_kwargs.setdefault("flow", ctx.flow) != ctx.flow:
+        raise ConfigError("flow differs from ctx.flow, which sizes the kite")
     planform = WingPlanform(span, aspect)
-    load = rated_wing_load(planform, flow, foil_coeffs)
-    wing = swdt_optimize(planform, load, material, foil)
-    d, length = rule.fuselage(planform)
-    floads = rated_fuselage_loads(planform, length, flow, foil_coeffs, rule)
-    fuse = sfdt_optimize(d, length, floads, material)
-    props = build_kite(planform, wing.mass, fuse.design, fuse.mass,
-                       rule, flow, foil_coeffs, foil)
+    wing, hull = size_structure(planform, ctx)
+    props = build_kite(planform, wing.mass, hull.design, hull.mass,
+                       ctx.rule, ctx.flow, ctx.foil_coeffs, ctx.foil)
     optimum = optimize_path(props, tether or TetherProperties(),
-                            ilc_cfg or ILCConfig(), flow=flow, **sim_kwargs)
-    return optimum.power_peak, loyd_power(planform, flow, foil=foil_coeffs)
+                            ilc_cfg or ILCConfig(), **sim_kwargs)
+    return optimum.power_peak, loyd_power(planform, ctx.flow, foil=ctx.foil_coeffs)

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hydrokite import effmap
+from hydrokite import effmap, ilc
+from hydrokite.codesign import DesignContext, SearchGrid, _best_hull
+from hydrokite.config import SuiteConfig
 from hydrokite.dynsim import SimParams
 from hydrokite.effmap import (
     EffSample, default_surface, design_matrix, fit_surface,
@@ -9,7 +13,9 @@ from hydrokite.effmap import (
     parse_surface, save_samples, save_surface, surface_text,
 )
 from hydrokite.errors import ConfigError, DomainWarning, NumericBlowup, RankDeficient
+from hydrokite.hydro import FlowEnv, WingPlanform
 from hydrokite.ilc import ILCConfig
+from hydrokite.wingstruct import rated_wing_load, swdt_optimize
 
 
 def bowl_eta(s, ar):
@@ -76,6 +82,11 @@ def test_fit_rejects_too_few_or_collinear_samples():
             for s in np.linspace(7.0, 10.0, 12)]
     with pytest.raises(RankDeficient):
         fit_surface(flat)
+    # a constant is determined, but one span fixes no box to fit it over
+    one_span = [EffSample(8.0, 5.0, 8e4, 1e5), EffSample(8.0, 6.0, 7e4, 1e5)]
+    for samples in (one_span, [EffSample(8.0, 5.0, 8e4, 1e5)]):
+        with pytest.raises(RankDeficient, match="one span or one aspect"):
+            fit_surface(samples, degree=0)
 
 
 def test_eval_clamps_outside_domain_with_warning():
@@ -283,7 +294,7 @@ def test_generate_samples_skips_simulated_points_that_fail():
     # no lap (EmptyLap); the second has no wing structure (Infeasible)
     grid = [(8.5, 6.0), (8.5, 12.0)]
     with pytest.warns(UserWarning) as record:
-        out = generate_samples(grid, ILCConfig(max_laps=1, warmup_laps=1),
+        out = generate_samples(grid, ilc_cfg=ILCConfig(max_laps=1, warmup_laps=1),
                                params=SimParams(max_time=0.2))
     assert out == []
     messages = [str(w.message) for w in record]
@@ -296,3 +307,56 @@ def test_generate_samples_skips_simulated_points_that_fail():
 def test_generate_samples_rejects_out_of_box_grid():
     with pytest.raises(ConfigError):
         generate_samples([(6.0, 6.0)], point_fn=lambda s, ar: (1e5, 1e5))
+
+
+def fly_captured(monkeypatch, span, aspect, ctx, **sim_kwargs):
+    """(kite, keywords) that _simulated_point hands the lap optimizer."""
+    flown = []
+
+    def fake_optimize(props, tether, cfg, **kwargs):
+        flown.append((props, kwargs))
+        return SimpleNamespace(power_peak=1e5)
+
+    monkeypatch.setattr(ilc, "optimize_path", fake_optimize)
+    effmap._simulated_point(span, aspect, ctx, None, None, **sim_kwargs)
+    return flown[0]
+
+
+def searched_kite_mass(span, aspect, ctx):
+    """Wing plus hull as the design search sizes them at one geometry."""
+    planform = WingPlanform(span, aspect)
+    load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
+    wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
+                         n_stations=ctx.grid.n_stations)
+    hull = _best_hull(planform, wing.mass, ctx)
+    return wing.mass, hull
+
+
+def test_simulated_point_flies_the_hull_the_design_search_sizes(monkeypatch):
+    ctx = DesignContext()
+    props, kwargs = fly_captured(monkeypatch, 8.5, 6.0, ctx)
+    m_wing, hull = searched_kite_mass(8.5, 6.0, ctx)
+    assert (hull.design.diameter, hull.design.length) == (0.8, 6.0)
+    assert hull.mass == pytest.approx(201.3, abs=0.05)
+    assert props.structural_mass == m_wing + hull.mass
+    assert kwargs["flow"] is ctx.flow
+
+
+def test_simulated_point_sizes_the_wing_at_the_grid_resolution(monkeypatch):
+    coarse = DesignContext(grid=SearchGrid(n_stations=400))
+    props, _ = fly_captured(monkeypatch, 8.5, 6.0, coarse)
+    m_wing, hull = searched_kite_mass(8.5, 6.0, coarse)
+    assert props.structural_mass == m_wing + hull.mass
+    assert m_wing != searched_kite_mass(8.5, 6.0, DesignContext())[0]
+
+
+def test_simulated_flow_must_be_the_design_context_flow(monkeypatch):
+    cfg = SuiteConfig()
+    with pytest.raises(ConfigError, match="flow"):
+        fly_captured(monkeypatch, 8.5, 6.0, cfg.design_context(),
+                     flow=FlowEnv(speed=2.0))
+    # the suite's own settings carry one flow to both
+    out = generate_samples([(8.5, 6.0)], cfg.design_context(), cfg.ilc,
+                           **cfg.sim_kwargs())
+    assert [(p.span, p.aspect_ratio, p.power_peak) for p in out] == [
+        (8.5, 6.0, 1e5)]

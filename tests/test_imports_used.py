@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = (ROOT / "src" / "hydrokite", ROOT / "tests")
+CHECKED = (ROOT / "src" / "hydrokite", ROOT / "tests", ROOT / "bench")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
