@@ -355,13 +355,18 @@ def _assemble(s, ar, wing_sizing, hull, ctx) -> KiteDesign:
                             fuse.thickness_pct), ctx)
 
 
+def size_wing(planform: WingPlanform, ctx: DesignContext):
+    """The lightest wing of one geometry; ``Infeasible`` if none."""
+    load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
+    return swdt_optimize(planform, load, ctx.material, ctx.foil,
+                         n_stations=ctx.grid.n_stations)
+
+
 def size_structure(planform: WingPlanform, ctx: DesignContext):
     """(WingSizing, FuselageSizing) of the kite the search builds at one
     geometry, the one the efficiency map flies; ``Infeasible`` if none."""
     s, ar = planform.span, planform.aspect_ratio
-    load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
-    wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
-                         n_stations=ctx.grid.n_stations)
+    wing = size_wing(planform, ctx)
     hull = _best_hull(planform, wing.mass, ctx)
     if hull is None:
         raise Infeasible(
@@ -389,10 +394,8 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
     n_struct_infeasible = 0
     for s, ar in candidates:
         planform = WingPlanform(s, ar)
-        load = rated_wing_load(planform, ctx.flow, ctx.foil_coeffs)
         try:
-            wing = swdt_optimize(planform, load, ctx.material, ctx.foil,
-                                 n_stations=ctx.grid.n_stations)
+            wing = size_wing(planform, ctx)
         except Infeasible:
             n_struct_infeasible += 1
             continue

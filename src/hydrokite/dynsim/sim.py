@@ -2,10 +2,9 @@
 tether chain, and the spooled length, with the controllers held constant
 across each step.
 
-State vector layout (n tether nodes):
-  [0:3] kite position  [3:7] attitude quaternion (w, x, y, z)
-  [7:13] body relative velocity  [13:13+3n] node positions
-  [13+3n:13+6n] node velocities  [13+6n] total unspooled length
+State vector layout: [0:13] the kite, then the line's block (see
+``tether.LumpedLine``).  The kite's floats are [0:3] its position, [3:7]
+its attitude quaternion (w, x, y, z) and [7:13] its body relative velocity.
 
 Inside ``Simulator.run`` the state is one Python list of floats:
 ``derivative`` and ``rk4_step`` take and return lists, so a step makes no
@@ -16,14 +15,13 @@ again.
 What depends only on the kite, the tether and the flow is bound once, in
 ``Simulator.__init__``: the mass matrix and its inverse as flat tuples,
 the kite's ``ForceTable`` (whose surface rows carry their q_ref times area
-fraction), the line's ``TetherConstants`` and the attachment point and
-flow speed as floats.  ``derivative`` is then one pass of scalar code: the
+fraction), the ``LumpedLine`` and the attachment point and flow speed as
+floats.  ``derivative`` is then one pass of scalar code: the
 rotation, the attachment's position and velocity, the quaternion rate and
 the M^-1 product are written out inline, with the products and sums of
 the helpers they replace in the same order, so the step gives the same
 floats.  It calls three float kernels: ``tether_forces`` (one pass over
 the links, winch to kite), ``net_force_moment`` and ``coriolis_force``.
-``winch_tension`` derives its link's constants from the same bound line.
 
 One BLAS product remains: the path scan in ``nearest_path_position``
 multiplies the kite's unit direction by its 61 candidate directions.
@@ -44,7 +42,7 @@ from .kite import (
     ForceTable, KiteProperties, coriolis_force, cross3, net_force_moment, rotate,
 )
 from .paths import BasisParams, interior_angle, nearest_path_position, path_direction
-from .tether import TetherConstants, TetherProperties, tether_forces
+from .tether import LumpedLine, TetherProperties, tether_forces
 from ..errors import ConfigError, EmptyLap, NumericBlowup, PathLost, check_fields
 from ..hydro import FlowEnv
 
@@ -150,16 +148,12 @@ class Simulator:
         self.winch = winch
         self.flow = flow
         self.params = params
-        self.n = tether.n_nodes
         # plain-float tables for the per-step math
         mass_matrix = props.mass_matrix()
         self.mass_rows = tuple(map(tuple, mass_matrix.tolist()))
         self._minv = tuple(np.linalg.inv(mass_matrix).ravel().tolist())
         self.forces = ForceTable.of(props, flow)
-        self.line = TetherConstants.of(tether, flow)
-        # the state's node-position and node-velocity blocks end here
-        self._nodes_end = 13 + 3 * self.n
-        self._vel_end = 13 + 6 * self.n
+        self.line = LumpedLine.of(tether, flow)
         # the aileron pair's gains differ only in sign
         aileron_gain = next((abs(s.gain) for s in props.surfaces
                              if s.control == "aileron"), 0.0)
@@ -194,24 +188,19 @@ class Simulator:
 
         ox, oy, oz = rotate(rot, self.forces.r_attach)
         omega_i = [c / dist for c in cross3(radial, v_kite)]
-        fractions = [i / (self.n + 1) for i in range(1, self.n + 1)]
         return np.array([
             ax - ox, ay - oy, az - oz, *quat_from_rot(rot),
             *rotate(axes, (v_kite[0] - self.flow.speed, v_kite[1], v_kite[2])),
             *rotate(axes, omega_i),
-            *(f * c for f in fractions for c in attach_target),
-            *(f * c for f in fractions for c in v_kite),
-            self.tether.length,
+            *self.line.initial_state(attach_target, v_kite, self.tether.length),
         ])
 
     # -- dynamics -----------------------------------------------------------
 
     def derivative(self, y: list[float], deflections: dict[str, float],
                    spool_speed: float) -> list[float]:
-        nodes_end = self._nodes_end
-        vel_end = self._vel_end
         px, py, pz, w, x, yq, z, u, v, ww, p, q, r = y[:13]
-        node_vel = y[nodes_end:vel_end]
+        node_pos, node_vel, rest = self.line.split(y)
 
         # quat_to_rot(y[3:7])
         r00 = 1 - 2 * (yq * yq + z * z)
@@ -234,9 +223,8 @@ class Simulator:
         cx = q * az - r * ay
         cy = r * ax - p * az
         cz = p * ay - q * ax
-        rest = y[vel_end] / (self.n + 1)
         node_f, kite_f, _ = tether_forces(
-            y[13:nodes_end], node_vel,
+            node_pos, node_vel,
             (px + (r00 * ax + r01 * ay + r02 * az),
              py + (r10 * ax + r11 * ay + r12 * az),
              pz + (r20 * ax + r21 * ay + r22 * az)),
@@ -244,7 +232,6 @@ class Simulator:
              vy + (r10 * cx + r11 * cy + r12 * cz),
              vz + (r20 * cx + r21 * cy + r22 * cz)),
             rest, self.line)
-        node_mass = self.line.mass_per_length * rest
 
         nu = (u, v, ww, p, q, r)
         f0, f1, f2, f3, f4, f5 = net_force_moment(
@@ -276,8 +263,7 @@ class Simulator:
             m40 * t0 + m41 * t1 + m42 * t2 + m43 * t3 + m44 * t4 + m45 * t5,
             m50 * t0 + m51 * t1 + m52 * t2 + m53 * t3 + m54 * t4 + m55 * t5,
         ]
-        out += node_vel
-        out += [f / node_mass for f in node_f]
+        out += self.line.node_rates(node_vel, node_f, rest)
         out.append(spool_speed)
         return out
 
@@ -301,19 +287,8 @@ class Simulator:
         return out
 
     def winch_tension(self, y: list[float]) -> float:
-        # only the first link matters: inner end pinned at the winch
-        nodes_end = self._nodes_end
-        x, yy, z = y[13:16]
-        vx, vy, vz = y[nodes_end:nodes_end + 3]
-        rest = y[self._vel_end] / (self.n + 1)
-        dist = math.sqrt(x * x + yy * yy + z * z)
-        if dist < rest or dist == 0.0:
-            return 0.0
-        line = self.line
-        k = line.axial_stiffness / rest
-        damp = line.two_zeta * math.sqrt(k * (line.mass_per_length * rest))
-        mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
-        return max(mag, 0.0)
+        # a method run() calls each step, for the benchmark's tracer
+        return self.line.winch_tension(y)
 
     # -- closed loop --------------------------------------------------------
 

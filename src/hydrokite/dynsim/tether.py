@@ -4,13 +4,16 @@ links, with buoyancy and cross-flow drag on each node.
 The winch end is pinned at the origin; the outer end follows the kite's
 attachment point.  Spooling rescales every link's rest length uniformly.
 
-Everything the link and node forces take from the line and the flow is
-bound once per simulator, as a TetherConstants: E A, rho_t A, twice the
-damping ratio, the net buoyancy and drag per unit of rest length, the
-line's width and the flow speed.  Each call forms a link's stiffness
-E A / l, mass rho_t A l and damping 2 zeta sqrt(k m) from those, and they
-come out as the unbound formulas give them: Python multiplies left to
-right, so E * A / l is (E A) / l.
+A line of n free nodes is a LumpedLine.  Its block, the tail of the
+simulator's state, is the node positions, then the node velocities (x, y,
+z per node, winch to kite), then the unspooled length, which the n + 1
+links share equally as their rest length.  It binds once per simulator
+everything the link and node forces take from the line and the flow: E A,
+rho_t A, twice the damping ratio, the net buoyancy and drag per unit of
+rest length, the line's width and the flow speed.  Each call forms a
+link's stiffness E A / l, mass rho_t A l and damping 2 zeta sqrt(k m) from
+those, and they come out as the unbound formulas give them: Python
+multiplies left to right, so E * A / l is (E A) / l.
 """
 
 from __future__ import annotations
@@ -41,16 +44,14 @@ class TetherProperties:
             at_least={"n_nodes": 1})
 
 
-class TetherConstants(NamedTuple):
-    """What tether_forces needs of a line in a flow, in plain floats.
+class LumpedLine(NamedTuple):
+    """A line of n_nodes free nodes in a flow, its constants in floats.
 
-    Built once per simulator by of(); each field is a product the link
-    and node forces used to form at every call, grouped as they grouped
-    it.  Per unit of rest length l: a link's stiffness is
-    axial_stiffness / l, its mass mass_per_length * l and its damping
-    coefficient two_zeta * sqrt(stiffness * mass); a node's net buoyancy
-    is net_buoyancy * l and its drag per speed^2 is
-    drag_pressure * (width * l).
+    Per unit of rest length l: a link's stiffness is axial_stiffness / l,
+    its mass mass_per_length * l and its damping coefficient
+    two_zeta * sqrt(stiffness * mass); a node's mass is
+    mass_per_length * l, its net buoyancy net_buoyancy * l and its drag
+    per speed^2 drag_pressure * (width * l).
     """
 
     axial_stiffness: float     # E A, N
@@ -60,16 +61,47 @@ class TetherConstants(NamedTuple):
     drag_pressure: float       # 1/2 rho_w C_D, kg/m^3
     width: float               # 2 r, m
     flow_speed: float          # m/s, along inertial x
+    n_nodes: int               # free nodes, winch to kite
 
     @classmethod
-    def of(cls, props: TetherProperties, flow: FlowEnv) -> "TetherConstants":
+    def of(cls, props: TetherProperties, flow: FlowEnv) -> "LumpedLine":
         area = math.pi * props.radius**2
         return cls(
             props.youngs_modulus * area, props.density * area,
             2.0 * props.damping_ratio,
             (flow.density - props.density) * area * GRAVITY,
             0.5 * flow.density * props.drag_coeff, 2.0 * props.radius,
-            flow.speed)
+            flow.speed, props.n_nodes)
+
+    def initial_state(self, attach_pos, attach_vel, length) -> list[float]:
+        """The block with the nodes spaced evenly towards the attachment."""
+        n = self.n_nodes
+        fractions = [i / (n + 1) for i in range(1, n + 1)]
+        return [*(f * c for f in fractions for c in attach_pos),
+                *(f * c for f in fractions for c in attach_vel), length]
+
+    def split(self, y):
+        """Node positions, node velocities and link rest length in y."""
+        n3 = 3 * self.n_nodes
+        return y[-2 * n3 - 1:-n3 - 1], y[-n3 - 1:-1], y[-1] / (self.n_nodes + 1)
+
+    def node_rates(self, node_vel, node_forces, rest_length) -> list[float]:
+        """The node blocks' rate: velocities, then force over node mass."""
+        node_mass = self.mass_per_length * rest_length
+        return node_vel + [f / node_mass for f in node_forces]
+
+    def winch_tension(self, y) -> float:
+        """Tension in the winch link, whose inner end is pinned, in y."""
+        node_pos, node_vel, rest = self.split(y)
+        x, yy, z = node_pos[:3]
+        vx, vy, vz = node_vel[:3]
+        dist = math.sqrt(x * x + yy * yy + z * z)
+        if dist < rest or dist == 0.0:
+            return 0.0
+        k = self.axial_stiffness / rest
+        damp = self.two_zeta * math.sqrt(k * (self.mass_per_length * rest))
+        mag = k * (dist - rest) + damp * (x * vx + yy * vy + z * vz) / dist
+        return max(mag, 0.0)
 
 
 def tether_forces(
@@ -78,19 +110,19 @@ def tether_forces(
     attach_pos,
     attach_vel,
     rest_length: float,
-    line: TetherConstants,
+    line: LumpedLine,
 ) -> tuple[list[float], tuple[float, float, float], float]:
     """Net force per free node, force on the kite, and winch tension.
 
     node_pos/node_vel are flat sequences of 3N floats, x, y, z per free
     node ordered winch to kite, as in the simulator state; attach_pos and
     attach_vel are 3-sequences.  rest_length is the current per-link rest
-    length (uniform spooling), and line the tether's TetherConstants in
-    the flow.  The node forces come back in the same flat layout.
+    length (uniform spooling), and line the tether's LumpedLine in the
+    flow.  The node forces come back in the same flat layout.
     """
     n3 = len(node_pos)
     (axial_stiffness, mass_per_length, two_zeta, net_buoyancy, drag_pressure,
-     width, flow_speed) = line
+     width, flow_speed, _) = line
     k = axial_stiffness / rest_length
     damp = two_zeta * math.sqrt(k * (mass_per_length * rest_length))
     # buoyancy net of weight, on each node's share of cable length

@@ -96,7 +96,7 @@ def write_reference() -> None:
     cases = []
     for y, controls, spool in golden_inputs():
         cases.append((y, controls, spool))
-        cases.append(perturbed(y, sim.n, rng))
+        cases.append(perturbed(y, sim.tether.n_nodes, rng))
     rows = []
     for y, controls, spool in cases:
         dy = sim.derivative(y.tolist(), dict(zip(CONTROLS, controls)), spool)
@@ -108,7 +108,7 @@ def write_reference() -> None:
 
 def test_derivative_matches_reference():
     sim = simulator()
-    size = 14 + 6 * sim.n
+    size = 14 + 6 * sim.tether.n_nodes
     table = np.loadtxt(REFERENCE_FILE)
     assert table.shape == (len(table), 2 * size + 4)
     assert len(table) >= 60
@@ -117,7 +117,7 @@ def test_derivative_matches_reference():
         controls = dict(zip(CONTROLS, row[size:size + 3].tolist()))
         want = row[size + 4:]
         got = np.array(sim.derivative(y.tolist(), controls, float(row[size + 3])))
-        for name, block in blocks(sim.n).items():
+        for name, block in blocks(sim.tether.n_nodes).items():
             scale = float(np.max(np.abs(want[block])))
             np.testing.assert_allclose(got[block], want[block], rtol=0,
                                        atol=BLOCK_RTOL * scale, err_msg=name)

@@ -22,9 +22,9 @@ from hydrokite.dynsim import (
     FlightGains,
     ForceTable,
     KiteProperties,
+    LumpedLine,
     SimParams,
     Simulator,
-    TetherConstants,
     TetherProperties,
     WinchParams,
     build_kite,
@@ -379,7 +379,7 @@ def kite_link_force(outer_span, outer_rate, rest=10.0):
     node = np.array([rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
         node, np.zeros(3), node + outer_span, outer_rate, rest,
-        TetherConstants.of(props, STILL_WATER))
+        LumpedLine.of(props, STILL_WATER))
     assert tension == 0.0
     assert np.array_equal(forces, -np.array(kite_force))
     return np.array(kite_force)
@@ -414,7 +414,7 @@ def test_straight_neutral_chain_is_force_free():
     attach = np.array([(n + 1) * rest, 0.0, 0.0])
     forces, kite_force, tension = tether_forces(
         node_pos, node_vel, attach, np.zeros(3), rest,
-        TetherConstants.of(props, STILL_WATER))
+        LumpedLine.of(props, STILL_WATER))
     assert np.allclose(forces, 0.0, atol=1e-12)
     assert np.allclose(kite_force, 0.0, atol=1e-12)
     assert tension == 0.0
@@ -428,7 +428,7 @@ def test_winch_tension_fast_path_matches_reference():
         y = sim.rk4_step(y, defl, -0.3)       # spooling in keeps link 0 taut
     tension = sim.winch_tension(y)
     y = np.array(y)
-    n = sim.n
+    n = sim.tether.n_nodes
     pos, nu = y[0:3], y[7:13]
     rot = rotation(y)
     attach_pos = pos + rot @ sim.props.r_attach
@@ -437,7 +437,7 @@ def test_winch_tension_fast_path_matches_reference():
     _, _, reference = tether_forces(
         y[13:13 + 3 * n], y[13 + 3 * n:13 + 6 * n],
         attach_pos, attach_vel, y[13 + 6 * n] / (n + 1),
-        TetherConstants.of(sim.tether, sim.flow))
+        LumpedLine.of(sim.tether, sim.flow))
     assert tension == pytest.approx(reference, rel=1e-9)
     assert tension > 0.0
 
@@ -461,7 +461,7 @@ def test_chain_mode_frequency():
     vel = np.zeros((n, 3))
     attach = np.array([(n + 1) * rest * (1.0 + strain), 0.0, 0.0])
 
-    line = TetherConstants.of(props, STILL_WATER)
+    line = LumpedLine.of(props, STILL_WATER)
 
     def acc(p, v):
         f, _, _ = tether_forces(p.ravel(), v.ravel(), attach, np.zeros(3),
@@ -667,7 +667,7 @@ def random_chain(rng, case):
 def bound(args):
     """tether_forces' arguments for reference_tether_forces' arguments."""
     *chain, props, flow = args
-    return (*chain, TetherConstants.of(props, flow))
+    return (*chain, LumpedLine.of(props, flow))
 
 
 def test_tether_forces_matches_the_two_pass_reference():
@@ -808,7 +808,7 @@ def reference_quat_derivative(q, omega_body):
 
 
 def reference_derivative(sim, y, deflections, spool_speed):
-    n = sim.n
+    n = sim.tether.n_nodes
     props, flow = sim.tether, sim.flow
     mass_matrix = sim.props.mass_matrix()
     quat = y[3:7]
@@ -848,7 +848,7 @@ def reference_derivative(sim, y, deflections, spool_speed):
 
 
 def reference_winch_tension(sim, y):
-    n = sim.n
+    n = sim.tether.n_nodes
     props = sim.tether
     x, yy, z = y[13:16]
     vx, vy, vz = y[13 + 3 * n:16 + 3 * n]
@@ -878,7 +878,7 @@ def flown_cases(sim, rng):
     (some links slack, some stretched) under random controls."""
     defl = {"aileron": 0.05, "rudder": -0.02, "elevator": -0.1}
     y = sim.initial_state().tolist()
-    n3 = 3 * sim.n
+    n3 = 3 * sim.tether.n_nodes
     for step in range(400):
         y = sim.rk4_step(y, defl, -0.3 if step < 200 else 0.4)
         if step % 25:
@@ -902,15 +902,16 @@ def test_flight_step_matches_the_reference_bit_for_bit():
 
     record = load_designs()["intermediate"]
     sim = Simulator(kite_from_record(record), TetherProperties(), BasisParams())
-    cases = [(sim, case) for case in oracle_cases(sim.n)]
+    cases = [(sim, case) for case in oracle_cases(sim.tether.n_nodes)]
     assert len(cases) >= 60
     flow = FlowEnv(speed=1.0, density=1025.0)
-    other = Simulator(kite_from_record(record, flow=flow),
-                      TetherProperties(n_nodes=3, radius=0.02, drag_coeff=0.5,
-                                       damping_ratio=0.2),
-                      BasisParams(), flow=flow)
     rng = np.random.default_rng(20261022)
-    cases += [(other, case) for case in flown_cases(other, rng)]
+    for n_nodes in (3, 1, 8):
+        other = Simulator(kite_from_record(record, flow=flow),
+                          TetherProperties(n_nodes=n_nodes, radius=0.02,
+                                           drag_coeff=0.5, damping_ratio=0.2),
+                          BasisParams(), flow=flow)
+        cases += [(other, case) for case in flown_cases(other, rng)]
     slack = 0
     for model, (y, deflections, spool) in cases:
         got = model.derivative(y, deflections, spool)
@@ -1025,7 +1026,7 @@ def test_initial_state_sits_on_path():
         assert np.allclose(x_b, chord / np.linalg.norm(chord), atol=1e-8)
         assert np.linalg.norm(x_b) == pytest.approx(1.0, abs=1e-12)
         assert abs(x_b @ attach) / radius < 1e-9
-        n = sim.n
+        n = sim.tether.n_nodes
         nodes = y[13:13 + 3 * n].reshape(n, 3)
         for i, node in enumerate(nodes, start=1):
             assert np.allclose(node, attach * i / (n + 1), atol=1e-9)
@@ -1221,7 +1222,7 @@ def test_step_functions_work_in_plain_floats():
     # a NumPy call inside the per-step math would hand back NumPy scalars
     sim = Simulator(mid_size_kite(), TetherProperties(), BasisParams())
     s = sim.initial_state().tolist()
-    n = sim.n
+    n = sim.tether.n_nodes
     deflections = {"aileron": 0.1, "rudder": 0.05, "elevator": -0.1}
     rot = quat_to_rot(s[3:7])
     node_f, kite_f, tension = tether_forces(
@@ -1247,3 +1248,4 @@ def test_dynsim_exports_resolve():
     missing = [name for name in hydrokite.dynsim.__all__
                if not hasattr(hydrokite.dynsim, name)]
     assert missing == []
+    assert "LumpedLine" in hydrokite.dynsim.__all__
