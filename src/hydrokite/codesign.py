@@ -22,12 +22,18 @@ from .design import (
     ScalingRule, displaced_volume,
 )
 from .effmap import EffSurface, default_surface
-from .errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual, check_fields
+from .errors import (
+    ConfigError, DomainWarning, EmptySet, Infeasible, NoFeasibleIndividual,
+    check_fields,
+)
 from .fusestruct import (
     THICKNESS_MAX_PCT, THICKNESS_MIN_PCT, FuselageDesign, constraint_margins,
     fuse_mass, rated_fuselage_loads, sfdt_optimize,
 )
-from .hydro import FlowEnv, FoilCoeffs, WingPlanform, loyd_power
+from .hydro import (
+    FlowEnv, FoilCoeffs, WingPlanform, crosswind_power, loyd_power,
+    max_glide_cubed,
+)
 from .wingstruct import (
     N_STATIONS, SHELL_MAX_PCT, SPAR_STATIONS, SPAR_WIDTH_MAX_PCT,
     FourDigitFoil, Material, WingStructureDesign, rated_wing_load,
@@ -48,6 +54,10 @@ DESIGN_HI = np.array([SPAN_RANGE[1], ASPECT_RANGE[1], N_SPARS_MAX,
 _BOX_LO, _BOX_HI = DESIGN_LO.tolist(), DESIGN_HI.tolist()
 
 MARGIN_FLOOR = -1e-6
+
+# power_grid nodes this close to the target, relative, are evaluated again
+# with power_of; the two differ by under 1e-15 relative
+SCAN_RECHECK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,6 +172,24 @@ def power_of(span: float, aspect_ratio: float, ctx: DesignContext) -> float:
     return ideal * ctx.surface.eval(span, aspect_ratio)
 
 
+def power_grid(spans: Iterable[float], aspect_ratios: Iterable[float],
+               ctx: DesignContext) -> np.ndarray:
+    """``power_of`` at every node of the grid spans x aspect_ratios, in one
+    NumPy pass; row i holds spans[i].
+
+    Each aspect ratio reads its glide value once from the
+    ``max_glide_cubed`` cache.  An entry can differ from ``power_of`` in
+    the last bits: the planform area squares by multiplying and the
+    efficiency polynomial sums as a matrix product.
+    """
+    s = np.asarray(spans, dtype=float)[:, None]
+    a = np.asarray(aspect_ratios, dtype=float)
+    # float keys: the cache holds the values power_of reads
+    glide3 = np.array([max_glide_cubed(ctx.foil_coeffs, x) for x in a.tolist()])
+    ideal = crosswind_power(ctx.flow, s**2 / a, glide3)
+    return ideal * ctx.surface.eval_array(s, a)
+
+
 def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
     """Constraint margins for one design; all >= 0 means feasible.
 
@@ -226,43 +254,73 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     """All (s, AR) meeting the power equality, one bisection per sign change.
 
     Power is not assumed monotone in AR, so every bracketing interval of
-    the scan contributes a root.
+    the scan contributes a root.  A scan node on the contour is a root
+    once.
+
+    The scan evaluates the power at every (span, AR) node in one
+    ``power_grid`` pass; only the bisections call ``power_of``.  The
+    scan reads nothing but the sign of P - p_req at each node, and
+    ``power_grid`` differs from ``power_of`` by a few units in the last
+    place.  So every node whose grid power lies within ``SCAN_RECHECK_RTOL``
+    of p_req is evaluated again with ``power_of``.  Every other node keeps
+    ``power_of``'s sign, and an exact zero can only come from
+    ``power_of``, so the brackets, the bisections and the roots are those
+    of a scan that calls ``power_of`` at every node.
+
+    A surface fitted over a box narrower than the design box clamps part
+    of the scan: one ``DomainWarning`` per call names how many nodes.
     """
     if not 0.0 < p_req < math.inf:
         raise ConfigError(
             f"required power must be finite and positive; got {p_req!r}")
     if s_grid is None:
         s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
+    s_list = np.asarray(s_grid, dtype=float).tolist()
     ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1],
                           ctx.grid.ar_scan + 1).tolist()
-
+    f_grid = power_grid(s_list, ar_grid, ctx) - p_req
     roots = []
-    for s in np.asarray(s_grid, dtype=float).tolist():
-        vals = [power_of(s, ar, ctx) - p_req for ar in ar_grid]
-        for i in range(len(ar_grid) - 1):
-            lo, hi = ar_grid[i], ar_grid[i + 1]
-            f_lo, f_hi = vals[i], vals[i + 1]
-            if f_lo == 0.0:
-                roots.append((s, lo))
-                continue
-            if f_lo * f_hi > 0.0:
-                continue
-            while (hi - lo) > 1e-6 * max(1.0, abs(hi)):
-                mid = 0.5 * (lo + hi)
-                f_mid = power_of(s, mid, ctx) - p_req
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if f_lo * f_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            roots.append((s, 0.5 * (lo + hi)))
-        if vals[-1] == 0.0:
-            roots.append((s, ar_grid[-1]))
+    # power_grid warned once if it clamped a node; power_of clamps only at
+    # or between clamped nodes, so its warnings would repeat that one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        near = np.abs(f_grid) <= SCAN_RECHECK_RTOL * p_req
+        for i, j in zip(*np.nonzero(near)):
+            f_grid[i, j] = power_of(s_list[i], ar_grid[j], ctx) - p_req
+        for s, vals in zip(s_list, f_grid.tolist()):
+            roots += _row_roots(s, ar_grid, vals, p_req, ctx)
     if not roots:
         raise EmptySet(
             f"no geometry in the design box produces {p_req / 1e3:.1f} kW")
+    return roots
+
+
+def _row_roots(s: float, ar_grid: list[float], vals: list[float],
+               p_req: float, ctx: DesignContext) -> list[tuple[float, float]]:
+    """Roots along one span's scan: vals[i] is P - p_req at ar_grid[i]."""
+    roots = []
+    for i in range(len(ar_grid) - 1):
+        lo, hi = ar_grid[i], ar_grid[i + 1]
+        f_lo, f_hi = vals[i], vals[i + 1]
+        if f_lo == 0.0:
+            roots.append((s, lo))
+            continue
+        # a node on the contour is the next interval's root
+        if f_hi == 0.0 or f_lo * f_hi > 0.0:
+            continue
+        while (hi - lo) > 1e-6 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            f_mid = power_of(s, mid, ctx) - p_req
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            if f_lo * f_mid < 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        roots.append((s, 0.5 * (lo + hi)))
+    if vals[-1] == 0.0:
+        roots.append((s, ar_grid[-1]))
     return roots
 
 

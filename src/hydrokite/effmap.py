@@ -112,10 +112,34 @@ class EffSurface:
             warnings.warn(
                 f"({span:g}, {aspect_ratio:g}) outside the fitted box; "
                 "evaluating at the clamped point", DomainWarning, stacklevel=2)
-            s = min(max(s, s_lo), s_hi)
-            a = min(max(a, a_lo), a_hi)
+            s, a = (float(x) for x in self._into_box(s, a))
         val = float(np.dot(monomials(s, a, self.degree), self.coeffs))
         return min(max(val, ETA_FLOOR), ETA_CAP)
+
+    def eval_array(self, span, aspect_ratio) -> np.ndarray:
+        """``eval`` at every point of broadcasting span and aspect-ratio
+        arrays, in one pass.
+
+        Points clamp into the fitted box as in ``eval``, but one warning per
+        call names how many were clamped.  The polynomial is one matrix
+        product, whose sums can round differently from ``eval``'s dot
+        product in the last bit.
+        """
+        s_in, a_in = np.broadcast_arrays(np.asarray(span, dtype=float),
+                                         np.asarray(aspect_ratio, dtype=float))
+        s, a = self._into_box(s_in, a_in)
+        n_out = np.count_nonzero((s != s_in) | (a != a_in))
+        if n_out:
+            warnings.warn(
+                f"{n_out} of {s.size} points outside the fitted box; "
+                "evaluating at the clamped points", DomainWarning, stacklevel=2)
+        val = design_matrix(s.ravel(), a.ravel(), self.degree) @ self.coeffs
+        return np.clip(val, ETA_FLOOR, ETA_CAP).reshape(s.shape)
+
+    def _into_box(self, span, aspect_ratio):
+        """(span, aspect ratio) clamped into the fitted domain."""
+        s_lo, s_hi, a_lo, a_hi = self.domain
+        return np.clip(span, s_lo, s_hi), np.clip(aspect_ratio, a_lo, a_hi)
 
 
 def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:

@@ -138,5 +138,15 @@ def loyd_power(planform: WingPlanform, flow: FlowEnv,
                foil: FoilCoeffs = FoilCoeffs()) -> float:
     """Crosswind power bound in watts: (2/27)*rho*v^3*S*max(CL^3/CD^2),
     with S the planform area s^2/AR."""
-    glide3 = max_glide_cubed(foil, planform.aspect_ratio)
-    return (2.0 / 27.0) * flow.density * flow.speed**3 * planform.area * glide3
+    return crosswind_power(flow, planform.area,
+                           max_glide_cubed(foil, planform.aspect_ratio))
+
+
+def crosswind_power(flow: FlowEnv, area, glide3):
+    """Loyd's product (2/27)*rho*v^3*S*glide3 for planform areas S and peak
+    CL^3/CD^2 values glide3, floats or broadcasting arrays alike.
+
+    The factors multiply left to right, so an array entry is the float
+    ``loyd_power`` would give for the same area and glide value.
+    """
+    return (2.0 / 27.0) * flow.density * flow.speed**3 * area * glide3

@@ -13,10 +13,13 @@ from hydrokite.codesign import (
     ParetoPoint, SearchGrid, _nelder_mead, audit_design, design_margins, design_record,
     dual_front_text, dual_sweep, evaluate_design, front_text, fully_nested, hull_gap,
     lower_hull, margins_ok, nested_sequential, pareto_log_cloud, pareto_sweep,
-    power_of, sft_enumerate, sfot, simultaneous_ga,
+    power_grid, power_of, sft_enumerate, sfot, simultaneous_ga,
 )
-from hydrokite.effmap import EffSurface
-from hydrokite.errors import ConfigError, EmptySet, Infeasible, NoFeasibleIndividual
+from hydrokite.design import ASPECT_RANGE, SPAN_RANGE
+from hydrokite.effmap import EffSurface, default_surface
+from hydrokite.errors import (
+    ConfigError, DomainWarning, EmptySet, Infeasible, NoFeasibleIndividual,
+)
 from hydrokite.hydro import FlowEnv, WingPlanform, loyd_power
 from hydrokite.wingstruct import WingStructureDesign, section_properties
 
@@ -185,6 +188,102 @@ def test_sft_rejects_nonpositive_power():
     for p_req in (-5.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="required power"):
             sft_enumerate(p_req, fast_ctx())
+
+
+def scalar_scan_roots(p_req, ctx, s_grid=None):
+    """The contour scan calling power_of at every node: the reference the
+    one-pass scan of sft_enumerate must reproduce bit for bit."""
+    if s_grid is None:
+        s_grid = codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
+    ar_grid = np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
+    roots = []
+    for s in np.asarray(s_grid, dtype=float).tolist():
+        vals = [power_of(s, ar, ctx) - p_req for ar in ar_grid]
+        for i in range(len(ar_grid) - 1):
+            lo, hi = ar_grid[i], ar_grid[i + 1]
+            f_lo, f_hi = vals[i], vals[i + 1]
+            if f_lo == 0.0:
+                roots.append((s, lo))
+                continue
+            if f_hi == 0.0 or f_lo * f_hi > 0.0:
+                continue
+            while (hi - lo) > 1e-6 * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                f_mid = power_of(s, mid, ctx) - p_req
+                if f_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if f_lo * f_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            roots.append((s, 0.5 * (lo + hi)))
+        if vals[-1] == 0.0:
+            roots.append((s, ar_grid[-1]))
+    return roots
+
+
+def assert_scan_matches_reference(p_req, ctx, s_grid=None):
+    want = scalar_scan_roots(p_req, ctx, s_grid)
+    if not want:
+        with pytest.raises(EmptySet):
+            sft_enumerate(p_req, ctx, s_grid)
+        return
+    got = sft_enumerate(p_req, ctx, s_grid)
+    assert [(s.hex(), ar.hex()) for s, ar in got] == [
+        (s.hex(), ar.hex()) for s, ar in want], p_req
+
+
+@pytest.mark.parametrize("surface", [default_surface(), flat_surface(0.9)],
+                         ids=["bundled", "constant"])
+def test_one_pass_scan_finds_the_scalar_scans_roots(surface):
+    ctx = DesignContext(surface=surface)
+    for p_req in np.arange(300e3, 700e3 + 1.0, 10e3).tolist():
+        assert_scan_matches_reference(p_req, ctx)
+
+
+def test_one_pass_scan_honours_a_span_grid_override():
+    ctx = DesignContext()
+    for p_req in (350e3, 500e3, 650e3):
+        assert_scan_matches_reference(p_req, ctx, np.array([7.3, 8.5, 9.95]))
+
+
+@pytest.mark.parametrize("surface", [default_surface(), flat_surface(0.9)],
+                         ids=["bundled", "constant"])
+def test_power_grid_matches_power_of(surface):
+    ctx = DesignContext(surface=surface)
+    spans = codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
+    aspects = np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
+    grid = power_grid(spans, aspects, ctx)
+    want = [[power_of(s, ar, ctx) for ar in aspects] for s in spans]
+    np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0.0)
+
+
+def test_sft_returns_a_node_on_the_contour_once():
+    ctx = DesignContext()
+    s0, ar0 = 8.5, 6.5   # 6.5 is a node of the 64-interval AR scan
+    assert ar0 in np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
+    roots = sft_enumerate(power_of(s0, ar0, ctx), ctx, s_grid=np.array([s0]))
+    assert roots.count((s0, ar0)) == 1
+    assert all(ar == ar0 or abs(ar - ar0) > 1e-3 for _, ar in roots), roots
+
+
+def test_narrow_surface_warns_once_per_scan():
+    # a surface fitted over AR 4-7.5 clamps every scan node above 7.5, and
+    # at 500 kW the bisections run there too
+    ctx = DesignContext(
+        surface=replace(default_surface(), domain=(7.0, 10.0, 4.0, 7.5)))
+    spans = codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
+    aspects = np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1)
+    n_out = len(spans) * int(np.count_nonzero(aspects > 7.5))
+    with pytest.warns(DomainWarning,
+                      match=f"{n_out} of {aspects.size * len(spans)} points") as record:
+        roots = sft_enumerate(500e3, ctx)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        assert roots == scalar_scan_roots(500e3, ctx)
+    assert any(ar > 7.5 for _, ar in roots)
 
 
 # -- surrogate selection ----------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,6 +96,21 @@ def test_eval_clamps_outside_domain_with_warning():
     with pytest.warns(DomainWarning):
         outside = surface.eval(s_hi + 1.0, a_hi + 3.0)
     assert outside == pytest.approx(bowl_eta(s_hi, a_hi), abs=1e-6)
+
+
+def test_eval_array_clamps_like_eval_and_warns_once():
+    surface = fit_surface(bowl_samples())
+    s_lo, s_hi, a_lo, a_hi = surface.domain
+    spans = np.array([s_lo - 1.0, s_lo, 0.5 * (s_lo + s_hi), s_hi + 2.0])
+    aspects = np.array([a_lo - 0.5, a_lo, a_hi, a_hi + 3.0])
+    # two rows wholly outside, and two columns outside in the other rows
+    with pytest.warns(DomainWarning, match="12 of 16 points") as record:
+        grid = surface.eval_array(spans[:, None], aspects)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        want = [[surface.eval(s, a) for a in aspects] for s in spans]
+    np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0.0)
 
 
 def test_eval_never_exceeds_cap():
