@@ -39,10 +39,10 @@ class FuselageDesign:
     thickness_pct: float
 
     def __post_init__(self):
-        if self.diameter <= 0.0 or self.length <= 0.0:
-            raise ValueError("diameter and length must be positive")
-        if self.thickness_pct < 0.0:
-            raise ValueError("thickness_pct must be non-negative")
+        if not (0.0 < self.diameter < math.inf and 0.0 < self.length < math.inf):
+            raise ValueError("diameter and length must be finite and positive")
+        if not 0.0 <= self.thickness_pct < math.inf:
+            raise ValueError("thickness_pct must be finite and non-negative")
         if self.thickness_pct > THICKNESS_MAX_PCT:
             raise ThinWallViolation(
                 f"wall {self.thickness_pct!r}% of D exceeds the thin-wall "
@@ -65,8 +65,10 @@ class FuselageLoads:
     allowable_factor: float = DEFAULT_ALLOWABLE_FACTOR
 
     def __post_init__(self):
-        if min(self.transverse_force, self.pressure_diff, self.bending_moment) < 0.0:
-            raise ValueError("load components must be non-negative")
+        if not (0.0 <= self.transverse_force < math.inf
+                and 0.0 <= self.pressure_diff < math.inf
+                and 0.0 <= self.bending_moment < math.inf):
+            raise ValueError("load components must be finite and non-negative")
         if not 0.0 < self.allowable_factor <= 1.0:
             raise ValueError("allowable_factor must be in (0, 1]")
 

@@ -84,8 +84,8 @@ class WingPlanform:
     aspect_ratio: float
 
     def __post_init__(self):
-        if self.span <= 0.0 or self.aspect_ratio <= 0.0:
-            raise ValueError("span and aspect_ratio must be positive")
+        if not (0.0 < self.span < math.inf and 0.0 < self.aspect_ratio < math.inf):
+            raise ValueError("span and aspect_ratio must be finite and positive")
 
     @property
     def chord(self) -> float:

@@ -113,8 +113,9 @@ class WingStructureDesign:
     def __post_init__(self):
         if self.n_spars not in SPAR_STATIONS:
             raise ValueError(f"n_spars must be one of {sorted(SPAR_STATIONS)}")
-        if self.spar_width_pct < 0.0 or self.shell_pct < 0.0:
-            raise ValueError("thicknesses must be non-negative")
+        if not (0.0 <= self.spar_width_pct < math.inf
+                and 0.0 <= self.shell_pct < math.inf):
+            raise ValueError("thicknesses must be finite and non-negative")
         object.__setattr__(self, "spar_width_pct", float(self.spar_width_pct))
         object.__setattr__(self, "shell_pct", float(self.shell_pct))
 
@@ -149,15 +150,17 @@ class SectionIntegrator:
     rising and the falling half of tau.  The constructor also takes x-order
     prefix sums of the nine per-station coefficients (three closed-strip
     constants, six open-strip polynomial coefficients), so one section is
-    the closed-strip sums over at most five merged index ranges plus the
-    open-strip polynomials summed over the rest: a few bisections and a few
-    dozen float operations per call, with no array work.
+    the closed-strip sums over at most five index ranges plus the open-strip
+    polynomials summed over the rest.  ``properties`` sorts the ranges and
+    makes one pass over them that merges overlaps and accumulates all nine
+    sums: a few bisections and a few dozen float operations per call, with
+    no array work.
 
     Because a web closes whole stations, area and inertia are step functions
     of web width: every width whose webs close the same ranges
     (``web_cells``) gives the same section.  The sizing searches key the
     sections they have integrated by those ranges and call ``properties``
-    once per cell.
+    once per cell, handing it the ranges they have already found.
     """
 
     def __init__(self, foil: FourDigitFoil = FourDigitFoil(), n_stations: int = N_STATIONS):
@@ -211,39 +214,51 @@ class SectionIntegrator:
                        bisect_right(self._x, station + half))
                       for station in SPAR_STATIONS[n_spars]])
 
-    def properties(self, design: WingStructureDesign) -> SectionProperties:
-        """Unit-chord area, inertia about the neutral axis, and its height."""
+    def properties(self, design: WingStructureDesign, cells=None) -> SectionProperties:
+        """Unit-chord area, inertia about the neutral axis, and its height.
+
+        ``cells``, when given, must equal ``web_cells(design.n_spars,
+        design.spar_width_pct)``; a caller that already has them passes
+        them so the webs are not bisected again.
+        """
         t = design.shell_pct / 100.0 * self.t_max
         if t > 0.5 * self.t_max:
             raise GeometryError(
                 "shell offset exceeds the section half-thickness; "
                 "the inner surface self-intersects"
             )
+        if cells is None:
+            cells = self.web_cells(design.n_spars, design.spar_width_pct)
         n = len(self._x)
-        closed = [(0, bisect_right(self._tau_rise, t)),
-                  (len(self._tau_rise) + bisect_left(self._neg_tau_fall, -t), n),
-                  *self.web_cells(design.n_spars, design.spar_width_pct)]
-        merged = []
-        end = 0
-        for start, stop in sorted(closed):
-            start = max(start, end)
-            if start < stop:
-                merged.append((start, stop))
-                end = stop
+        closed = sorted([(0, bisect_right(self._tau_rise, t)),
+                         (len(self._tau_rise) + bisect_left(self._neg_tau_fall, -t), n),
+                         *cells])
 
-        # closed-strip sums over the merged ranges; open strips are the rest
-        sums = []
-        for row in self._prefix:
-            acc = 0.0
-            for start, stop in merged:
-                acc += row[stop] - row[start]
-            sums.append(acc)
-        a0, f0, s0 = sums[:3]
-        a1, f1, f2, s1, s2, s3 = (
-            row[n] - acc for row, acc in zip(self._prefix[3:], sums[3:]))
+        # closed-strip sums over the merged ranges, in one pass; open strips
+        # are the rest
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = self._prefix
+        a0 = f0 = s0 = c1 = c2 = c3 = c4 = c5 = c6 = 0.0
+        end = 0
+        for start, stop in closed:
+            if start < end:
+                start = end
+            if start < stop:
+                a0 += p0[stop] - p0[start]
+                f0 += p1[stop] - p1[start]
+                s0 += p2[stop] - p2[start]
+                c1 += p3[stop] - p3[start]
+                c2 += p4[stop] - p4[start]
+                c3 += p5[stop] - p5[start]
+                c4 += p6[stop] - p6[start]
+                c5 += p7[stop] - p7[start]
+                c6 += p8[stop] - p8[start]
+                end = stop
+        a1 = p3[n] - c1
         area = a0 + t * a1
         if area == 0.0:
             return SectionProperties(0.0, 0.0, 0.0)
+        f1, f2 = p4[n] - c2, p5[n] - c3
+        s1, s2, s3 = p6[n] - c4, p7[n] - c5, p8[n] - c6
         first = f0 + t * (f1 + t * f2)
         second = s0 + t * (s1 + t * (s2 + t * s3))
         y_bar = first / area
@@ -295,8 +310,10 @@ def required_inertia(
 
         delta_tip = F * a^2 * (3*Lc - a) / (6*E*I),  Lc = s/2.
     """
-    if load < 0.0:
-        raise ValueError("load must be non-negative")
+    if not 0.0 <= load < math.inf:
+        raise ValueError(f"load must be finite and non-negative; got {load!r}")
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"span must be finite and positive; got {span!r}")
     half = 0.5 * span
     a = 0.25 * span
     delta_max = TIP_DEFLECTION_FRACTION * half
@@ -344,7 +361,9 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
     non-decreasing in web width, so a bracketing root solve applies.  It is
     also a step function of width, so once the bracket sits on one step the
     iterations land in station cells the solve has already integrated; each
-    cell's section is integrated once and reused.
+    cell's section is integrated once and reused.  Each visited width's
+    cells are found once and handed to ``properties``, and the bracket keeps
+    the section at its upper end, which the result returns.
     """
     sections = {}  # web cells -> unit props, at this shell
 
@@ -353,17 +372,16 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
         props = sections.get(cells)
         if props is None:
             props = sections[cells] = integ.properties(
-                WingStructureDesign(n_spars, w * 100.0, shell_pct))
+                WingStructureDesign(n_spars, w * 100.0, shell_pct), cells)
         return props
 
-    def layout(w):
-        return WingStructureDesign(n_spars, w * 100.0, shell_pct), section(w)
-
-    f_lo = section(0.0).inertia - i_req_hat
+    props_lo = section(0.0)
+    f_lo = props_lo.inertia - i_req_hat
     if f_lo >= 0.0:
-        return layout(0.0)
+        return WingStructureDesign(n_spars, 0.0, shell_pct), props_lo
     lo, hi = 0.0, SPAR_WIDTH_MAX_PCT / 100.0
-    f_hi = section(hi).inertia - i_req_hat
+    props_hi = section(hi)
+    f_hi = props_hi.inertia - i_req_hat
     if f_hi < 0.0:
         return None
     for _ in range(60):
@@ -373,14 +391,17 @@ def _min_spar_width(integ, n_spars, shell_pct, i_req_hat):
         # bracket holds f_hi >= 0 > f_lo, so the secant slope is positive
         w = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
         w = min(max(w, lo + 0.1 * (hi - lo)), hi - 0.1 * (hi - lo))
-        f = section(w).inertia - i_req_hat
+        props = section(w)
+        f = props.inertia - i_req_hat
         if f >= 0.0:
-            hi, f_hi = w, f
+            hi, f_hi, props_hi = w, f, props
         else:
             lo, f_lo = w, f
     # widths below the search resolution round up rather than down so the
     # returned layout always satisfies the floor
-    return layout(SPAR_WIDTH_TOL if hi < SPAR_WIDTH_TOL else hi)
+    if hi < SPAR_WIDTH_TOL:
+        hi, props_hi = SPAR_WIDTH_TOL, section(SPAR_WIDTH_TOL)
+    return WingStructureDesign(n_spars, hi * 100.0, shell_pct), props_hi
 
 
 def swdt_optimize(

@@ -64,9 +64,9 @@ class CountingIntegrator(wingstruct.SectionIntegrator):
         super().__init__(*args)
         self.integrations = 0
 
-    def properties(self, design):
+    def properties(self, design, cells=None):
         self.integrations += 1
-        return super().properties(design)
+        return super().properties(design, cells)
 
 
 def test_tracer_sees_every_section_the_sizing_search_integrates(monkeypatch):

@@ -213,3 +213,9 @@ def test_rated_loads_reproduce_mid_size_hull():
     # published: 1.8% thickness, 387.8 kg hull
     assert sizing.design.thickness_pct == pytest.approx(1.8, rel=0.05)
     assert sizing.mass == pytest.approx(387.8, rel=0.05)
+
+
+def test_hull_sizing_rejects_a_nan_diameter():
+    # it used to return a sizing whose mass was NaN
+    with pytest.raises(ValueError, match="finite and positive"):
+        sfdt_optimize(math.nan, 6.0, FuselageLoads(1e5))

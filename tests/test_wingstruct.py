@@ -9,6 +9,7 @@ to 1e-12 of the all-solid section.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from hydrokite import wingstruct
 from hydrokite.errors import GeometryError, Infeasible
+from hydrokite.fusestruct import FuselageDesign, FuselageLoads
 from hydrokite.hydro import FlowEnv, FoilCoeffs, WingPlanform
 from hydrokite.wingstruct import (
     SHELL_MAX_PCT,
@@ -26,6 +28,7 @@ from hydrokite.wingstruct import (
     SectionIntegrator,
     WingSizing,
     WingStructureDesign,
+    _min_spar_width,
     _tighten,
     rated_wing_load,
     required_inertia,
@@ -148,6 +151,56 @@ def test_section_matches_strip_sum_reference(n_stations):
     assert (empty.area, empty.inertia, empty.y_neutral) == (0.0, 0.0, 0.0)
 
 
+def reference_closed_form(integ, design):
+    """(area, inertia, y_neutral) by the closed form as it stood before one
+    pass merged the closed ranges and summed the nine prefix rows: the
+    merged ranges into a list, then each row summed over that list."""
+    t = design.shell_pct / 100.0 * integ.t_max
+    n = len(integ._x)
+    closed = [(0, bisect_right(integ._tau_rise, t)),
+              (len(integ._tau_rise) + bisect_left(integ._neg_tau_fall, -t), n),
+              *integ.web_cells(design.n_spars, design.spar_width_pct)]
+    merged = []
+    end = 0
+    for start, stop in sorted(closed):
+        start = max(start, end)
+        if start < stop:
+            merged.append((start, stop))
+            end = stop
+    sums = []
+    for row in integ._prefix:
+        acc = 0.0
+        for start, stop in merged:
+            acc += row[stop] - row[start]
+        sums.append(acc)
+    a0, f0, s0 = sums[:3]
+    a1, f1, f2, s1, s2, s3 = (
+        row[n] - acc for row, acc in zip(integ._prefix[3:], sums[3:]))
+    area = a0 + t * a1
+    if area == 0.0:
+        return 0.0, 0.0, 0.0
+    first = f0 + t * (f1 + t * f2)
+    second = s0 + t * (s1 + t * (s2 + t * s3))
+    y_bar = first / area
+    return area, second - area * y_bar**2, y_bar
+
+
+def hex_props(props):
+    return (props.area.hex(), props.inertia.hex(), props.y_neutral.hex())
+
+
+@pytest.mark.parametrize("n_stations", [400, 2000])
+def test_one_pass_section_equals_the_row_by_row_sums_bitwise(n_stations):
+    integ = SectionIntegrator(FourDigitFoil(), n_stations)
+    # the fixed designs lead: overlapping webs, shell only, the empty
+    # section and the 50% shell
+    for design in reference_designs(20261021 + n_stations, 2000):
+        expected = tuple(v.hex() for v in reference_closed_form(integ, design))
+        assert hex_props(integ.properties(design)) == expected, design
+        cells = integ.web_cells(design.n_spars, design.spar_width_pct)
+        assert hex_props(integ.properties(design, cells)) == expected, design
+
+
 def test_integrator_rejects_a_section_the_shell_closes_in_two_places():
     @dataclass(frozen=True)
     class TwinHumpFoil(FourDigitFoil):
@@ -212,6 +265,42 @@ def test_design_validation():
         WingStructureDesign(2, -0.5, 5.0)
     with pytest.raises(ValueError):
         WingStructureDesign(2, 5.0, -1.0)
+
+
+# every field of each structural record, with an admissible value
+VALID_RECORDS = {
+    WingStructureDesign: {"n_spars": 2, "spar_width_pct": 5.0, "shell_pct": 2.0},
+    WingPlanform: {"span": 8.5, "aspect_ratio": 6.0},
+    FuselageDesign: {"diameter": 0.6, "length": 6.0, "thickness_pct": 2.0},
+    FuselageLoads: {"transverse_force": 1.0e5, "pressure_diff": 2.5e3,
+                    "bending_moment": 1.0e4, "allowable_factor": 0.5},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, field", [
+    (record, field) for record, valid in VALID_RECORDS.items() for field in valid])
+def test_structural_records_reject_non_finite_fields(record, field, value):
+    valid = VALID_RECORDS[record]
+    assert set(valid) == {f.name for f in fields(record)}
+    record(**valid)
+    with pytest.raises(ValueError):
+        record(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("span, load", [
+    (8.0, math.nan), (8.0, math.inf), (8.0, -math.inf), (8.0, -1.0),
+    (math.nan, 1e5), (math.inf, 1e5), (-math.inf, 1e5), (0.0, 1e5), (-8.0, 1e5)])
+def test_required_inertia_rejects_a_non_finite_or_negative_input(span, load):
+    # a negative span used to give the same floor as its absolute value
+    with pytest.raises(ValueError):
+        required_inertia(span, load)
+
+
+def test_sizing_rejects_a_nan_load():
+    # it used to size a 1,077.6 kg wing against a NaN inertia floor
+    with pytest.raises(ValueError, match="load must be finite"):
+        swdt_optimize(WingPlanform(8.5, 6.0), math.nan)
 
 
 def test_required_inertia_hand_value():
@@ -295,9 +384,41 @@ class CountingIntegrator(SectionIntegrator):
         super().__init__(*args)
         self.calls = []
 
-    def properties(self, design):
+    def properties(self, design, cells=None):
         self.calls.append(design)
-        return super().properties(design)
+        return super().properties(design, cells)
+
+
+def test_the_width_search_finds_each_widths_cells_once():
+    integ = CountingIntegrator(FourDigitFoil(), 2000)
+    plain = SectionIntegrator(FourDigitFoil(), 2000)
+    widths = []
+
+    def counting_web_cells(n_spars, spar_width_pct):
+        widths.append(spar_width_pct)
+        return SectionIntegrator.web_cells(integ, n_spars, spar_width_pct)
+
+    integ.web_cells = counting_web_cells
+    longest = 0
+    for n_spars in sorted(SPAR_STATIONS):
+        for shell_pct in (0.0, 1.0, 4.0):
+            bare = plain.properties(WingStructureDesign(n_spars, 0.0, shell_pct)).inertia
+            widest = plain.properties(
+                WingStructureDesign(n_spars, SPAR_WIDTH_MAX_PCT, shell_pct)).inertia
+            # met by the bare shell, three root solves, and out of reach
+            for i_req_hat in (0.5 * bare, *(bare + frac * (widest - bare)
+                                            for frac in (0.1, 0.5, 0.9)),
+                              1.5 * widest):
+                widths.clear()
+                integ.calls.clear()
+                _min_spar_width(integ, n_spars, shell_pct, i_req_hat)
+                assert len(widths) == len(set(widths)), (n_spars, shell_pct, i_req_hat)
+                # ``properties`` took the cells it was handed
+                assert all(d.spar_width_pct in widths for d in integ.calls)
+                assert len(integ.calls) == len(
+                    {plain.web_cells(n_spars, w) for w in widths})
+                longest = max(longest, len(widths))
+    assert longest > 5
 
 
 def reference_shave(integ, design, i_req_hat, field):
