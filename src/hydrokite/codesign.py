@@ -326,7 +326,6 @@ def _row_roots(s: float, ar_grid: list[float], vals: list[float],
 
 def sfot(p_req: float, surrogate: str, ctx: DesignContext) -> tuple[float, float]:
     """Geometry minimizing the chosen compactness surrogate at the power target."""
-    candidates = sft_enumerate(p_req, ctx)
     if surrogate == "span":
         key = lambda c: c[0]
     elif surrogate == "wing_volume":
@@ -334,6 +333,7 @@ def sfot(p_req: float, surrogate: str, ctx: DesignContext) -> tuple[float, float
     else:
         raise ConfigError(
             f"unknown surrogate {surrogate!r}; use 'span' or 'wing_volume'")
+    candidates = sft_enumerate(p_req, ctx)
     # ties break toward larger aspect ratio
     return min(candidates, key=lambda c: (key(c), -c[1]))
 

@@ -294,6 +294,8 @@ class Simulator:
 
     def run(self, n_laps: int, y0: np.ndarray | None = None,
             p_start: float | None = None) -> SimResult:
+        if n_laps < 1:
+            raise ValueError(f"n_laps must be at least 1; got {n_laps!r}")
         params = self.params
         y = (self.initial_state() if y0 is None else y0).tolist()
         self.controller.reset()

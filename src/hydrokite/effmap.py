@@ -5,7 +5,8 @@ converged peak simulated power to the ideal at the same geometry defines a
 flight efficiency.  This module samples that ratio over the wing design
 box, fits a low-order polynomial surface to the samples, and serves the
 surface as a cheap stand-in for the simulator inside design optimization.
-Each sample flies the kite the design search sizes at its geometry.
+``simulated_point`` flies the kite the design search sizes at a geometry.
+The monomial basis, in any number of variables, also serves ``ilc``.
 
 ``codesign``, the flight simulator (``dynsim``) and the lap optimizer
 (``ilc``) load only when a geometry is flown, so a design search that only
@@ -15,8 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from importlib import resources
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from itertools import combinations_with_replacement
+from operator import add
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,11 +30,6 @@ from .errors import (
     PathLost, RankDeficient, check_fields,
 )
 from .hydro import WingPlanform, loyd_power
-
-if TYPE_CHECKING:
-    from .codesign import DesignContext
-    from .dynsim import TetherProperties
-    from .ilc import ILCConfig
 
 ETA_FLOOR = 0.01
 ETA_CAP = 1.0
@@ -56,32 +55,67 @@ class EffSample:
         return self.power_peak / self.power_ideal
 
 
-def monomial_exponents(degree: int) -> list[tuple[int, int]]:
-    """(i, j) powers of (s, AR) in graded-lex order: 1, s, a, s2, sa, a2, ..."""
-    return [(g - j, j) for g in range(degree + 1) for j in range(g + 1)]
+@lru_cache(maxsize=None)
+def monomial_exponents(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Powers of n_vars variables up to degree, in graded-lex order: for
+    (s, AR), 1, s, a, s2, sa, a2, ...; for the four path basis parameters
+    at degree 2, the ILC's 15 quadratic features."""
+    if n_vars < 1 or degree < 0:
+        raise ValueError(f"need n_vars >= 1, degree >= 0; got {n_vars}, {degree}")
+    return tuple(tuple(combo.count(v) for v in range(n_vars))
+                 for g in range(degree + 1)
+                 for combo in combinations_with_replacement(range(n_vars), g))
 
 
-def monomials(s, a, degree: int) -> list:
-    """The terms s^i * a^j of monomial_exponents(degree), for floats or
-    arrays alike.
+@lru_cache(maxsize=None)
+def _monomial_plan(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Per monomial, where its factors x_v^e (e > 0) sit in the power
+    table of ``monomials``; the constant's one factor is the table's 1.0."""
+    return tuple(tuple(v * degree + e for v, e in enumerate(exps) if e) or (0,)
+                 for exps in monomial_exponents(n_vars, degree))
 
-    Each power is a chain of products (s*s*s, not s**3): NumPy's array
-    power squares by multiplying but rounds higher powers in its own
-    kernel, which Python's float power does not match, so products are
-    what rounds the same for a float and for an array.
-    """
-    s_pows, a_pows = [1.0], [1.0]
-    for _ in range(degree):
-        s_pows.append(s_pows[-1] * s)
-        a_pows.append(a_pows[-1] * a)
-    return [s_pows[i] * a_pows[j] for i, j in monomial_exponents(degree)]
+
+def monomials(xs, degree: int) -> list:
+    """The terms of monomial_exponents(len(xs), degree) at xs, floats or
+    broadcasting arrays alike.  Powers are chains of products (s*s*s, not
+    s**3), multiplied left to right, (s*s)*(a*a): NumPy's array power
+    rounds cubes and up in its own kernel, unlike Python's float power, so
+    products are what rounds the same for a float and for an array."""
+    table = [1.0]    # then x^1 .. x^degree of each x in turn
+    for x in xs:
+        row = [x]
+        while len(row) < degree:
+            row.append(row[-1] * x)
+        table += row[:degree]
+    terms = []
+    for factors in _monomial_plan(len(xs), degree):
+        term = table[factors[0]]
+        for i in factors[1:]:
+            term = term * table[i]
+        terms.append(term)
+    return terms
+
+
+def monomial_gradient(coeffs, xs, degree: int) -> np.ndarray:
+    """Gradient over xs of coeffs @ monomials(xs, degree).  Each partial
+    sums (power * coefficient) * (the monomial over its variable) in
+    monomial order, starting at its first term."""
+    exps = monomial_exponents(len(xs), degree)
+    lowered = monomials(xs, max(degree - 1, 0))
+    grad = []
+    for v in range(len(xs)):
+        slope = [e[v] * coeffs[k]
+                 * lowered[exps.index(e[:v] + (e[v] - 1,) + e[v + 1:])]
+                 for k, e in enumerate(exps) if e[v]]
+        grad.append(reduce(add, slope) if slope else 0.0)
+    return np.array(grad)
 
 
 def design_matrix(spans, aspects, degree: int) -> np.ndarray:
     s = np.asarray(spans, dtype=float)
     a = np.asarray(aspects, dtype=float)
     return np.column_stack(
-        [np.broadcast_to(term, s.shape) for term in monomials(s, a, degree)])
+        [np.broadcast_to(term, s.shape) for term in monomials((s, a), degree)])
 
 
 @dataclass
@@ -95,7 +129,7 @@ class EffSurface:
 
     def __post_init__(self):
         # a NaN coefficient or bound would pass every clamp below quietly
-        check_fields(self, nonnegative=("residual_rms",))
+        check_fields(self, nonnegative=("residual_rms",), at_least={"degree": 0})
         s_lo, s_hi, a_lo, a_hi = self.domain
         if not (-np.inf < s_lo < s_hi < np.inf
                 and -np.inf < a_lo < a_hi < np.inf):
@@ -113,7 +147,7 @@ class EffSurface:
                 f"({span:g}, {aspect_ratio:g}) outside the fitted box; "
                 "evaluating at the clamped point", DomainWarning, stacklevel=2)
             s, a = (float(x) for x in self._into_box(s, a))
-        val = float(np.dot(monomials(s, a, self.degree), self.coeffs))
+        val = float(np.dot(monomials((s, a), self.degree), self.coeffs))
         return min(max(val, ETA_FLOOR), ETA_CAP)
 
     def eval_array(self, span, aspect_ratio) -> np.ndarray:
@@ -145,7 +179,7 @@ class EffSurface:
 def fit_surface(samples: Iterable[EffSample], degree: int = 2) -> EffSurface:
     """Least-squares polynomial fit of eta over (s, AR)."""
     samples = list(samples)
-    n_terms = len(monomial_exponents(degree))
+    n_terms = len(monomial_exponents(2, degree))
     if len(samples) < n_terms:
         raise RankDeficient(
             f"{len(samples)} samples cannot determine {n_terms} terms")
@@ -213,9 +247,9 @@ def parse_surface(text: str) -> EffSurface:
         )
     except (KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed efficiency surface document: {exc}")
-    if len(coeffs) != len(monomial_exponents(degree)):
+    if len(coeffs) != len(monomial_exponents(2, degree)):
         raise ConfigError(
-            f"degree {degree} needs {len(monomial_exponents(degree))} "
+            f"degree {degree} needs {len(monomial_exponents(2, degree))} "
             f"coefficients, document has {len(coeffs)}")
     return surface
 
@@ -279,20 +313,13 @@ def load_samples(path) -> list[EffSample]:
 
 def generate_samples(
     grid: Iterable[tuple[float, float]],
-    ctx: Optional[DesignContext] = None,
-    ilc_cfg: Optional[ILCConfig] = None,
-    tether: Optional[TetherProperties] = None,
-    point_fn: Optional[Callable[[float, float], tuple[float, float]]] = None,
-    **sim_kwargs,
+    point_fn: Callable[[float, float], tuple[float, float]],
 ) -> list[EffSample]:
-    """Score a grid of wing geometries.
+    """Score a grid of wing geometries: point_fn(s, AR) -> (P_star, P_ideal).
 
-    The default path flies each geometry's ``codesign.size_structure``
-    kite under ``ctx`` (default ``DesignContext()``) to a converged lap; a
-    ``flow`` keyword must equal ``ctx.flow``.  point_fn(s, AR) -> (P_star,
-    P_ideal) substitutes any other scoring, e.g. for tests.  Points whose
-    flight diverges or whose structure is infeasible are skipped with a
-    warning.
+    ``partial(simulated_point, ctx=..., ilc_cfg=..., **sim_kwargs)`` flies
+    each geometry; a stub stands in for tests.  Points whose flight
+    diverges or whose structure is infeasible are skipped with a warning.
     """
     samples = []
     for span, aspect in grid:
@@ -301,11 +328,7 @@ def generate_samples(
             raise ConfigError(
                 f"grid point ({span:g}, {aspect:g}) outside the design box")
         try:
-            if point_fn is not None:
-                p_star, p_ideal = point_fn(span, aspect)
-            else:
-                p_star, p_ideal = _simulated_point(
-                    span, aspect, ctx, ilc_cfg, tether, **sim_kwargs)
+            p_star, p_ideal = point_fn(span, aspect)
             samples.append(EffSample(span, aspect, p_star, p_ideal))
         except (NumericBlowup, PathLost, EmptyLap, Infeasible) as exc:
             warnings.warn(
@@ -314,18 +337,24 @@ def generate_samples(
     return samples
 
 
-def _simulated_point(span, aspect, ctx, ilc_cfg, tether, **sim_kwargs):
+def simulated_point(span, aspect, ctx=None, ilc_cfg=None, tether=None,
+                    **sim_kwargs) -> tuple[float, float]:
+    """(P_star, P_ideal) of ``codesign.size_structure``'s kite under ``ctx``
+    (default ``DesignContext()``), path-optimized by ``optimize_path`` with
+    ``Simulator`` keywords; a ``flow`` keyword must equal ``ctx.flow``."""
     from .codesign import DesignContext, size_structure
     from .dynsim import TetherProperties, build_kite
-    from .ilc import ILCConfig, optimize_path
+    from .ilc import ILCConfig, SimLapEvaluator, optimize_path
 
     ctx = ctx or DesignContext()
+    ilc_cfg = ilc_cfg or ILCConfig()
     if sim_kwargs.setdefault("flow", ctx.flow) != ctx.flow:
         raise ConfigError("flow differs from ctx.flow, which sizes the kite")
     planform = WingPlanform(span, aspect)
     wing, hull = size_structure(planform, ctx)
     props = build_kite(planform, wing.mass, hull.design, hull.mass,
                        ctx.rule, ctx.flow, ctx.foil_coeffs, ctx.foil)
-    optimum = optimize_path(props, tether or TetherProperties(),
-                            ilc_cfg or ILCConfig(), **sim_kwargs)
+    lap_fn = SimLapEvaluator(props, tether or TetherProperties(),
+                             ilc_cfg.k_w, **sim_kwargs)
+    optimum = optimize_path(lap_fn, ilc_cfg)
     return optimum.power_peak, loyd_power(planform, ctx.flow, foil=ctx.foil_coeffs)

@@ -4,7 +4,9 @@ Each completed lap yields one scalar score: lap-averaged generated power
 minus a weighted path-tracking penalty.  A recursive least squares fit
 maintains a quadratic meta-model of that score over the four path basis
 parameters, and a perturbed gradient step moves the basis parameters
-uphill on the fitted surface after every lap.
+uphill on the fitted surface after every lap.  The meta-model is
+``effmap``'s monomial basis in (b1, b2, b3, b4) at degree 2, and
+``SimLapEvaluator`` flies the laps.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ import numpy as np
 
 from .dynsim import BasisParams, Simulator, TetherProperties
 from .dynsim.kite import KiteProperties
-from .errors import ConfigError, NotConverged, check_fields
-
-N_FEATURES = 15
+from .effmap import monomial_exponents, monomial_gradient, monomials
+from .errors import NotConverged, check_fields
 
 # lowest covariance eigenvalue kept by the RLS update
 COV_FLOOR = 1e-10
@@ -31,34 +32,6 @@ DEFAULT_BOX = (
 )
 
 
-def quad_features(b: np.ndarray) -> np.ndarray:
-    """Full quadratic basis in 4 variables, graded-lex order, 15 terms."""
-    b1, b2, b3, b4 = b
-    return np.array([
-        1.0, b1, b2, b3, b4,
-        b1 * b1, b1 * b2, b1 * b3, b1 * b4,
-        b2 * b2, b2 * b3, b2 * b4,
-        b3 * b3, b3 * b4,
-        b4 * b4,
-    ])
-
-
-def quad_value(theta: np.ndarray, b: np.ndarray) -> float:
-    return float(theta @ quad_features(b))
-
-
-def quad_gradient(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the quadratic meta-model at b."""
-    b1, b2, b3, b4 = b
-    t = theta
-    return np.array([
-        t[1] + 2.0 * t[5] * b1 + t[6] * b2 + t[7] * b3 + t[8] * b4,
-        t[2] + t[6] * b1 + 2.0 * t[9] * b2 + t[10] * b3 + t[11] * b4,
-        t[3] + t[7] * b1 + t[10] * b2 + 2.0 * t[12] * b3 + t[13] * b4,
-        t[4] + t[8] * b1 + t[11] * b2 + t[13] * b3 + 2.0 * t[14] * b4,
-    ])
-
-
 @dataclass
 class RLSModel:
     """Recursive least squares state for the quadratic meta-model."""
@@ -68,13 +41,13 @@ class RLSModel:
 
     @classmethod
     def fresh(cls, init_cov: float) -> "RLSModel":
-        return cls(theta=np.zeros(N_FEATURES),
-                   cov=init_cov * np.eye(N_FEATURES))
+        n = len(monomial_exponents(4, 2))
+        return cls(theta=np.zeros(n), cov=init_cov * np.eye(n))
 
 
 def rls_update(model: RLSModel, b: np.ndarray, j_observed: float) -> RLSModel:
     """One RLS step on the quadratic feature vector of b."""
-    phi = quad_features(np.asarray(b, dtype=float))
+    phi = np.array(monomials(np.asarray(b, dtype=float), 2))
     p_phi = model.cov @ phi
     gain = p_phi / (1.0 + phi @ p_phi)
     theta = model.theta + gain * (j_observed - phi @ model.theta)
@@ -129,7 +102,7 @@ def clamp_to_box(b: np.ndarray) -> np.ndarray:
 def ilc_update(model: RLSModel, b_k: np.ndarray, cfg: ILCConfig,
                k: int) -> np.ndarray:
     """Perturbed gradient ascent step on the fitted surface, box-clamped."""
-    step = cfg.learning_gain * quad_gradient(model.theta, b_k)
+    step = cfg.learning_gain * monomial_gradient(model.theta, b_k, 2)
     return clamp_to_box(b_k + step + perturbation(cfg, k))
 
 
@@ -151,7 +124,7 @@ class SimLapEvaluator:
         self._path_pos: Optional[float] = None
 
     def __call__(self, b: np.ndarray) -> tuple[float, float, float]:
-        basis = BasisParams(*np.asarray(b, dtype=float))
+        basis = BasisParams.from_array(b)
         sim = Simulator(self.props, self.tether, basis, **self.sim_kwargs)
         res = sim.run(1, y0=self._state, p_start=self._path_pos)
         self._state = res.final_state
@@ -173,27 +146,18 @@ class PathOptimum:
 
 
 def optimize_path(
-    props: Optional[KiteProperties],
-    tether: Optional[TetherProperties],
+    lap_fn: Callable[[np.ndarray], tuple[float, float, float]],
     cfg: ILCConfig,
     b0: BasisParams = BasisParams(),
-    lap_fn: Optional[Callable[[np.ndarray], tuple[float, float, float]]] = None,
-    **sim_kwargs,
 ) -> PathOptimum:
     """Alternate lap scoring, surface refit, and a perturbed gradient step.
 
     lap_fn(b) must return (J, P_avg, P_peak) for one lap flown at basis
-    parameters b; by default laps come from the closed-loop simulator.
-    Stops when the post-warmup step norm drops below cfg.tol, or warns
-    NotConverged at the lap budget and returns the best scored lap.
+    parameters b, e.g. a ``SimLapEvaluator``.  Stops when the post-warmup
+    step norm drops below cfg.tol, or warns NotConverged at the lap budget
+    and returns the best scored lap.
     """
-    if lap_fn is None:
-        if props is None or tether is None:
-            raise ConfigError("optimize_path needs a kite and tether "
-                              "when no lap evaluator is supplied")
-        lap_fn = SimLapEvaluator(props, tether, cfg.k_w, **sim_kwargs)
-
-    b = clamp_to_box(np.array([b0.b1, b0.b2, b0.b3, b0.b4]))
+    b = clamp_to_box(b0.as_array())
     model = RLSModel.fresh(init_cov=cfg.init_cov)
     rows = []
     converged = False
@@ -222,7 +186,7 @@ def optimize_path(
     history = np.array(rows)
     best = int(np.argmax(history[:, 5]))
     return PathOptimum(
-        basis=BasisParams(*history[best, 1:5]),
+        basis=BasisParams.from_array(history[best, 1:5]),
         objective=float(history[best, 5]),
         power_avg=float(history[best, 6]),
         power_peak=float(history[best, 7]),

@@ -312,8 +312,13 @@ def test_sfot_breaks_span_ties_toward_larger_aspect():
     assert sfot(p_req, "span", ctx)[1] == pytest.approx(max(at_min))
 
 
-def test_sfot_rejects_unknown_surrogate():
-    with pytest.raises(ConfigError):
+def test_sfot_rejects_unknown_surrogate(monkeypatch):
+    # before the contour scan, which costs milliseconds
+    def no_scan(*args, **kwargs):
+        raise AssertionError("power_grid called for an unknown surrogate")
+
+    monkeypatch.setattr(codesign, "power_grid", no_scan)
+    with pytest.raises(ConfigError, match="mass"):
         sfot(500e3, "mass", fast_ctx())
 
 

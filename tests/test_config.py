@@ -294,8 +294,7 @@ def test_sections_are_the_runtime_classes():
     short = replace(cfg.ilc, warmup_laps=2, max_laps=4, tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
-        out = optimize_path(None, None, short,
-                            lap_fn=lambda b: (-float(b @ b), 1.0, 2.0))
+        out = optimize_path(lambda b: (-float(b @ b), 1.0, 2.0), short)
     assert out.history.shape == (4, 8)
     # the grids section is the design search's grid object
     assert isinstance(cfg.grids, SearchGrid)

@@ -1076,6 +1076,11 @@ def test_run_guards_raise():
     with pytest.raises(PathLost):
         Simulator(props, TetherProperties(), BasisParams(),
                   params=SimParams(abort_angle=1e-9, grace_time=0.0)).run(1)
+    # a caller's error, raised before any step: an EmptyLap after max_time
+    # would read as a failed flight, which the eta sampler skips
+    for n_laps in (0, -1):
+        with pytest.raises(ValueError, match="n_laps"):
+            Simulator(props, TetherProperties(), BasisParams()).run(n_laps)
 
 
 def test_lap_closing_before_the_first_trace_row():

@@ -1,4 +1,6 @@
+import pickle
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +11,10 @@ from hydrokite.codesign import DesignContext, SearchGrid, _best_hull
 from hydrokite.config import SuiteConfig
 from hydrokite.dynsim import SimParams
 from hydrokite.effmap import (
-    EffSample, default_surface, design_matrix, fit_surface,
+    EffSample, EffSurface, default_surface, design_matrix, fit_surface,
     generate_samples, load_samples, load_surface, monomial_exponents,
-    parse_surface, save_samples, save_surface, surface_text,
+    monomials, parse_surface, save_samples, save_surface, simulated_point,
+    surface_text,
 )
 from hydrokite.errors import ConfigError, DomainWarning, NumericBlowup, RankDeficient
 from hydrokite.hydro import FlowEnv, WingPlanform
@@ -36,8 +39,40 @@ def bowl_samples(n=30, seed=1):
 
 
 def test_monomial_order_is_graded_lex():
-    assert monomial_exponents(2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    assert len(monomial_exponents(3)) == 10
+    assert monomial_exponents(2, 2) == (
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert len(monomial_exponents(2, 3)) == 10
+    # the lap optimizer's layout: 1, b1..b4, b1^2, b1b2, .., b3b4, b4^2
+    assert monomial_exponents(4, 2)[5:9] == (
+        (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
+    assert monomial_exponents(4, 2)[-1] == (0, 0, 0, 2)
+    with pytest.raises(ValueError):
+        monomial_exponents(2, -1)
+
+
+def two_variable_monomials(s, a, degree):
+    """The 2-variable basis as two power chains: the reference the
+    n-variable one must match bit for bit."""
+    s_pows, a_pows = [1.0], [1.0]
+    for _ in range(degree):
+        s_pows.append(s_pows[-1] * s)
+        a_pows.append(a_pows[-1] * a)
+    exponents = [(g - j, j) for g in range(degree + 1) for j in range(g + 1)]
+    return [s_pows[i] * a_pows[j] for i, j in exponents]
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_monomials_match_the_two_variable_chain_bitwise(degree):
+    rng = np.random.default_rng(100 + degree)
+    spans, aspects = rng.uniform(-20.0, 20.0, (2, 500))
+    for s, a in zip(spans.tolist(), aspects.tolist()):
+        assert [x.hex() for x in monomials((s, a), degree)] == \
+            [x.hex() for x in two_variable_monomials(s, a, degree)]
+    columns = monomials((spans, aspects), degree)
+    for got, want in zip(columns, two_variable_monomials(spans, aspects, degree)):
+        assert np.array_equal(np.broadcast_to(got, spans.shape),
+                              np.broadcast_to(want, spans.shape))
+    assert len(columns) == len(monomial_exponents(2, degree))
 
 
 def test_sample_validates_ratio_and_range():
@@ -210,6 +245,17 @@ def test_parse_surface_rejects_malformed_documents():
             parse_surface(bad)
 
 
+def test_negative_degree_is_rejected():
+    # a surface with no terms would evaluate to ETA_FLOOR everywhere
+    with pytest.raises(ConfigError, match="degree"):
+        parse_surface("degree -1\ndomain 7 10 4 12\nresidual_rms 0\n")
+    with pytest.raises(ValueError, match="degree"):
+        EffSurface(degree=-1, coeffs=np.array([]),
+                   domain=(7.0, 10.0, 4.0, 12.0), residual_rms=0.0)
+    with pytest.raises(ValueError, match="degree"):
+        fit_surface(bowl_samples(), degree=-1)
+
+
 def test_default_surface_loads_and_is_sane():
     surface = default_surface()
     assert surface.domain == (7.0, 10.0, 4.0, 12.0)
@@ -310,8 +356,9 @@ def test_generate_samples_skips_simulated_points_that_fail():
     # no lap (EmptyLap); the second has no wing structure (Infeasible)
     grid = [(8.5, 6.0), (8.5, 12.0)]
     with pytest.warns(UserWarning) as record:
-        out = generate_samples(grid, ilc_cfg=ILCConfig(max_laps=1, warmup_laps=1),
-                               params=SimParams(max_time=0.2))
+        out = generate_samples(grid, partial(
+            simulated_point, ilc_cfg=ILCConfig(max_laps=1, warmup_laps=1),
+            params=SimParams(max_time=0.2)))
     assert out == []
     messages = [str(w.message) for w in record]
     assert len(messages) == 2
@@ -326,15 +373,15 @@ def test_generate_samples_rejects_out_of_box_grid():
 
 
 def fly_captured(monkeypatch, span, aspect, ctx, **sim_kwargs):
-    """(kite, keywords) that _simulated_point hands the lap optimizer."""
+    """(kite, keywords) that simulated_point hands the lap evaluator."""
     flown = []
 
-    def fake_optimize(props, tether, cfg, **kwargs):
-        flown.append((props, kwargs))
+    def fake_optimize(lap_fn, cfg):
+        flown.append((lap_fn.props, lap_fn.sim_kwargs))
         return SimpleNamespace(power_peak=1e5)
 
     monkeypatch.setattr(ilc, "optimize_path", fake_optimize)
-    effmap._simulated_point(span, aspect, ctx, None, None, **sim_kwargs)
+    effmap.simulated_point(span, aspect, ctx, **sim_kwargs)
     return flown[0]
 
 
@@ -366,13 +413,25 @@ def test_simulated_point_sizes_the_wing_at_the_grid_resolution(monkeypatch):
     assert m_wing != searched_kite_mass(8.5, 6.0, DesignContext())[0]
 
 
+def test_bound_simulated_point_pickles():
+    # a second process receives the sampler's point function by pickle
+    cfg = SuiteConfig()
+    point_fn = partial(simulated_point, ctx=cfg.design_context(),
+                       ilc_cfg=cfg.ilc, **cfg.sim_kwargs())
+    back = pickle.loads(pickle.dumps(point_fn))
+    assert back.func is simulated_point
+    assert back.keywords["ilc_cfg"] == cfg.ilc
+    assert back.keywords["params"] == cfg.sim_kwargs()["params"]
+
+
 def test_simulated_flow_must_be_the_design_context_flow(monkeypatch):
     cfg = SuiteConfig()
     with pytest.raises(ConfigError, match="flow"):
         fly_captured(monkeypatch, 8.5, 6.0, cfg.design_context(),
                      flow=FlowEnv(speed=2.0))
     # the suite's own settings carry one flow to both
-    out = generate_samples([(8.5, 6.0)], cfg.design_context(), cfg.ilc,
-                           **cfg.sim_kwargs())
+    out = generate_samples([(8.5, 6.0)], partial(
+        simulated_point, ctx=cfg.design_context(), ilc_cfg=cfg.ilc,
+        **cfg.sim_kwargs()))
     assert [(p.span, p.aspect_ratio, p.power_peak) for p in out] == [
         (8.5, 6.0, 1e5)]

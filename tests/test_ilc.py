@@ -5,12 +5,42 @@ import pytest
 
 from hydrokite.catalog import kite_from_record, load_designs
 from hydrokite.dynsim import BasisParams, SimParams, Simulator, TetherProperties
-from hydrokite.errors import ConfigError, NotConverged
+from hydrokite.effmap import monomial_exponents, monomial_gradient, monomials
+from hydrokite.errors import NotConverged
 from hydrokite.ilc import (
     COV_FLOOR, DEFAULT_BOX, ILCConfig, RLSModel, SimLapEvaluator,
-    format_history, ilc_update, optimize_path, perturbation, quad_features,
-    quad_gradient, quad_value, rls_update,
+    format_history, ilc_update, optimize_path, perturbation, rls_update,
 )
+
+
+# The 4-variable quadratic meta-model written out term by term: the
+# reference the shared monomial basis must match bit for bit, so that every
+# RLS update and path history keeps its value.
+
+def quad_features(b: np.ndarray) -> np.ndarray:
+    b1, b2, b3, b4 = b
+    return np.array([
+        1.0, b1, b2, b3, b4,
+        b1 * b1, b1 * b2, b1 * b3, b1 * b4,
+        b2 * b2, b2 * b3, b2 * b4,
+        b3 * b3, b3 * b4,
+        b4 * b4,
+    ])
+
+
+def quad_gradient(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    b1, b2, b3, b4 = b
+    t = theta
+    return np.array([
+        t[1] + 2.0 * t[5] * b1 + t[6] * b2 + t[7] * b3 + t[8] * b4,
+        t[2] + t[6] * b1 + 2.0 * t[9] * b2 + t[10] * b3 + t[11] * b4,
+        t[3] + t[7] * b1 + t[10] * b2 + 2.0 * t[12] * b3 + t[13] * b4,
+        t[4] + t[8] * b1 + t[11] * b2 + t[13] * b3 + 2.0 * t[14] * b4,
+    ])
+
+
+def poly_value(theta, b) -> float:
+    return float(theta @ np.array(monomials(b, 2)))
 
 
 def quad_theta(const, linear, squares, crosses=None):
@@ -27,20 +57,46 @@ def quad_theta(const, linear, squares, crosses=None):
 
 # -- quadratic meta-model ---------------------------------------------------
 
-def test_quad_gradient_matches_central_differences():
-    rng = np.random.default_rng(20240821)
-    h = 1e-5
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_basis_matches_the_written_out_quadratic_bitwise():
+    assert len(monomial_exponents(4, 2)) == 15
+    assert len(RLSModel.fresh(1.0).theta) == 15
+    rng = np.random.default_rng(20240820)
+    for _ in range(2000):
+        b = rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.integers(-3, 3)
+        theta = rng.normal(size=15) * 10.0 ** rng.integers(-6, 6)
+        assert hexes(monomials(b, 2)) == hexes(quad_features(b))
+        assert hexes(monomial_gradient(theta, b, 2)) == \
+            hexes(quad_gradient(theta, b))
+
+
+def central_difference_check(n_vars, seed, h=1e-5):
+    rng = np.random.default_rng(seed)
+    n_terms = len(monomial_exponents(n_vars, 2))
     for _ in range(100):
-        theta = rng.normal(size=15)
-        b = rng.uniform(-1.0, 1.0, 4)
-        grad = quad_gradient(theta, b)
-        fd = np.empty(4)
-        for i in range(4):
+        theta = rng.normal(size=n_terms)
+        b = rng.uniform(-1.0, 1.0, n_vars)
+        grad = monomial_gradient(theta, b, 2)
+        fd = np.empty(n_vars)
+        for i in range(n_vars):
             up, dn = b.copy(), b.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (quad_value(theta, up) - quad_value(theta, dn)) / (2 * h)
+            fd[i] = (poly_value(theta, up) - poly_value(theta, dn)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-6 * max(1.0, np.linalg.norm(grad))
+
+
+def test_quad_gradient_matches_central_differences():
+    central_difference_check(4, seed=20240821)
+
+
+def test_six_variable_quadratic_gradient_matches_central_differences():
+    # the basis with roll_limit and lookahead learned too: 28 features
+    assert len(monomial_exponents(6, 2)) == 28
+    central_difference_check(6, seed=20240824)
 
 
 def test_rls_recovers_exact_quadratic():
@@ -59,7 +115,7 @@ def test_rls_repeated_sample_residual_shrinks_monotonically():
     residuals = []
     for _ in range(10):
         model = rls_update(model, b, 42.0)
-        residuals.append(abs(42.0 - quad_value(model.theta, b)))
+        residuals.append(abs(42.0 - poly_value(model.theta, b)))
     for earlier, later in zip(residuals, residuals[1:]):
         assert later <= earlier + 1e-12
     # repeated identical samples shrink the residual harmonically (the
@@ -195,7 +251,7 @@ def test_optimize_path_finds_stub_maximizer():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
-        out = optimize_path(None, None, cfg, lap_fn=bowl_lap_fn(b_star))
+        out = optimize_path(bowl_lap_fn(b_star), cfg)
     b_best = np.array([out.basis.b1, out.basis.b2, out.basis.b3, out.basis.b4])
     assert np.linalg.norm(b_best - b_star) < 1e-2
     assert out.history.shape[1] == 8
@@ -209,7 +265,7 @@ def test_optimize_path_best_seen_never_decreases_after_warmup():
         perturb_decay=40.0, seed=3, warmup_laps=25, max_laps=120, tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
-        out = optimize_path(None, None, cfg, lap_fn=bowl_lap_fn(b_star))
+        out = optimize_path(bowl_lap_fn(b_star), cfg)
     scores = out.history[:, 5]
     best = np.maximum.accumulate(scores)
     assert np.all(np.diff(best) >= 0.0)
@@ -220,8 +276,8 @@ def test_optimize_path_best_seen_never_decreases_after_warmup():
 def test_optimize_path_zero_gain_zero_perturbation_is_identity():
     cfg = ILCConfig(learning_gain=0.0, perturb_amplitude=0.0,
                     warmup_laps=5, max_laps=50)
-    out = optimize_path(None, None, cfg, b0=BasisParams(),
-                        lap_fn=bowl_lap_fn(np.array([0.3, 0.2, 0.0, 0.5])))
+    out = optimize_path(bowl_lap_fn(np.array([0.3, 0.2, 0.0, 0.5])), cfg,
+                        b0=BasisParams())
     assert out.converged
     assert (out.basis.b1, out.basis.b2, out.basis.b3, out.basis.b4) == \
         (0.3, 0.2, 0.0, 0.5)
@@ -237,7 +293,7 @@ def test_optimize_path_same_seed_identical_history():
                         max_laps=60, tol=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConverged)
-            out = optimize_path(None, None, cfg, lap_fn=bowl_lap_fn(b_star))
+            out = optimize_path(bowl_lap_fn(b_star), cfg)
         histories.append(out.history)
     assert np.array_equal(histories[0], histories[1])
 
@@ -246,15 +302,9 @@ def test_optimize_path_warns_when_budget_exhausted():
     cfg = ILCConfig(learning_gain=0.0, perturb_amplitude=0.01,
                     warmup_laps=5, max_laps=8, tol=0.0)
     with pytest.warns(NotConverged):
-        out = optimize_path(None, None, cfg,
-                            lap_fn=bowl_lap_fn(np.array([0.3, 0.2, 0.0, 0.5])))
+        out = optimize_path(bowl_lap_fn(np.array([0.3, 0.2, 0.0, 0.5])), cfg)
     assert not out.converged
     assert len(out.history) == 8
-
-
-def test_optimize_path_requires_kite_or_evaluator():
-    with pytest.raises(ConfigError):
-        optimize_path(None, None, ILCConfig())
 
 
 def test_format_history_round_trips_values():

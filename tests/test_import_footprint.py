@@ -52,6 +52,10 @@ FOOTPRINTS = [
     # a kite or reads a YAML file
     ("hydrokite.codesign", ("hydrokite.dynsim", "hydrokite.ilc",
                             "hydrokite.catalog", "hydrokite.config", "yaml")),
+    # the lap optimizer takes its quadratic basis from effmap, which loads
+    # the design search only when it flies a geometry
+    ("hydrokite.ilc", ("hydrokite.codesign", "hydrokite.config",
+                       "hydrokite.catalog", "yaml")),
 ]
 
 
