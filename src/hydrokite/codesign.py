@@ -55,10 +55,6 @@ _BOX_LO, _BOX_HI = DESIGN_LO.tolist(), DESIGN_HI.tolist()
 
 MARGIN_FLOOR = -1e-6
 
-# power_grid nodes this close to the target, relative, are evaluated again
-# with power_of; the two differ by under 1e-15 relative
-SCAN_RECHECK_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SearchGrid:
@@ -175,19 +171,21 @@ def power_of(span: float, aspect_ratio: float, ctx: DesignContext) -> float:
 def power_grid(spans: Iterable[float], aspect_ratios: Iterable[float],
                ctx: DesignContext) -> np.ndarray:
     """``power_of`` at every node of the grid spans x aspect_ratios, in one
-    NumPy pass; row i holds spans[i].
+    NumPy pass; row i holds spans[i], and every entry is ``power_of``'s
+    float.
 
     Each aspect ratio reads its glide value once from the
-    ``max_glide_cubed`` cache.  An entry can differ from ``power_of`` in
-    the last bits: the planform area squares by multiplying and the
-    efficiency polynomial sums as a matrix product.
+    ``max_glide_cubed`` cache.
     """
-    s = np.asarray(spans, dtype=float)[:, None]
+    s = np.asarray(spans, dtype=float)
     a = np.asarray(aspect_ratios, dtype=float)
     # float keys: the cache holds the values power_of reads
     glide3 = np.array([max_glide_cubed(ctx.foil_coeffs, x) for x in a.tolist()])
-    ideal = crosswind_power(ctx.flow, s**2 / a, glide3)
-    return ideal * ctx.surface.eval_array(s, a)
+    # squared as floats, as WingPlanform.area squares: NumPy's square can
+    # round differently from the float power
+    s_sq = np.array([x**2 for x in s.tolist()])
+    ideal = crosswind_power(ctx.flow, s_sq[:, None] / a, glide3)
+    return ideal * ctx.surface.eval_array(s[:, None], a)
 
 
 def design_margins(design: KiteDesign, ctx: DesignContext) -> dict:
@@ -238,8 +236,8 @@ def audit_design(design: KiteDesign, ctx: DesignContext,
     return margins
 
 
-def margins_ok(margins: dict, floor: float = MARGIN_FLOOR) -> bool:
-    return all(v >= floor for v in margins.values())
+def margins_ok(margins: dict) -> bool:
+    return all(v >= MARGIN_FLOOR for v in margins.values())
 
 
 # -- steady flight tool -----------------------------------------------------
@@ -249,8 +247,7 @@ def _axis_grid(lo: float, hi: float, step: float) -> list[float]:
     return np.linspace(lo, hi, n + 1).tolist()
 
 
-def sft_enumerate(p_req: float, ctx: DesignContext,
-                  s_grid: Optional[np.ndarray] = None) -> list[tuple[float, float]]:
+def sft_enumerate(p_req: float, ctx: DesignContext) -> list[tuple[float, float]]:
     """All (s, AR) meeting the power equality, one bisection per sign change.
 
     Power is not assumed monotone in AR, so every bracketing interval of
@@ -258,14 +255,9 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     once.
 
     The scan evaluates the power at every (span, AR) node in one
-    ``power_grid`` pass; only the bisections call ``power_of``.  The
-    scan reads nothing but the sign of P - p_req at each node, and
-    ``power_grid`` differs from ``power_of`` by a few units in the last
-    place.  So every node whose grid power lies within ``SCAN_RECHECK_RTOL``
-    of p_req is evaluated again with ``power_of``.  Every other node keeps
-    ``power_of``'s sign, and an exact zero can only come from
-    ``power_of``, so the brackets, the bisections and the roots are those
-    of a scan that calls ``power_of`` at every node.
+    ``power_grid`` pass, whose entries are ``power_of``'s floats; only the
+    bisections call ``power_of``.  So the brackets, the bisections and the
+    roots are those of a scan that calls ``power_of`` at every node.
 
     A surface fitted over a box narrower than the design box clamps part
     of the scan: one ``DomainWarning`` per call names how many nodes.
@@ -273,9 +265,7 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     if not 0.0 < p_req < math.inf:
         raise ConfigError(
             f"required power must be finite and positive; got {p_req!r}")
-    if s_grid is None:
-        s_grid = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
-    s_list = np.asarray(s_grid, dtype=float).tolist()
+    s_list = _axis_grid(SPAN_RANGE[0], SPAN_RANGE[1], ctx.grid.s_step)
     ar_grid = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1],
                           ctx.grid.ar_scan + 1).tolist()
     f_grid = power_grid(s_list, ar_grid, ctx) - p_req
@@ -284,9 +274,6 @@ def sft_enumerate(p_req: float, ctx: DesignContext,
     # or between clamped nodes, so its warnings would repeat that one
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        near = np.abs(f_grid) <= SCAN_RECHECK_RTOL * p_req
-        for i, j in zip(*np.nonzero(near)):
-            f_grid[i, j] = power_of(s_list[i], ar_grid[j], ctx) - p_req
         for s, vals in zip(s_list, f_grid.tolist()):
             roots += _row_roots(s, ar_grid, vals, p_req, ctx)
     if not roots:
@@ -379,7 +366,8 @@ class DualPoint:
 
 
 def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
-    """Lightest hull on the (D, L) grid that carries the given wing, or None.
+    """Lightest hull on the (D, L) grid that carries the given wing;
+    ``Infeasible`` if none.
 
     Feasibility per cell: a stress-sized shell exists within the wall
     bounds and the assembled kite still displaces its own mass.  A larger
@@ -403,6 +391,11 @@ def _best_hull(planform: WingPlanform, m_wing: float, ctx: DesignContext):
             if m_wing + sizing.mass > displaced:
                 continue
             best = sizing
+    if best is None:
+        s, ar = planform.span, planform.aspect_ratio
+        raise Infeasible(
+            f"no hull supports the ({s:.2f}, {ar:.2f}) wing",
+            detail={"span": s, "aspect_ratio": ar, "m_wing": m_wing})
     return best
 
 
@@ -423,14 +416,8 @@ def size_wing(planform: WingPlanform, ctx: DesignContext):
 def size_structure(planform: WingPlanform, ctx: DesignContext):
     """(WingSizing, FuselageSizing) of the kite the search builds at one
     geometry, the one the efficiency map flies; ``Infeasible`` if none."""
-    s, ar = planform.span, planform.aspect_ratio
     wing = size_wing(planform, ctx)
-    hull = _best_hull(planform, wing.mass, ctx)
-    if hull is None:
-        raise Infeasible(
-            f"no hull supports the ({s:.2f}, {ar:.2f}) wing",
-            detail={"span": s, "aspect_ratio": ar, "m_wing": wing.mass})
-    return wing, hull
+    return wing, _best_hull(planform, wing.mass, ctx)
 
 
 def nested_sequential(p_req: float, surrogate: str,
@@ -454,13 +441,10 @@ def fully_nested(p_req: float, ctx: DesignContext) -> ParetoPoint:
         planform = WingPlanform(s, ar)
         try:
             wing = size_wing(planform, ctx)
+            if best is not None and wing.mass > best[0] + 1e-9:
+                continue
+            hull = _best_hull(planform, wing.mass, ctx)
         except Infeasible:
-            n_struct_infeasible += 1
-            continue
-        if best is not None and wing.mass > best[0] + 1e-9:
-            continue
-        hull = _best_hull(planform, wing.mass, ctx)
-        if hull is None:
             n_struct_infeasible += 1
             continue
         # tie on wing mass breaks toward the lighter hull

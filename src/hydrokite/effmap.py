@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable
 
 import numpy as np
@@ -135,6 +135,13 @@ class EffSurface:
                 and -np.inf < a_lo < a_hi < np.inf):
             raise ValueError(
                 f"domain needs finite lo < hi pairs; got {self.domain!r}")
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        # a sum that pairs terms with coefficients would drop the extras
+        n_terms = len(monomial_exponents(2, self.degree))
+        if self.coeffs.shape != (n_terms,):
+            raise ValueError(
+                f"degree {self.degree} needs {n_terms} coefficients in a "
+                f"1-D array; got shape {self.coeffs.shape}")
         if not np.isfinite(self.coeffs).all():
             raise ValueError("coefficients must be finite")
 
@@ -147,17 +154,14 @@ class EffSurface:
                 f"({span:g}, {aspect_ratio:g}) outside the fitted box; "
                 "evaluating at the clamped point", DomainWarning, stacklevel=2)
             s, a = (float(x) for x in self._into_box(s, a))
-        val = float(np.dot(monomials((s, a), self.degree), self.coeffs))
-        return min(max(val, ETA_FLOOR), ETA_CAP)
+        return min(max(self._polynomial(s, a), ETA_FLOOR), ETA_CAP)
 
     def eval_array(self, span, aspect_ratio) -> np.ndarray:
         """``eval`` at every point of broadcasting span and aspect-ratio
         arrays, in one pass.
 
         Points clamp into the fitted box as in ``eval``, but one warning per
-        call names how many were clamped.  The polynomial is one matrix
-        product, whose sums can round differently from ``eval``'s dot
-        product in the last bit.
+        call names how many were clamped.  Every entry is ``eval``'s float.
         """
         s_in, a_in = np.broadcast_arrays(np.asarray(span, dtype=float),
                                          np.asarray(aspect_ratio, dtype=float))
@@ -167,8 +171,16 @@ class EffSurface:
             warnings.warn(
                 f"{n_out} of {s.size} points outside the fitted box; "
                 "evaluating at the clamped points", DomainWarning, stacklevel=2)
-        val = design_matrix(s.ravel(), a.ravel(), self.degree) @ self.coeffs
-        return np.clip(val, ETA_FLOOR, ETA_CAP).reshape(s.shape)
+        # a degree-0 sum is one float whatever the query's shape
+        val = np.broadcast_to(self._polynomial(s, a), s.shape)
+        return np.clip(val, ETA_FLOOR, ETA_CAP)
+
+    def _polynomial(self, s, a):
+        """The raw polynomial at floats or broadcasting arrays s and a: each
+        term times its coefficient, added in monomial order one operation
+        at a time, so a float and an array entry round alike."""
+        return reduce(add, map(mul, monomials((s, a), self.degree),
+                               self.coeffs.tolist()))
 
     def _into_box(self, span, aspect_ratio):
         """(span, aspect ratio) clamped into the fitted domain."""
@@ -247,10 +259,6 @@ def parse_surface(text: str) -> EffSurface:
         )
     except (KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed efficiency surface document: {exc}")
-    if len(coeffs) != len(monomial_exponents(2, degree)):
-        raise ConfigError(
-            f"degree {degree} needs {len(monomial_exponents(2, degree))} "
-            f"coefficients, document has {len(coeffs)}")
     return surface
 
 

@@ -54,7 +54,7 @@ class PathLost(HydrokiteError):
 
 
 class EmptyLap(HydrokiteError):
-    """A lap time series is empty or spans zero duration."""
+    """A flight closed no lap before ``Simulator.run``'s ``max_time``."""
 
 
 class NoFeasibleIndividual(HydrokiteError):

@@ -2,6 +2,7 @@
 import math
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hydrokite.codesign import (
     power_grid, power_of, sft_enumerate, sfot, simultaneous_ga,
 )
 from hydrokite.design import ASPECT_RANGE, SPAN_RANGE
-from hydrokite.effmap import EffSurface, default_surface
+from hydrokite.effmap import EffSample, EffSurface, default_surface, fit_surface
 from hydrokite.errors import (
     ConfigError, DomainWarning, EmptySet, Infeasible, NoFeasibleIndividual,
 )
@@ -145,10 +146,10 @@ def test_power_increases_with_span():
 
 def test_sft_constructed_root_is_recovered():
     ctx = fast_ctx()
-    s0, ar0 = 8.5, 7.3
+    s0, ar0 = 8.5, 7.3   # 8.5 is a node of the span grid
     p0 = power_of(s0, ar0, ctx)
-    roots = sft_enumerate(p0, ctx, s_grid=np.array([s0]))
-    hits = [ar for s, ar in roots if abs(ar - ar0) < 1e-4 * ar0]
+    roots = [ar for s, ar in sft_enumerate(p0, ctx) if s == s0]
+    hits = [ar for ar in roots if abs(ar - ar0) < 1e-4 * ar0]
     assert hits, f"no root near AR={ar0}: {roots}"
 
 
@@ -190,14 +191,12 @@ def test_sft_rejects_nonpositive_power():
             sft_enumerate(p_req, fast_ctx())
 
 
-def scalar_scan_roots(p_req, ctx, s_grid=None):
+def scalar_scan_roots(p_req, ctx):
     """The contour scan calling power_of at every node: the reference the
     one-pass scan of sft_enumerate must reproduce bit for bit."""
-    if s_grid is None:
-        s_grid = codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
     ar_grid = np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
     roots = []
-    for s in np.asarray(s_grid, dtype=float).tolist():
+    for s in codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step):
         vals = [power_of(s, ar, ctx) - p_req for ar in ar_grid]
         for i in range(len(ar_grid) - 1):
             lo, hi = ar_grid[i], ar_grid[i + 1]
@@ -223,13 +222,13 @@ def scalar_scan_roots(p_req, ctx, s_grid=None):
     return roots
 
 
-def assert_scan_matches_reference(p_req, ctx, s_grid=None):
-    want = scalar_scan_roots(p_req, ctx, s_grid)
+def assert_scan_matches_reference(p_req, ctx):
+    want = scalar_scan_roots(p_req, ctx)
     if not want:
         with pytest.raises(EmptySet):
-            sft_enumerate(p_req, ctx, s_grid)
+            sft_enumerate(p_req, ctx)
         return
-    got = sft_enumerate(p_req, ctx, s_grid)
+    got = sft_enumerate(p_req, ctx)
     assert [(s.hex(), ar.hex()) for s, ar in got] == [
         (s.hex(), ar.hex()) for s, ar in want], p_req
 
@@ -242,30 +241,49 @@ def test_one_pass_scan_finds_the_scalar_scans_roots(surface):
         assert_scan_matches_reference(p_req, ctx)
 
 
-def test_one_pass_scan_honours_a_span_grid_override():
-    ctx = DesignContext()
-    for p_req in (350e3, 500e3, 650e3):
-        assert_scan_matches_reference(p_req, ctx, np.array([7.3, 8.5, 9.95]))
+def fitted_surface(degree):
+    """A surface fitted to a seeded cubic bowl, so every term does work."""
+    rng = np.random.default_rng(5)
+    samples = []
+    for s, ar in zip(rng.uniform(7.0, 10.0, 40), rng.uniform(4.0, 12.0, 40)):
+        eta = (0.9 - 0.003 * (s - 8.5) ** 2 - 0.0015 * (ar - 7.0) ** 2
+               + 0.002 * (s - 8.5) ** 3)
+        samples.append(EffSample(s, ar, eta * 1e5, 1e5))
+    return fit_surface(samples, degree=degree)
 
 
-@pytest.mark.parametrize("surface", [default_surface(), flat_surface(0.9)],
-                         ids=["bundled", "constant"])
+@pytest.mark.parametrize("surface", [
+    default_surface(), flat_surface(0.9),
+    replace(default_surface(), domain=(7.0, 10.0, 4.0, 7.5)),
+    fitted_surface(1), fitted_surface(3),
+], ids=["bundled", "constant", "narrow_box", "fitted_degree_1",
+        "fitted_degree_3"])
 def test_power_grid_matches_power_of(surface):
+    # the scan reads power_grid's signs for power_of's, so they must be
+    # the same floats; the narrow box clamps the nodes above AR 7.5
     ctx = DesignContext(surface=surface)
-    spans = codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
-    aspects = np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
-    grid = power_grid(spans, aspects, ctx)
-    want = [[power_of(s, ar, ctx) for ar in aspects] for s in spans]
-    np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0.0)
+    rng = np.random.default_rng(29)
+    spans = (codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
+             + rng.uniform(*SPAN_RANGE, 20).tolist())
+    aspects = (np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
+               + rng.uniform(*ASPECT_RANGE, 20).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainWarning)
+        grid = power_grid(spans, aspects, ctx).tolist()
+        want = [[power_of(s, ar, ctx) for ar in aspects] for s in spans]
+    assert [[x.hex() for x in row] for row in grid] == [
+        [x.hex() for x in row] for row in want]
 
 
 def test_sft_returns_a_node_on_the_contour_once():
     ctx = DesignContext()
-    s0, ar0 = 8.5, 6.5   # 6.5 is a node of the 64-interval AR scan
+    s0, ar0 = 8.5, 6.5   # nodes of the span grid and the 64-interval AR scan
+    assert s0 in codesign._axis_grid(*SPAN_RANGE, ctx.grid.s_step)
     assert ar0 in np.linspace(*ASPECT_RANGE, ctx.grid.ar_scan + 1).tolist()
-    roots = sft_enumerate(power_of(s0, ar0, ctx), ctx, s_grid=np.array([s0]))
-    assert roots.count((s0, ar0)) == 1
-    assert all(ar == ar0 or abs(ar - ar0) > 1e-3 for _, ar in roots), roots
+    roots = [ar for s, ar in sft_enumerate(power_of(s0, ar0, ctx), ctx)
+             if s == s0]
+    assert roots.count(ar0) == 1
+    assert all(ar == ar0 or abs(ar - ar0) > 1e-3 for ar in roots), roots
 
 
 def test_narrow_surface_warns_once_per_scan():
@@ -379,6 +397,16 @@ def test_fully_nested_matches_exhaustive_scan():
     # the solver also demands a feasible hull, so it can only do as well
     assert point.m_wing >= best - 1e-9
     assert point.m_wing == pytest.approx(best, rel=0.05)
+
+
+def test_a_wing_too_heavy_for_any_hull_is_infeasible(monkeypatch):
+    # no hull on the grid displaces a 100 t wing
+    monkeypatch.setattr(codesign, "size_wing",
+                        lambda planform, ctx: SimpleNamespace(mass=1e5))
+    with pytest.raises(Infeasible,
+                       match=r"no hull supports the \(8\.50, 6\.00\) wing") as err:
+        codesign.size_structure(WingPlanform(8.5, 6.0), fast_ctx())
+    assert err.value.detail == {"span": 8.5, "aspect_ratio": 6.0, "m_wing": 1e5}
 
 
 def test_pareto_sweep_skips_failed_points():

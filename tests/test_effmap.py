@@ -145,7 +145,12 @@ def test_eval_array_clamps_like_eval_and_warns_once():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
         want = [[surface.eval(s, a) for a in aspects] for s in spans]
-    np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0.0)
+    assert grid.tolist() == want
+    # a degree-0 sum is one float, yet the result keeps the query's shape
+    flat = EffSurface(degree=0, coeffs=np.array([0.9]),
+                      domain=(7.0, 10.0, 4.0, 12.0), residual_rms=0.0)
+    grid = flat.eval_array(np.array([[8.0], [9.0]]), np.array([5.0, 6.0, 7.0]))
+    assert grid.shape == (2, 3) and (grid == 0.9).all()
 
 
 def test_eval_never_exceeds_cap():
@@ -190,9 +195,18 @@ def test_eval_matches_the_design_matrix_bitwise(degree, monkeypatch):
     rng = np.random.default_rng(20261018)
     spans = rng.uniform(s_lo, s_hi, 10_000).tolist()
     aspects = rng.uniform(a_lo, a_hi, 10_000).tolist()
-    want = [float(design_matrix([s], [a], surface.degree)[0] @ surface.coeffs)
-            for s, a in zip(spans, aspects)]
-    assert [surface.eval(s, a) for s, a in zip(spans, aspects)] == want
+    # column k times coefficient k, added left to right from the first
+    matrix = design_matrix(spans, aspects, surface.degree)
+    want = matrix[:, 0] * surface.coeffs[0]
+    for k in range(1, matrix.shape[1]):
+        want = want + matrix[:, k] * surface.coeffs[k]
+    got = [surface.eval(s, a) for s, a in zip(spans, aspects)]
+    assert got == want.tolist()
+    # the matrix product sums in its own order; a sum's rounding error is
+    # bounded relative to the sum of its terms' magnitudes, which the
+    # degree-3 fit's cancelling terms make up to 16 times |eta|
+    scale = np.abs(matrix * surface.coeffs).sum(axis=1)
+    assert (np.abs(np.array(got) - matrix @ surface.coeffs) <= 1e-15 * scale).all()
 
 
 def test_surface_round_trip_is_identity():
@@ -225,7 +239,7 @@ def test_parse_surface_rejects_malformed_documents():
         parse_surface(good.replace("coeff ", "coeff bad ", 1))
     # drop one coefficient line
     lines = good.strip().split("\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="degree 2 needs 6 coefficients"):
         parse_surface("\n".join(lines[:-1]))
     # a misspelt key is not skipped
     with pytest.raises(ConfigError, match="eta_flor"):
@@ -254,6 +268,15 @@ def test_negative_degree_is_rejected():
                    domain=(7.0, 10.0, 4.0, 12.0), residual_rms=0.0)
     with pytest.raises(ValueError, match="degree"):
         fit_surface(bowl_samples(), degree=-1)
+
+
+def test_coefficient_count_must_match_the_degree():
+    # a sum pairing terms with coefficients would drop the missing terms
+    box = dict(domain=(7.0, 10.0, 4.0, 12.0), residual_rms=0.0)
+    with pytest.raises(ValueError, match="degree 2 needs 6 coefficients"):
+        EffSurface(degree=2, coeffs=np.array([0.5]), **box)
+    with pytest.raises(ValueError, match="degree 1 needs 3 coefficients"):
+        EffSurface(degree=1, coeffs=np.array([[0.5, 0.0, 0.0]]), **box)
 
 
 def test_default_surface_loads_and_is_sane():
