@@ -1083,6 +1083,29 @@ def test_run_guards_raise():
             Simulator(props, TetherProperties(), BasisParams()).run(n_laps)
 
 
+def test_run_guard_messages():
+    props = mid_size_kite()
+    flight = Simulator(props, TetherProperties(), BasisParams())
+    y0 = flight.initial_state()
+    y0[8] = math.nan
+    with pytest.raises(NumericBlowup) as blowup:
+        flight.run(1, y0=y0)
+    assert str(blowup.value) == "non-finite state at t = 0.002 s"
+
+    y0 = flight.initial_state()
+    y0[0] *= 5
+    with pytest.raises(NumericBlowup) as escape:
+        flight.run(1, y0=y0)
+    assert str(escape.value).startswith("state escaped bounds at t = 0.002 s")
+
+    # the interior angle exceeds abort_angle from the first step, but no
+    # abort comes inside grace_time: the flight runs out of time instead
+    with pytest.raises(EmptyLap):
+        Simulator(props, TetherProperties(), BasisParams(),
+                  params=SimParams(abort_angle=1e-9, grace_time=1.0,
+                                   max_time=0.5)).run(1)
+
+
 def test_lap_closing_before_the_first_trace_row():
     # released 1e-4 rad short of the lap boundary, the lap closes within
     # the first few steps, before the trace_stride-th step records a row
