@@ -6,28 +6,21 @@ State vector layout: [0:13] the kite, then the line's block (see
 ``tether.LumpedLine``).  The kite's floats are [0:3] its position, [3:7]
 its attitude quaternion (w, x, y, z) and [7:13] its body relative velocity.
 
-Inside ``Simulator.run`` the state is one Python list of floats:
-``derivative`` and ``rk4_step`` take and return lists, so a step makes no
-NumPy call on the state; ``initial_state`` builds it in floats too.  ``run``
-converts its starting array once, and ``SimResult.final_state`` is an array
-again.
+``Simulator.run`` is the control-and-step loop.  It holds the state as
+one Python list of floats, which ``derivative`` and ``rk4_step`` take and
+return, so a step makes no NumPy call on the state.  Each step it hands
+the new state to a ``FlightGuard``, which raises the typed errors, and
+the step's figures to a ``LapLog``, which keeps the trace, closes the
+laps and builds the ``SimResult``.
 
-What depends only on the kite, the tether and the flow is bound once, in
-``Simulator.__init__``: the mass matrix and its inverse as flat tuples,
-the kite's ``ForceTable`` (whose surface rows carry their q_ref times area
-fraction), the ``LumpedLine`` and the attachment point and flow speed as
-floats.  ``derivative`` is then one pass of scalar code: the
-rotation, the attachment's position and velocity, the quaternion rate and
-the M^-1 product are written out inline, with the products and sums of
-the helpers they replace in the same order, so the step gives the same
-floats.  It calls three float kernels: ``tether_forces`` (one pass over
-the links, winch to kite), ``net_force_moment`` and ``coriolis_force``.
-
-One BLAS product remains: the path scan in ``nearest_path_position``
-multiplies the kite's unit direction by its 61 candidate directions.
-Those are ``path_direction``, the path's one formula, at 61 fixed offsets
-ahead of the last path position, built in floats once per position and
-reused while it stands.
+``Simulator.__init__`` binds what depends only on the kite, the tether
+and the flow: the mass matrix and its inverse as tuples of floats, the
+kite's ``ForceTable`` and the ``LumpedLine``.  ``derivative`` is then one
+pass of scalar code: the rotation, the attachment's motion, the
+quaternion rate and the M^-1 product are written out inline, in the
+operation order of the helpers they replace, around three float kernels
+(``tether_forces``, ``net_force_moment`` and ``coriolis_force``).  The one
+BLAS product in a step is the path scan in ``nearest_path_position``.
 """
 
 from __future__ import annotations
@@ -126,6 +119,64 @@ class SimResult:
     position: np.ndarray
     final_state: np.ndarray = field(repr=False)
     final_path_pos: float = 0.0
+
+
+class LapLog:
+    """One flight's record, fed once per step: every ``trace_stride``-th
+    step's trace row and the open lap's rows.  A lap is a full figure-8
+    turn from p0; it closes into ``LapMetrics`` when floor((p - p0) / 2π) rises."""
+
+    def __init__(self, p0: float, p_start: float, trace_stride: int):
+        self.p0, self.trace_stride = p0, trace_stride
+        self.turns = math.floor((p_start - p0) / TWO_PI)
+        self.steps, self.t_start = 0, 0.0
+        self.trace, self.rows = [], []
+        self.laps: list[LapMetrics] = []
+
+    def record(self, t: float, p: float, pos: list[float], spool_speed: float,
+               angle: float, tension: float) -> None:
+        power = tension * spool_speed
+        self.steps += 1
+        if self.steps % self.trace_stride == 0:
+            self.trace.append((t, power, tension, angle, spool_speed, p, *pos))
+        self.rows.append((t, power, angle, tension))
+        turns = math.floor((p - self.p0) / TWO_PI)
+        if turns > self.turns:
+            powers, angles, tensions = np.array(self.rows)[:, 1:].T
+            self.laps.append(LapMetrics(
+                len(self.laps), self.t_start, t,
+                float(np.mean(powers)), float(np.max(powers)),
+                float(np.mean(powers - OBJECTIVE_WEIGHT * angles)),
+                float(np.mean(angles)), float(np.max(angles)),
+                float(np.mean(tensions)), float(np.max(tensions))))
+            self.rows, self.t_start = [], t
+        self.turns = turns
+
+    def result(self, y: list[float], p: float) -> SimResult:
+        # trace rows hold SimResult's columns in field order; 2-D when empty
+        data = np.array(self.trace).reshape(len(self.trace), 9)
+        return SimResult(self.laps, *data[:, :6].T, data[:, 6:9], np.array(y), p)
+
+
+class FlightGuard:
+    """The raising checks of a flight: on the state after each step, and on
+    the interior angle once ``grace_time`` has passed."""
+
+    def __init__(self, params: SimParams, tether_length: float):
+        self.params = params
+        self.max_distance = 4.0 * tether_length
+
+    def check_state(self, t: float, y: list[float]) -> None:
+        if not all(map(math.isfinite, y)):
+            raise NumericBlowup(f"non-finite state at t = {t:.3f} s")
+        speed = math.hypot(*y[7:10])
+        if speed > self.params.blowup_speed or math.hypot(*y[0:3]) > self.max_distance:
+            raise NumericBlowup(
+                f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
+
+    def check_angle(self, t: float, angle: float) -> None:
+        if angle > self.params.abort_angle and t > self.params.grace_time:
+            raise PathLost(f"interior angle {angle:.2f} rad at t = {t:.2f} s")
 
 
 class Simulator:
@@ -301,14 +352,10 @@ class Simulator:
         self.controller.reset()
         p_total = params.init_path_pos if p_start is None else p_start
         t = 0.0
-        laps: list[LapMetrics] = []
-        rows: list[tuple] = []
-        lap_rows: list[tuple] = []
-        lap_start = 0.0
-        step_count = 0
-        max_steps = int(params.max_time / params.dt)
+        log = LapLog(params.init_path_pos, p_total, params.trace_stride)
+        guard = FlightGuard(params, self.tether.length)
 
-        while len(laps) < n_laps and step_count < max_steps:
+        for _ in range(int(params.max_time / params.dt)):
             rot = quat_to_rot(y[3:7])
             vx, vy, vz = rotate(rot, y[7:10])
             p_mod = p_total % TWO_PI
@@ -322,64 +369,17 @@ class Simulator:
 
             y = self.rk4_step(y, deflections, spool_speed)
             t += params.dt
-            step_count += 1
+            guard.check_state(t, y)
 
-            if not all(map(math.isfinite, y)):
-                raise NumericBlowup(f"non-finite state at t = {t:.3f} s")
-            speed = math.hypot(*y[7:10])
             pos = y[0:3]
-            if speed > params.blowup_speed or math.hypot(*pos) > 4.0 * self.tether.length:
-                raise NumericBlowup(
-                    f"state escaped bounds at t = {t:.3f} s (speed {speed:.1f} m/s)")
-
-            p_prev = p_total
-            p_new = nearest_path_position(self.basis, pos, p_mod)
-            p_total += p_new - p_mod
+            p_total += nearest_path_position(self.basis, pos, p_mod) - p_mod
             angle = interior_angle(self.basis, p_total % TWO_PI, pos)
-            if angle > params.abort_angle and t > params.grace_time:
-                raise PathLost(
-                    f"interior angle {angle:.2f} rad at t = {t:.2f} s")
+            guard.check_angle(t, angle)
 
             tension = self.winch_tension(y)
-            power = tension * spool_speed
-            lap_rows.append((t, power, angle, tension))
-            if step_count % params.trace_stride == 0:
-                rows.append((t, power, tension, angle, spool_speed,
-                             p_total, pos[0], pos[1], pos[2]))
+            log.record(t, p_total, pos, spool_speed, angle, tension)
+            if len(log.laps) == n_laps:
+                return log.result(y, p_total)
 
-            # full figure-8 laps measured from the start position
-            p0 = params.init_path_pos
-            if math.floor((p_total - p0) / TWO_PI) > math.floor((p_prev - p0) / TWO_PI):
-                laps.append(self._close_lap(len(laps), lap_start, t, lap_rows))
-                lap_rows = []
-                lap_start = t
-
-        if not laps:
-            raise EmptyLap(
-                f"no lap completed in {t:.0f} s (p reached {p_total:.2f} rad)")
-
-        # a lap can close before the first traced row: keep the columns 2-D
-        data = np.array(rows).reshape(len(rows), 9)
-        return SimResult(
-            laps=laps,
-            time=data[:, 0], power=data[:, 1], tension=data[:, 2],
-            angle=data[:, 3], spool_speed=data[:, 4], path_pos=data[:, 5],
-            position=data[:, 6:9], final_state=np.array(y),
-            final_path_pos=p_total)
-
-    def _close_lap(self, index: int, t_start: float, t_end: float,
-                   rows: list[tuple]) -> LapMetrics:
-        arr = np.array(rows)
-        power = arr[:, 1]
-        angle = arr[:, 2]
-        tension = arr[:, 3]
-        return LapMetrics(
-            index=index, t_start=t_start, t_end=t_end,
-            power_avg=float(np.mean(power)),
-            power_peak=float(np.max(power)),
-            objective=float(np.mean(power - OBJECTIVE_WEIGHT * angle)),
-            angle_mean=float(np.mean(angle)),
-            angle_max=float(np.max(angle)),
-            tension_mean=float(np.mean(tension)),
-            tension_peak=float(np.max(tension)),
-        )
+        raise EmptyLap(f"{len(log.laps)} of {n_laps} laps closed in "
+                       f"{t:.3f} s (p reached {p_total:.2f} rad)")

@@ -54,7 +54,7 @@ class PathLost(HydrokiteError):
 
 
 class EmptyLap(HydrokiteError):
-    """A flight closed no lap before ``Simulator.run``'s ``max_time``."""
+    """Fewer laps closed than asked before ``Simulator.run``'s ``max_time``."""
 
 
 class NoFeasibleIndividual(HydrokiteError):

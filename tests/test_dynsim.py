@@ -42,7 +42,7 @@ from hydrokite.dynsim import (
 from hydrokite.dynsim.control import tangent_basis, velocity_angle, wrap_angle
 from hydrokite.dynsim.kite import GRAVITY
 from hydrokite.dynsim.paths import _scan_points
-from hydrokite.dynsim.sim import quat_from_rot, quat_to_rot
+from hydrokite.dynsim.sim import LapLog, LapMetrics, quat_from_rot, quat_to_rot
 from hydrokite.errors import (
     ConfigError, EmptyLap, NotPositiveDefinite, NumericBlowup, PathLost,
 )
@@ -1122,6 +1122,85 @@ def test_lap_closing_before_the_first_trace_row():
         assert column.shape == (0,)
     assert res.position.shape == (0, 3)
     assert res.final_state.shape == y0.shape
+
+
+def test_run_raises_when_fewer_laps_close_than_asked():
+    # the first lap closes within a few steps; the next two cannot close
+    # before max_time, and run must say so rather than return one lap
+    props = mid_size_kite()
+    y0 = Simulator(props, TetherProperties(), BasisParams(),
+                   params=SimParams(init_path_pos=2.0)).initial_state()
+    flight = Simulator(props, TetherProperties(), BasisParams(),
+                       params=SimParams(init_path_pos=2.0 + 1e-4, max_time=0.5))
+    with pytest.raises(EmptyLap, match=r"^1 of 3 laps closed in 0\.500 s \(p reached "):
+        flight.run(3, y0=y0, p_start=2.0)
+
+
+def reference_close_lap(index, t_start, t_end, rows):
+    """The lap statistics as ``Simulator.run`` computed them before the lap
+    log took them over."""
+    arr = np.array(rows)
+    power = arr[:, 1]
+    angle = arr[:, 2]
+    tension = arr[:, 3]
+    return LapMetrics(
+        index=index, t_start=t_start, t_end=t_end,
+        power_avg=float(np.mean(power)),
+        power_peak=float(np.max(power)),
+        objective=float(np.mean(power - 1.0e3 * angle)),
+        angle_mean=float(np.mean(angle)),
+        angle_max=float(np.max(angle)),
+        tension_mean=float(np.mean(tension)),
+        tension_peak=float(np.max(tension)),
+    )
+
+
+def test_lap_log_closes_laps_like_the_reference():
+    # made-up steps whose p crosses the boundaries p0 and p0 + 2π, no
+    # flight: 0.37 rad per step from 0.2 rad short of p0
+    rng = np.random.default_rng(5)
+    p0, dt, stride = 1.3, 0.01, 4
+    log = LapLog(p0, p0 - 0.2, stride)
+    steps, rows = [], []
+    for k in range(1, 30):
+        t = k * dt
+        p = p0 - 0.2 + 0.37 * k
+        pos = rng.normal(size=3).tolist()
+        spool = rng.uniform(-0.5, 0.5)
+        angle = rng.uniform(0.0, 0.3)
+        tension = rng.uniform(1e3, 5e4)
+        log.record(t, p, pos, spool, angle, tension)
+        steps.append((t, p, pos, spool, angle, tension, tension * spool))
+        rows.append((t, tension * spool, angle, tension))
+
+    # the boundaries fall on steps 1 (p0) and 18 (p0 + 2π)
+    assert [lap.t_end for lap in log.laps] == [steps[0][0], steps[17][0]]
+    assert len(log.laps) == 2
+    first, second = log.laps
+    assert second.t_start == first.t_end
+    expected = [reference_close_lap(0, 0.0, steps[0][0], rows[:1]),
+                reference_close_lap(1, steps[0][0], steps[17][0], rows[1:18])]
+    for got, want in zip(log.laps, expected):
+        for f in dataclasses.fields(LapMetrics):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert type(g) is type(w), f.name
+            assert (g.hex() if isinstance(g, float) else g) == \
+                (w.hex() if isinstance(w, float) else w), f.name
+
+    # the trace keeps every stride-th step, in SimResult's columns
+    y = rng.normal(size=7).tolist()
+    res = log.result(y, steps[-1][1])
+    traced = steps[stride - 1::stride]
+    assert res.laps is log.laps
+    assert res.time.tolist() == [s[0] for s in traced]
+    assert res.power.tolist() == [s[6] for s in traced]
+    assert res.tension.tolist() == [s[5] for s in traced]
+    assert res.angle.tolist() == [s[4] for s in traced]
+    assert res.spool_speed.tolist() == [s[3] for s in traced]
+    assert res.path_pos.tolist() == [s[1] for s in traced]
+    assert res.position.tolist() == [s[2] for s in traced]
+    assert res.final_state.tolist() == y
+    assert res.final_path_pos == steps[-1][1]
 
 
 # -- controllers ------------------------------------------------------------

@@ -385,7 +385,7 @@ def test_generate_samples_skips_simulated_points_that_fail():
     assert out == []
     messages = [str(w.message) for w in record]
     assert len(messages) == 2
-    assert messages[0].startswith("skipping geometry (8.5, 6): no lap completed")
+    assert messages[0].startswith("skipping geometry (8.5, 6): 0 of 1 laps closed")
     assert messages[1].startswith(
         "skipping geometry (8.5, 12): no wing structure within bounds")
 
