@@ -153,7 +153,7 @@ class LapLog:
         self.turns = turns
 
     def result(self, y: list[float], p: float) -> SimResult:
-        # trace rows hold SimResult's columns in field order; 2-D when empty
+        # SimResult's columns in field order, 2-D even with no row traced
         data = np.array(self.trace).reshape(len(self.trace), 9)
         return SimResult(self.laps, *data[:, :6].T, data[:, 6:9], np.array(y), p)
 

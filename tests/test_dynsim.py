@@ -1157,14 +1157,14 @@ def reference_close_lap(index, t_start, t_end, rows):
 
 def test_lap_log_closes_laps_like_the_reference():
     # made-up steps whose p crosses the boundaries p0 and p0 + 2π, no
-    # flight: 0.37 rad per step from 0.2 rad short of p0
+    # flight: 0.37 rad per step from 1 rad short of p0
     rng = np.random.default_rng(5)
     p0, dt, stride = 1.3, 0.01, 4
-    log = LapLog(p0, p0 - 0.2, stride)
+    log = LapLog(p0, p0 - 1.0, stride)
     steps, rows = [], []
     for k in range(1, 30):
         t = k * dt
-        p = p0 - 0.2 + 0.37 * k
+        p = p0 - 1.0 + 0.37 * k
         pos = rng.normal(size=3).tolist()
         spool = rng.uniform(-0.5, 0.5)
         angle = rng.uniform(0.0, 0.3)
@@ -1173,19 +1173,18 @@ def test_lap_log_closes_laps_like_the_reference():
         steps.append((t, p, pos, spool, angle, tension, tension * spool))
         rows.append((t, tension * spool, angle, tension))
 
-    # the boundaries fall on steps 1 (p0) and 18 (p0 + 2π)
-    assert [lap.t_end for lap in log.laps] == [steps[0][0], steps[17][0]]
+    # the boundaries fall on steps 3 (p0) and 20 (p0 + 2π)
     assert len(log.laps) == 2
     first, second = log.laps
+    assert first.t_end == steps[2][0] and second.t_end == steps[19][0]
     assert second.t_start == first.t_end
-    expected = [reference_close_lap(0, 0.0, steps[0][0], rows[:1]),
-                reference_close_lap(1, steps[0][0], steps[17][0], rows[1:18])]
+    expected = [reference_close_lap(0, 0.0, steps[2][0], rows[:3]),
+                reference_close_lap(1, steps[2][0], steps[19][0], rows[3:20])]
     for got, want in zip(log.laps, expected):
-        for f in dataclasses.fields(LapMetrics):
-            g, w = getattr(got, f.name), getattr(want, f.name)
-            assert type(g) is type(w), f.name
-            assert (g.hex() if isinstance(g, float) else g) == \
-                (w.hex() if isinstance(w, float) else w), f.name
+        assert got.index == want.index
+        fields = dataclasses.astuple(got)[1:]
+        assert all(type(v) is float for v in fields)
+        assert bits(fields) == bits(dataclasses.astuple(want)[1:])
 
     # the trace keeps every stride-th step, in SimResult's columns
     y = rng.normal(size=7).tolist()
